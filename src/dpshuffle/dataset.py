@@ -1,33 +1,27 @@
-"""Tabular datasets with finite attribute domains and one-hot encoding.
+"""Tabular datasets with finite attribute domains, stored as domain indices.
 
 Every attribute has a finite domain: either an explicit list of labels or
 a set of numeric buckets defined by ascending bin edges.  Rows carry a
-unique ID plus one value per attribute, and encode to one bit vector per
-attribute with exactly one high bit.  The shuffling stages downstream
-only ever move whole bit vectors around, so encoding and decoding here
-are the only places that touch raw values.
+unique ID plus one value per attribute.  A Dataset checks every value
+once and stores it as its index in the attribute's domain, in one
+``(n, k)`` integer array.  That index is the position of the single high
+bit in the paper's one-hot encoding, so it carries exactly the same
+information; the shuffling stages downstream only ever move rows of
+indices, and labels come back only when a table is exported.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-BitVector = tuple[int, ...]
-
-# Above this many cells (sum of domain sizes) the one-hot representation
-# gets bulky; we warn rather than refuse.
-DOMAIN_WARNING_THRESHOLD = 10_000
+import numpy as np
 
 
 class DatasetError(ValueError):
     """Raised for malformed schemas, rows, or input files."""
-
-
-class EncodingError(DatasetError):
-    """Raised when a bit vector violates the one-hot contract."""
 
 
 def _format_number(x: float) -> str:
@@ -36,16 +30,6 @@ def _format_number(x: float) -> str:
     if float(x).is_integer():
         return str(int(x))
     return repr(float(x))
-
-
-def high_bit(vector: BitVector) -> int:
-    """Return the index of the single high bit, or raise EncodingError."""
-    ones = [i for i, b in enumerate(vector) if b == 1]
-    if len(ones) != 1 or any(b not in (0, 1) for b in vector):
-        raise EncodingError(
-            f"bit vector {vector!r} must contain exactly one high bit"
-        )
-    return ones[0]
 
 
 @dataclass(frozen=True)
@@ -97,61 +81,60 @@ class Attribute:
             raise DatasetError(f"attribute {self.name!r} has no bucketing rule")
         return self.bin_edges[index], self.bin_edges[index + 1]
 
-    def bucket_of(self, x: float) -> int:
-        """Index of the bucket containing ``x``."""
-        if not self.is_numeric:
-            raise DatasetError(
-                f"attribute {self.name!r} has no bucketing rule for numeric "
-                f"value {x!r}"
-            )
-        edges = self.bin_edges
-        if x < edges[0] or x >= edges[-1]:
-            raise DatasetError(
-                f"value {x!r} outside the bucket range "
-                f"[{_format_number(edges[0])}, {_format_number(edges[-1])}) "
-                f"of attribute {self.name!r}"
-            )
-        lo, hi = 0, len(edges) - 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if x >= edges[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
-    def value_index(self, value: object) -> int:
-        """Domain index of a raw value (label or number)."""
-        if isinstance(value, str):
-            if value in self.values:
-                return self.values.index(value)
-            if self.is_numeric:
-                try:
-                    parsed = float(value)
-                except ValueError:
-                    pass
-                else:
-                    return self.bucket_of(parsed)
-            raise DatasetError(
-                f"value {value!r} is not in the domain of attribute {self.name!r}"
-            )
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return self.bucket_of(float(value))
-        raise DatasetError(
-            f"unsupported value {value!r} for attribute {self.name!r}"
-        )
+def _column_codes(attr: Attribute, cells: Sequence[object]) -> np.ndarray:
+    """Domain index of every cell of one attribute's column.
 
-    def encode(self, value: object) -> BitVector:
-        idx = self.value_index(value)
-        return tuple(1 if i == idx else 0 for i in range(self.size))
+    This is the only place a value is checked against its domain.  A cell
+    is one of the attribute's labels or, for a bucketed attribute, a
+    number or numeric string, which lands in the bucket [lo, hi) holding
+    it.  Errors name the 1-based row of the offending cell.
+    """
 
-    def decode(self, vector: BitVector) -> str:
-        if len(vector) != self.size:
-            raise EncodingError(
-                f"bit vector of length {len(vector)} does not match the "
-                f"{self.size}-value domain of attribute {self.name!r}"
+    def error(slot: int, problem: str) -> DatasetError:
+        return DatasetError(f"row {slot + 1}, attribute {attr.name!r}: {problem}")
+
+    labels = {label: i for i, label in enumerate(attr.values)}
+    codes = [0] * len(cells)
+    number_slots: list[int] = []
+    numbers: list[float] = []
+    for slot, cell in enumerate(cells):
+        if isinstance(cell, str):
+            if cell in labels:
+                codes[slot] = labels[cell]
+                continue
+            try:
+                number = float(cell) if attr.is_numeric else None
+            except ValueError:
+                number = None
+            if number is None:
+                raise error(slot, f"value {cell!r} is not in the domain")
+        elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
+            if not attr.is_numeric:
+                raise error(slot, f"no bucketing rule for numeric value {cell!r}")
+            number = float(cell)
+        else:
+            raise error(slot, f"unsupported value {cell!r}")
+        number_slots.append(slot)
+        numbers.append(number)
+
+    out = np.array(codes, dtype=np.int64)
+    if numbers:
+        x = np.array(numbers)
+        edges = np.array(attr.bin_edges)
+        outside = ~((edges[0] <= x) & (x < edges[-1]))  # NaN is outside too
+        if outside.any():
+            i = int(np.argmax(outside))
+            value = numbers[i]
+            if math.isnan(value):
+                raise error(number_slots[i], f"value {value!r} is not a number")
+            raise error(
+                number_slots[i],
+                f"value {value!r} outside the bucket range "
+                f"[{_format_number(edges[0])}, {_format_number(edges[-1])})",
             )
-        return self.values[high_bit(vector)]
+        out[number_slots] = np.searchsorted(edges, x, side="right") - 1
+    return out
 
 
 def _auto_labels(edges: tuple[float, ...]) -> tuple[str, ...]:
@@ -176,13 +159,6 @@ class Schema:
         names = [a.name.lower() for a in self.attributes]
         if len(set(names)) != len(names):
             raise DatasetError("schema attribute names must be unique")
-        cells = sum(a.size for a in self.attributes)
-        if cells > DOMAIN_WARNING_THRESHOLD:
-            warnings.warn(
-                f"one-hot encoding will use {cells} cells per row; consider "
-                f"coarser buckets",
-                stacklevel=2,
-            )
 
     @property
     def k(self) -> int:
@@ -245,102 +221,51 @@ class Row:
     values: tuple[object, ...]
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Validated raw rows against a schema."""
+    """Rows checked against a schema and stored as domain indices.
 
-    schema: Schema
-    rows: tuple[Row, ...]
+    ``ids`` keeps the row IDs in input order and ``codes[i, j]`` is the
+    index of row i's value in the domain of attribute j.  Row IDs must be
+    unique and every row must carry one value per attribute.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, schema: Schema, rows: Iterable[Row]) -> None:
+        rows = tuple(rows)
         seen: set[str] = set()
-        for row in self.rows:
+        for number, row in enumerate(rows, start=1):
             if row.uid in seen:
-                raise DatasetError(f"duplicate row ID {row.uid!r}")
+                raise DatasetError(f"row {number}: duplicate row ID {row.uid!r}")
             seen.add(row.uid)
-            if len(row.values) != self.schema.k:
+            if len(row.values) != schema.k:
                 raise DatasetError(
-                    f"row {row.uid!r} has {len(row.values)} values, expected "
-                    f"{self.schema.k}"
+                    f"row {number} ({row.uid!r}) has {len(row.values)} values, "
+                    f"expected {schema.k}"
                 )
-            for attr, value in zip(self.schema.attributes, row.values):
-                attr.value_index(value)
+        codes = np.empty((len(rows), schema.k), dtype=np.int64)
+        for j, attr in enumerate(schema.attributes):
+            codes[:, j] = _column_codes(attr, [row.values[j] for row in rows])
+        codes.flags.writeable = False
+        self.schema = schema
+        self.ids = tuple(row.uid for row in rows)
+        self.codes = codes
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
-
-@dataclass(frozen=True)
-class EncodedRow:
-    uid: str
-    vectors: tuple[BitVector, ...]
-
-
-@dataclass(frozen=True)
-class EncodedDataset:
-    """One bit vector per attribute per row, exactly one high bit each."""
-
-    schema: Schema
-    rows: tuple[EncodedRow, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for row in self.rows:
-            if row.uid in seen:
-                raise DatasetError(f"duplicate row ID {row.uid!r}")
-            seen.add(row.uid)
-            if len(row.vectors) != self.schema.k:
-                raise DatasetError(
-                    f"row {row.uid!r} has {len(row.vectors)} vectors, expected "
-                    f"{self.schema.k}"
-                )
-            for attr, vector in zip(self.schema.attributes, row.vectors):
-                if len(vector) != attr.size:
-                    raise EncodingError(
-                        f"row {row.uid!r}: vector length {len(vector)} does not "
-                        f"match the {attr.size}-value domain of {attr.name!r}"
-                    )
-                high_bit(vector)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def value_index(self, slot: int, attr_name: str) -> int:
-        pos = self.schema.index_of(attr_name)
-        return high_bit(self.rows[slot].vectors[pos])
-
-
-def one_hot_encode(dataset: Dataset) -> EncodedDataset:
-    """Encode every value as a one-hot bit vector over its domain."""
-    encoded = []
-    for row in dataset.rows:
-        vectors = tuple(
-            attr.encode(value)
-            for attr, value in zip(dataset.schema.attributes, row.values)
-        )
-        encoded.append(EncodedRow(row.uid, vectors))
-    return EncodedDataset(dataset.schema, tuple(encoded))
-
-
-def decode(encoded: EncodedDataset) -> Dataset:
-    """Rebuild rows of labels.  Numeric values come back as bucket labels."""
-    rows = []
-    for row in encoded.rows:
-        values = tuple(
-            attr.decode(vector)
-            for attr, vector in zip(encoded.schema.attributes, row.vectors)
-        )
-        rows.append(Row(row.uid, values))
-    return Dataset(encoded.schema, tuple(rows))
+    def column(self, name: str) -> np.ndarray:
+        """Domain index of attribute ``name`` for every row."""
+        return self.codes[:, self.schema.index_of(name)]
 
 
 def load_csv(path: str, schema: Schema) -> Dataset:
     """Load rows from a CSV file whose first column is the unique row ID.
 
     The header must name every schema attribute, in schema order, after
-    the ID column.  Numeric attribute cells are parsed as numbers.
+    the ID column.  Cells of bucketed attributes that parse as numbers
+    are read as numbers.  Only the file's layout is checked here; the
+    values are checked by :class:`Dataset`.  Rows are numbered from 1
+    after the header, not counting blank lines, which are skipped.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -355,38 +280,35 @@ def load_csv(path: str, schema: Schema) -> Dataset:
                 f"{path}: header columns {header[1:]!r} do not match schema "
                 f"attributes {list(schema.names)!r}"
             )
+        numeric = [attr.is_numeric for attr in schema.attributes]
         rows = []
-        ids: set[str] = set()
-        for lineno, record in enumerate(reader, start=2):
+        for record in reader:
             if not record or all(not cell.strip() for cell in record):
                 continue
+            number = len(rows) + 1
             if len(record) != schema.k + 1:
                 raise DatasetError(
-                    f"{path} row {lineno - 1}: expected {schema.k + 1} columns, "
+                    f"{path} row {number}: expected {schema.k + 1} columns, "
                     f"got {len(record)}"
                 )
             uid = record[0].strip()
             if not uid:
-                raise DatasetError(f"{path} row {lineno - 1}: empty row ID")
-            if uid in ids:
-                raise DatasetError(f"{path}: duplicate row ID {uid!r}")
-            ids.add(uid)
-            values: list[object] = []
-            for attr, cell in zip(schema.attributes, record[1:]):
-                cell = cell.strip()
-                if attr.is_numeric:
-                    try:
-                        parsed: object = float(cell)
-                    except ValueError:
-                        parsed = cell
-                else:
-                    parsed = cell
-                try:
-                    attr.value_index(parsed)
-                except DatasetError as exc:
-                    raise DatasetError(
-                        f"{path} row {lineno - 1}, attribute {attr.name!r}: {exc}"
-                    ) from None
-                values.append(parsed)
-            rows.append(Row(uid, tuple(values)))
-    return Dataset(schema, tuple(rows))
+                raise DatasetError(f"{path} row {number}: empty row ID")
+            values = tuple(
+                _read_cell(cell.strip(), is_numeric)
+                for cell, is_numeric in zip(record[1:], numeric)
+            )
+            rows.append(Row(uid, values))
+    try:
+        return Dataset(schema, rows)
+    except DatasetError as exc:
+        raise DatasetError(f"{path} {exc}") from None
+
+
+def _read_cell(cell: str, is_numeric: bool) -> object:
+    if is_numeric:
+        try:
+            return float(cell)
+        except ValueError:
+            pass
+    return cell

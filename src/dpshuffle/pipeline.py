@@ -1,7 +1,7 @@
-"""End-to-end orchestration: encode, tie, partition, shuffle, account,
-measure, and release.
+"""End-to-end orchestration: tie, partition, shuffle, account, measure,
+and release.
 
-A run encodes the dataset, ties the query's attributes into one
+A run ties the query's attributes of a loaded dataset into one
 channel, shuffles under the configured scheme, and releases the count
 measured on the shuffled output together with its privacy budget.  If
 the released count violates its loss bound the run re-shuffles with a
@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dataset import Dataset, Schema, load_csv, one_hot_encode
+from .dataset import Dataset, Schema, load_csv
 from .partition import build_plan, plan_batches
 from .privacy import account, epsilon_is
 from .queryplan import QuerySpec, parse_query, relevant_attributes, tie_attributes, validate_query
@@ -224,32 +224,34 @@ def _resolve_scheme(
         raise ConfigError(
             "configure t and S, or provide a hypothesis_grid to search"
         )
-    workload: tuple[QuerySpec | str, ...] = config.workload or (query,)
-    selection = select_scheme(
-        RiskConfig(
-            hypothesis_grid=config.hypothesis_grid,
-            workload=workload,
-            lam=config.lam,
-            trials_per_scheme=config.trials,
-            tied_attributes=config.tied_attributes,
-            time_attribute=config.time_attribute,
-        ),
-        dataset,
-        derive_seed(config.seed, "select"),
-    )
+    selection = _select(config, dataset, config.workload or (query,))
     return selection.best, selection
+
+
+def _select(
+    config: PipelineConfig, dataset: Dataset, workload: tuple[QuerySpec | str, ...]
+) -> SchemeSelection:
+    """Rank the configured hypothesis grid on ``workload``."""
+    risk_config = RiskConfig(
+        hypothesis_grid=config.hypothesis_grid,
+        workload=workload,
+        lam=config.lam,
+        trials_per_scheme=config.trials,
+        tied_attributes=config.tied_attributes,
+        time_attribute=config.time_attribute,
+    )
+    return select_scheme(risk_config, dataset, derive_seed(config.seed, "select"))
 
 
 def run_on_dataset(
     config: PipelineConfig, dataset: Dataset, query: QuerySpec
 ) -> DPReport:
     """Run the full release flow on an in-memory dataset."""
-    encoded = one_hot_encode(dataset)
     query = validate_query(query, dataset.schema)
     scheme, _ = _resolve_scheme(config, dataset, query)
 
     tied_names = config.tied_attributes or relevant_attributes(query, dataset.schema)
-    tied_db = tie_attributes(encoded, tied_names)
+    tied_db = tie_attributes(dataset, tied_names)
     channels = tuple(ch.name for ch in tied_db.channels)
 
     sizes = plan_batches(tied_db.n, scheme.t)
@@ -338,18 +340,7 @@ def risk_sweep(
     dataset = _load_inputs(config, dataset_path, schema_path)
     if not config.workload:
         raise ConfigError("a risk sweep needs a non-empty 'workload' in the config")
-    return select_scheme(
-        RiskConfig(
-            hypothesis_grid=config.hypothesis_grid,
-            workload=config.workload,
-            lam=config.lam,
-            trials_per_scheme=config.trials,
-            tied_attributes=config.tied_attributes,
-            time_attribute=config.time_attribute,
-        ),
-        dataset,
-        derive_seed(config.seed, "select"),
-    )
+    return _select(config, dataset, config.workload)
 
 
 # Reference configurations: rows, batches, largest batch as stated,

@@ -13,22 +13,21 @@ window.
 Tying fuses the attributes a query touches into one composite channel,
 so their values travel together through every shuffle and the query's
 joint counts survive unchanged.  Untied attributes each keep their own
-channel.
+channel.  A channel's column is an ``(n, width)`` array of domain
+indices, one row per slot and one column per member attribute: the
+paper's one-hot encodings of a slot's tied values, kept as the indices
+of their high bits, so a shuffle moves whole index rows.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
-from .dataset import (
-    BitVector,
-    DatasetError,
-    EncodedDataset,
-    Schema,
-    _format_number,
-    high_bit,
-)
+import numpy as np
+
+from .dataset import Dataset, DatasetError, Schema, _format_number
 
 OPERATORS = ("<=", ">=", "=", "<", ">")
 
@@ -82,11 +81,14 @@ _QUERY_RE = re.compile(
 _PREDICATE_RE = re.compile(r"^(?P<attr>.+?)\s*(?P<op><=|>=|=|<|>)\s*(?P<value>.+)$")
 
 
-def _parse_float(token: str, what: str) -> float:
+def _parse_float(token: str | float, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise QueryError(f"{what} {token!r} is not a number") from None
+        value = math.nan
+    if math.isnan(value):
+        raise QueryError(f"{what} {token!r} is not a number")
+    return value
 
 
 def parse_query(
@@ -148,10 +150,9 @@ def validate_query(query: QuerySpec, schema: Schema) -> QuerySpec:
         if pred.op not in OPERATORS:
             raise QueryError(f"unknown operator {pred.op!r}")
         if attr.is_numeric:
-            value: str | float = (
-                pred.value
-                if isinstance(pred.value, float)
-                else _parse_float(str(pred.value), f"value for {attr.name!r}")
+            value: str | float = _parse_float(
+                pred.value if isinstance(pred.value, float) else str(pred.value),
+                f"value for {attr.name!r}",
             )
         else:
             if pred.op != "=":
@@ -174,11 +175,11 @@ def validate_query(query: QuerySpec, schema: Schema) -> QuerySpec:
             raise QueryError(
                 f"time attribute {attr.name!r} must have numeric buckets"
             )
-        if horizon.start > horizon.end:
-            raise QueryError(
-                f"time window start {horizon.start} exceeds end {horizon.end}"
-            )
-        horizon = TimeHorizon(attr.name, float(horizon.start), float(horizon.end))
+        start = _parse_float(horizon.start, "time window start")
+        end = _parse_float(horizon.end, "time window end")
+        if start > end:
+            raise QueryError(f"time window start {start} exceeds end {end}")
+        horizon = TimeHorizon(attr.name, start, end)
     return QuerySpec(tuple(predicates), horizon)
 
 
@@ -214,23 +215,19 @@ class Channel:
         return len(self.members)
 
 
-# A channel's payload for one row: one bit vector per member attribute.
-Payload = tuple[BitVector, ...]
-
-
 @dataclass(frozen=True)
 class TiedDataset:
-    """Encoded rows regrouped into channels, one of them composite.
+    """Domain-index rows regrouped into channels, one of them composite.
 
-    ``columns`` maps channel name to a list of per-slot payloads; slot i
-    of every column belongs to the same input row until shuffling breaks
-    the linkage.
+    ``columns`` maps channel name to an ``(n, width)`` array whose column
+    p holds member p's domain indices; slot i of every column belongs to
+    the same input row until shuffling breaks the linkage.
     """
 
     schema: Schema
     ids: tuple[str, ...]
     channels: tuple[Channel, ...]
-    columns: dict[str, list[Payload]]
+    columns: dict[str, np.ndarray]
     tied_channel: str
 
     @property
@@ -259,22 +256,23 @@ class TiedDataset:
                 return ch.name, ch.members.index(target)
         raise QueryError(f"attribute {attr_name!r} is not in any channel")
 
-    def value_index(self, slot: int, attr_name: str) -> int:
-        chan, pos = self.locate(attr_name)
-        return high_bit(self.columns[chan][slot][pos])
+    def column(self, name: str) -> np.ndarray:
+        """Domain index of attribute ``name`` in every slot."""
+        chan, pos = self.locate(name)
+        return self.columns[chan][:, pos]
 
 
 def tie_attributes(
-    encoded: EncodedDataset, relevant: tuple[str, ...] | list[str]
+    dataset: Dataset, relevant: tuple[str, ...] | list[str]
 ) -> TiedDataset:
     """Fuse the ``relevant`` attributes into one composite channel.
 
     With m tied attributes out of k the result has g = k - m + 1
     channels.  The composite sits at the position of its earliest member
     and is named by joining member names with ':'.  Tied values share a
-    payload, so shuffles can never separate them.
+    row of the composite's column, so shuffles can never separate them.
     """
-    schema = encoded.schema
+    schema = dataset.schema
     if not relevant:
         raise QueryError("cannot tie an empty attribute set")
     resolved = []
@@ -297,17 +295,13 @@ def tie_attributes(
         else:
             channels.append(Channel(name, (name,)))
 
-    columns: dict[str, list[Payload]] = {ch.name: [] for ch in channels}
-    for row in encoded.rows:
-        for ch in channels:
-            payload = tuple(
-                row.vectors[schema.index_of(member)] for member in ch.members
-            )
-            columns[ch.name].append(payload)
-
+    columns = {
+        ch.name: dataset.codes[:, [schema.index_of(m) for m in ch.members]]
+        for ch in channels
+    }
     return TiedDataset(
         schema=schema,
-        ids=tuple(row.uid for row in encoded.rows),
+        ids=dataset.ids,
         channels=tuple(channels),
         columns=columns,
         tied_channel=":".join(tied),

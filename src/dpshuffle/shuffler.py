@@ -4,6 +4,12 @@ Iterative shuffling (IS) permutes each batch independently; cumulative
 iterative shuffling (CIS) permutes a growing prefix, stage i covering
 batches 1..i, so earlier rows are re-shuffled at every later stage.
 
+A shuffle moves rows of domain indices, each row standing for the
+paper's one-hot encodings of one slot's values in a channel; moving the
+index row moves exactly what moving the encodings would.  Each attribute
+group's permutations are composed into one index array over all n
+slots, and every channel of the group is gathered through it once.
+
 Stage randomness is re-derived from the plan seed per (mode, stage,
 shuffler), never drawn from shared state; results are therefore
 identical however stages are ordered or parallelised.  Within a stage
@@ -17,10 +23,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .partition import ShufflePlan, assignment_for_stage
-from .queryplan import Payload, TiedDataset
+from .queryplan import TiedDataset
 from .seeds import derive_rng
 
 MODES = ("IS", "CIS")
@@ -47,32 +55,43 @@ class ShuffledDataset(TiedDataset):
 
     def decoded_values(self, slot: int) -> tuple[str, ...]:
         """Domain labels now attached to ``slot``, in schema order."""
-        labels = []
-        for attr in self.schema.attributes:
-            chan, pos = self.locate(attr.name)
-            labels.append(attr.decode(self.columns[chan][slot][pos]))
-        return tuple(labels)
+        return tuple(
+            attr.values[self.column(attr.name)[slot]]
+            for attr in self.schema.attributes
+        )
 
 
 def stage_permutation(
     plan: ShufflePlan, mode: str, stage_index: int, shuffler_id: int, size: int
-) -> tuple[int, ...]:
+) -> np.ndarray:
     """The permutation a shuffler draws for one stage.
 
-    Exposed for audits: entry i names the input slot whose payload lands
-    in output slot i.
+    Exposed for audits: entry i names the input slot whose row lands in
+    output slot i.
     """
     rng = derive_rng(plan.seed, "perm", mode, stage_index, shuffler_id)
-    return tuple(int(i) for i in rng.permutation(size))
+    return rng.permutation(size)
+
+
+def _group_permutations(
+    plan: ShufflePlan, mode: str, stage_index: int, size: int
+) -> Iterator[tuple[tuple[str, ...], np.ndarray]]:
+    """(group, permutation) for every non-empty attribute group of a stage."""
+    assignment = assignment_for_stage(plan, stage_index)
+    for gi, group in enumerate(plan.attribute_groups):
+        if group:
+            yield group, stage_permutation(
+                plan, mode, stage_index, assignment[gi], size
+            )
 
 
 def shuffle_batch(
-    columns: Mapping[str, Sequence[Payload]],
+    columns: Mapping[str, np.ndarray],
     plan: ShufflePlan,
     stage_index: int,
     mode_tag: str = "IS",
-) -> dict[str, list[Payload]]:
-    """Shuffle one batch (or prefix) of payload columns.
+) -> dict[str, np.ndarray]:
+    """Shuffle one batch (or prefix) of channel columns.
 
     Each attribute group's channels move under a single shared
     permutation drawn by the group's shuffler for this stage.
@@ -96,17 +115,21 @@ def shuffle_batch(
     if size == 0:
         raise ShuffleError("cannot shuffle an empty batch")
 
-    assignment = assignment_for_stage(plan, stage_index)
-    out: dict[str, list[Payload]] = {}
-    for gi, group in enumerate(plan.attribute_groups):
-        perm = stage_permutation(plan, mode_tag, stage_index, assignment[gi], size)
+    out = {}
+    for group, perm in _group_permutations(plan, mode_tag, stage_index, size):
         for name in group:
-            column = columns[name]
-            out[name] = [column[src] for src in perm]
+            out[name] = columns[name][perm]
     return out
 
 
-def _check_plan(tied: TiedDataset, plan: ShufflePlan) -> None:
+def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset:
+    """Compose every stage's draws per group, then gather each channel once.
+
+    ``orders[group][i]`` is the input slot whose row ends in output slot
+    i of the group's channels.  An IS stage permutes its own batch of it;
+    a CIS stage permutes the prefix up to the batch's end, on top of the
+    earlier stages.
+    """
     names = tuple(ch.name for ch in tied.channels)
     if set(names) != set(plan.channels):
         raise ShuffleError(
@@ -117,46 +140,36 @@ def _check_plan(tied: TiedDataset, plan: ShufflePlan) -> None:
         raise ShuffleError(
             f"plan covers {plan.n} rows but the dataset has {tied.n}"
         )
-
-
-def iterative_shuffle(tied: TiedDataset, plan: ShufflePlan) -> ShuffledDataset:
-    """Shuffle every batch independently (one stage per batch)."""
-    _check_plan(tied, plan)
-    out: dict[str, list[Payload]] = {name: [] for name in plan.channels}
+    orders = {group: np.arange(tied.n) for group in plan.attribute_groups if group}
     for stage, (start, end) in enumerate(plan.bounds):
-        batch = {name: tied.columns[name][start:end] for name in plan.channels}
-        shuffled = shuffle_batch(batch, plan, stage, "IS")
-        for name in plan.channels:
-            out[name].extend(shuffled[name])
+        lo = start if mode == "IS" else 0
+        for group, perm in _group_permutations(plan, mode, stage, end - lo):
+            orders[group][lo:end] = orders[group][lo:end][perm]
+    columns = {
+        name: tied.columns[name][order]
+        for group, order in orders.items()
+        for name in group
+    }
     return ShuffledDataset(
         schema=tied.schema,
         ids=tied.ids,
         channels=tied.channels,
-        columns=out,
+        columns=columns,
         tied_channel=tied.tied_channel,
-        provenance=Provenance("IS", plan.seed, plan.digest()),
+        provenance=Provenance(mode, plan.seed, plan.digest()),
     )
+
+
+def iterative_shuffle(tied: TiedDataset, plan: ShufflePlan) -> ShuffledDataset:
+    """Shuffle every batch independently (one stage per batch)."""
+    return _shuffle(tied, plan, "IS")
 
 
 def cumulative_iterative_shuffle(
     tied: TiedDataset, plan: ShufflePlan
 ) -> ShuffledDataset:
     """Shuffle growing prefixes: stage i re-shuffles batches 1..i together."""
-    _check_plan(tied, plan)
-    working = {name: list(tied.columns[name]) for name in plan.channels}
-    for stage, (_, end) in enumerate(plan.bounds):
-        prefix = {name: working[name][:end] for name in plan.channels}
-        shuffled = shuffle_batch(prefix, plan, stage, "CIS")
-        for name in plan.channels:
-            working[name][:end] = shuffled[name]
-    return ShuffledDataset(
-        schema=tied.schema,
-        ids=tied.ids,
-        channels=tied.channels,
-        columns=working,
-        tied_channel=tied.tied_channel,
-        provenance=Provenance("CIS", plan.seed, plan.digest()),
-    )
+    return _shuffle(tied, plan, "CIS")
 
 
 def apply_channel_permutations(
@@ -164,8 +177,8 @@ def apply_channel_permutations(
 ) -> ShuffledDataset:
     """Apply explicit per-channel permutations (for tests and audits).
 
-    ``perms[name][i]`` is the input slot whose payload moves to output
-    slot i of channel ``name``.
+    ``perms[name][i]`` is the input slot whose row moves to output slot i
+    of channel ``name``.
     """
     names = tuple(ch.name for ch in tied.channels)
     if set(perms) != set(names):
@@ -173,16 +186,15 @@ def apply_channel_permutations(
             f"permutations given for {sorted(perms)!r} but the dataset has "
             f"channels {sorted(names)!r}"
         )
-    columns: dict[str, list[Payload]] = {}
+    columns = {}
     for name in names:
-        perm = list(perms[name])
-        if sorted(perm) != list(range(tied.n)):
+        perm = np.asarray(perms[name])
+        if not np.array_equal(np.sort(perm), np.arange(tied.n)):
             raise ShuffleError(
                 f"permutation for channel {name!r} is not a permutation of "
                 f"0..{tied.n - 1}"
             )
-        column = tied.columns[name]
-        columns[name] = [column[src] for src in perm]
+        columns[name] = tied.columns[name][perm]
     return ShuffledDataset(
         schema=tied.schema,
         ids=tied.ids,

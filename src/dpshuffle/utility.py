@@ -1,8 +1,8 @@
 """Count queries, loss accounting, and risk-driven scheme selection.
 
 The released answer to a count query is its count over the shuffled
-output database.  Because shuffling within a channel only permutes
-payloads, a query whose attributes all sit inside the tied channel is
+output database.  Because shuffling within a channel only permutes its
+whole rows, a query whose attributes all sit inside the tied channel is
 answered exactly; queries that span channels can drift, and the drift
 is bounded by loss <= c' * |e^eps - 1|.
 
@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Callable, Sequence
 
-from .dataset import Dataset, EncodedDataset, high_bit, one_hot_encode
+import numpy as np
+
+from .dataset import Dataset
 from .partition import build_plan, plan_batches
 from .privacy import epsilon_is
 from .queryplan import (
@@ -41,48 +43,21 @@ class RiskError(ValueError):
     """Raised for invalid risk configurations or broken risk guarantees."""
 
 
-def _index_reader(db, attr_name: str) -> Callable[[int], int]:
-    """Slot -> domain index accessor for one attribute."""
-    if isinstance(db, TiedDataset):
-        chan, pos = db.locate(attr_name)
-        column = db.columns[chan]
-        return lambda slot: high_bit(column[slot][pos])
-    if isinstance(db, EncodedDataset):
-        pos = db.schema.index_of(attr_name)
-        rows = db.rows
-        return lambda slot: high_bit(rows[slot].vectors[pos])
-    raise TypeError(f"cannot count over {type(db).__name__}")
-
-
-def count_query(db, query: QuerySpec, plan=None) -> int:
+def count_query(db: Dataset | TiedDataset, query: QuerySpec) -> int:
     """Rows of ``db`` satisfying every predicate and the time window.
 
-    ``db`` is an encoded, tied, or shuffled dataset.  When ``plan`` is
-    given the count is accumulated batch by batch over the plan's
-    boundaries; the total is the same either way.
+    ``db`` is a dataset, or a tied or shuffled one: each condition looks
+    up the attribute's domain indices in a mask of the matching indices.
     """
     query = validate_query(query, db.schema)
-    checks = []
+    hits = np.ones(db.n, dtype=bool)
     for pred in query.predicates:
         attr = db.schema.attribute(pred.attribute)
-        checks.append((_index_reader(db, attr.name), bucket_mask(attr, pred)))
+        hits &= np.asarray(bucket_mask(attr, pred))[db.column(attr.name)]
     if query.time_horizon is not None:
         attr = db.schema.attribute(query.time_horizon.attribute)
-        checks.append(
-            (_index_reader(db, attr.name), horizon_mask(attr, query.time_horizon))
-        )
-
-    def matches(slot: int) -> bool:
-        return all(mask[read(slot)] for read, mask in checks)
-
-    if plan is None:
-        return sum(1 for slot in range(db.n) if matches(slot))
-    if plan.n != db.n:
-        raise RiskError(f"plan covers {plan.n} rows but the database has {db.n}")
-    total = 0
-    for start, end in plan.bounds:
-        total += sum(1 for slot in range(start, end) if matches(slot))
-    return total
+        hits &= np.asarray(horizon_mask(attr, query.time_horizon))[db.column(attr.name)]
+    return int(np.count_nonzero(hits))
 
 
 def loss(c: float, c_prime: float) -> float:
@@ -254,7 +229,7 @@ def _resolve_workload(
 
 
 def select_scheme(
-    config: RiskConfig, dataset: Dataset | EncodedDataset, seed: int
+    config: RiskConfig, dataset: Dataset, seed: int
 ) -> SchemeSelection:
     """Pick the grid candidate with the lowest regularized empirical risk.
 
@@ -271,11 +246,8 @@ def select_scheme(
         raise RiskError(
             f"need at least one trial per scheme, got {config.trials_per_scheme}"
         )
-    encoded = (
-        one_hot_encode(dataset) if isinstance(dataset, Dataset) else dataset
-    )
-    queries, tied = _resolve_workload(config, encoded.schema)
-    tied_db = tie_attributes(encoded, tied)
+    queries, tied = _resolve_workload(config, dataset.schema)
+    tied_db = tie_attributes(dataset, tied)
     channels = tuple(ch.name for ch in tied_db.channels)
     input_counts = [count_query(tied_db, q) for q in queries]
 

@@ -15,7 +15,6 @@ from dpshuffle import (
     Row,
     Schema,
     load_csv,
-    one_hot_encode,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -45,11 +44,6 @@ def people_schema() -> Schema:
 @pytest.fixture
 def people_dataset(people_schema) -> Dataset:
     return load_csv(str(DATA_DIR / "people.csv"), people_schema)
-
-
-@pytest.fixture
-def people_encoded(people_dataset):
-    return one_hot_encode(people_dataset)
 
 
 @pytest.fixture

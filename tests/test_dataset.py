@@ -8,51 +8,63 @@ from dpshuffle import (
     Attribute,
     Dataset,
     DatasetError,
-    EncodedDataset,
-    EncodingError,
     Row,
     Schema,
-    decode,
     load_csv,
-    one_hot_encode,
 )
-from dpshuffle.dataset import DOMAIN_WARNING_THRESHOLD, EncodedRow, high_bit
+
+
+def value_index(attr: Attribute, value: object) -> int:
+    """Domain index of one value, stored through a one-cell dataset."""
+    return int(Dataset(Schema((attr,)), (Row("u", (value,)),)).codes[0, 0])
+
+
+def labels(dataset: Dataset, slot: int) -> tuple[str, ...]:
+    """Domain labels of one row, in schema order."""
+    return tuple(
+        attr.values[code]
+        for attr, code in zip(dataset.schema.attributes, dataset.codes[slot])
+    )
 
 
 class TestAttribute:
     def test_categorical_encoding_is_positional(self):
         attr = Attribute("color", ("red", "green", "blue"))
-        assert attr.encode("red") == (1, 0, 0)
-        assert attr.encode("blue") == (0, 0, 1)
+        assert value_index(attr, "red") == 0
+        assert value_index(attr, "blue") == 2
 
     def test_single_value_domain(self):
         attr = Attribute("flag", ("yes",))
-        assert attr.encode("yes") == (1,)
+        assert value_index(attr, "yes") == 0
 
     def test_numeric_bucket_membership(self):
         attr = Attribute("age", ("minor", "adult", "senior"), (0, 18, 40, math.inf))
-        assert attr.encode(20) == (0, 1, 0)
-        assert attr.bucket_of(17.999) == 0
-        assert attr.bucket_of(18) == 1
-        assert attr.bucket_of(40) == 2
-        assert attr.bucket_of(1e9) == 2
+        assert value_index(attr, 20) == 1
+        assert value_index(attr, 17.999) == 0
+        assert value_index(attr, 18) == 1
+        assert value_index(attr, 40) == 2
+        assert value_index(attr, 1e9) == 2
+        assert value_index(attr, "17.5") == 0
+        assert value_index(attr, "adult") == 1
 
     def test_numeric_out_of_range(self):
         attr = Attribute("age", ("young", "old"), (0, 40, 130))
-        with pytest.raises(DatasetError, match="outside the bucket range"):
-            attr.bucket_of(-1)
-        with pytest.raises(DatasetError, match="outside the bucket range"):
-            attr.bucket_of(130)
+        for value in (-1, 130, math.inf):
+            with pytest.raises(DatasetError, match="outside the bucket range"):
+                value_index(attr, value)
+        for value in (math.nan, "nan"):
+            with pytest.raises(DatasetError, match="not a number"):
+                value_index(attr, value)
 
     def test_number_for_label_only_attribute_rejected(self):
         attr = Attribute("name", ("Riya", "Sonal"))
         with pytest.raises(DatasetError, match="no bucketing rule"):
-            attr.value_index(3.5)
+            value_index(attr, 3.5)
 
     def test_unknown_label_rejected(self):
         attr = Attribute("color", ("red", "green"))
         with pytest.raises(DatasetError, match="not in the domain"):
-            attr.value_index("blue")
+            value_index(attr, "blue")
 
     def test_domain_validation(self):
         with pytest.raises(DatasetError, match="duplicate"):
@@ -65,11 +77,6 @@ class TestAttribute:
             Attribute("a", ("lo", "hi"), (0, 40))
         with pytest.raises(DatasetError, match="infinite"):
             Attribute("a", ("lo", "hi"), (-math.inf, 0, 40))
-
-    def test_decode_checks_vector_length(self):
-        attr = Attribute("color", ("red", "green"))
-        with pytest.raises(EncodingError, match="length"):
-            attr.decode((1, 0, 0))
 
 
 class TestSchema:
@@ -97,11 +104,6 @@ class TestSchema:
         with pytest.raises(DatasetError, match="unique"):
             Schema((Attribute("a", ("x",)), Attribute("A", ("y",))))
 
-    def test_large_domain_warns(self):
-        values = tuple(f"v{i}" for i in range(DOMAIN_WARNING_THRESHOLD + 1))
-        with pytest.warns(UserWarning, match="cells per row"):
-            Schema((Attribute("big", values),))
-
     def test_missing_domain_and_bins_rejected(self):
         with pytest.raises(DatasetError, match="'domain' or 'bins'"):
             Schema.from_dict({"attributes": [{"name": "a"}]})
@@ -111,8 +113,8 @@ class TestLoadCsv:
     def test_fixture_loads(self, people_dataset, people_schema):
         assert people_dataset.n == 6
         assert people_schema.k == 4
-        assert people_dataset.rows[0].uid == "Riya"
-        assert people_dataset.rows[3].values[2] == "6.00"
+        assert people_dataset.ids[0] == "Riya"
+        assert labels(people_dataset, 3)[2] == "6.00"
 
     def test_header_only_gives_empty_dataset(self, tmp_path, people_schema):
         path = tmp_path / "empty.csv"
@@ -148,6 +150,14 @@ class TestLoadCsv:
         )
         with pytest.raises(DatasetError, match=r"row 2.*'Name'"):
             load_csv(str(path), people_schema)
+        path.write_text(
+            "id,Name,Age,Height,Weight\n"
+            "Riya,Riya,20,5.3,48\n"
+            "Sonal,Sonal,nan,4.8,42\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match=r"row 2.*'Age'.*not a number"):
+            load_csv(str(path), people_schema)
 
     def test_missing_file(self, people_schema):
         with pytest.raises(OSError):
@@ -156,43 +166,27 @@ class TestLoadCsv:
 
 class TestEncoding:
     def test_encode_preserves_order_ids_and_shape(self, people_dataset):
-        encoded = one_hot_encode(people_dataset)
-        assert encoded.n == people_dataset.n
-        assert [r.uid for r in encoded.rows] == [r.uid for r in people_dataset.rows]
-        for row in encoded.rows:
-            assert len(row.vectors) == people_dataset.schema.k
-            for attr, vec in zip(people_dataset.schema.attributes, row.vectors):
-                assert len(vec) == attr.size
-                assert sum(vec) == 1
+        schema = people_dataset.schema
+        assert people_dataset.codes.shape == (people_dataset.n, schema.k)
+        assert people_dataset.ids == (
+            "Riya", "Sonal", "Priya", "Sayan", "Pranab", "Ravi"
+        )
+        for j, attr in enumerate(schema.attributes):
+            column = people_dataset.codes[:, j]
+            assert ((0 <= column) & (column < attr.size)).all()
 
-    def test_known_bits(self, people_encoded):
+    def test_known_bits(self, people_dataset):
         # Riya: age 20 -> bucket [0,40); weight 48 -> bucket [0,60)
-        riya = people_encoded.rows[0]
-        assert riya.vectors[1] == (1, 0)
-        assert riya.vectors[3] == (1, 0)
+        assert people_dataset.codes[0, 1] == 0
+        assert people_dataset.codes[0, 3] == 0
         # Sayan: height "6.00" is the 4th of 5 labels
-        assert people_encoded.rows[3].vectors[2] == (0, 0, 0, 1, 0)
+        assert people_dataset.codes[3, 2] == 3
 
     def test_decode_round_trip_labels(self, people_dataset):
-        decoded = decode(one_hot_encode(people_dataset))
-        assert [r.uid for r in decoded.rows] == [r.uid for r in people_dataset.rows]
         # categorical attributes come back exactly; numerics as bucket labels
-        assert decoded.rows[0].values[0] == "Riya"
-        assert decoded.rows[0].values[1] == "[0,40)"
-        assert decoded.rows[2].values[3] == "[60,200)"
-
-    def test_decode_rejects_zero_and_double_high_bits(self, people_schema):
-        name = Attribute("color", ("red", "green", "blue"))
-        schema = Schema((name,))
-        with pytest.raises(EncodingError, match="exactly one high bit"):
-            EncodedDataset(schema, (EncodedRow("u1", ((0, 0, 0),)),))
-        with pytest.raises(EncodingError, match="exactly one high bit"):
-            EncodedDataset(schema, (EncodedRow("u1", ((1, 1, 0),)),))
-
-    def test_high_bit_helper(self):
-        assert high_bit((0, 1, 0)) == 1
-        with pytest.raises(EncodingError):
-            high_bit((0, 2, 0))
+        assert labels(people_dataset, 0)[0] == "Riya"
+        assert labels(people_dataset, 0)[1] == "[0,40)"
+        assert labels(people_dataset, 2)[3] == "[60,200)"
 
     def test_dataset_rejects_number_without_bucket_rule(self, people_schema):
         with pytest.raises(DatasetError, match="no bucketing rule"):
@@ -208,7 +202,7 @@ class TestEncoding:
 
 
 @st.composite
-def categorical_datasets(draw):
+def categorical_rows(draw):
     k = draw(st.integers(1, 4))
     attrs = []
     for i in range(k):
@@ -222,18 +216,41 @@ def categorical_datasets(draw):
             draw(st.sampled_from(attr.values)) for attr in schema.attributes
         )
         rows.append(Row(f"u{j}", values))
-    return Dataset(schema, tuple(rows))
+    return schema, tuple(rows)
 
 
 @settings(max_examples=60, deadline=None)
-@given(categorical_datasets())
-def test_decode_inverts_encode_on_categorical_data(dataset):
-    assert decode(one_hot_encode(dataset)) == dataset
+@given(categorical_rows())
+def test_decode_inverts_encode_on_categorical_data(case):
+    schema, rows = case
+    dataset = Dataset(schema, rows)
+    assert dataset.ids == tuple(row.uid for row in rows)
+    assert [labels(dataset, slot) for slot in range(dataset.n)] == [
+        row.values for row in rows
+    ]
 
 
 @settings(max_examples=60, deadline=None)
-@given(categorical_datasets())
-def test_every_encoded_vector_has_unit_bit_sum(dataset):
-    encoded = one_hot_encode(dataset)
-    for row in encoded.rows:
-        assert all(sum(vec) == 1 for vec in row.vectors)
+@given(categorical_rows())
+def test_every_encoded_vector_has_unit_bit_sum(case):
+    # A domain index in range is exactly one high bit in the one-hot view.
+    schema, rows = case
+    dataset = Dataset(schema, rows)
+    assert dataset.codes.shape == (len(rows), schema.k)
+    for j, attr in enumerate(schema.attributes):
+        assert ((0 <= dataset.codes[:, j]) & (dataset.codes[:, j] < attr.size)).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=2, max_size=6, unique=True),
+    st.lists(st.floats(-60, 60), min_size=1, max_size=20),
+)
+def test_buckets_match_a_linear_scan_of_the_edges(edges, values):
+    edges = sorted(float(e) for e in edges)
+    attr = Attribute("x", tuple(f"b{i}" for i in range(len(edges) - 1)), tuple(edges))
+    inside = [v for v in values if edges[0] <= v < edges[-1]]
+    rows = tuple(Row(f"u{i}", (v,)) for i, v in enumerate(inside))
+    codes = Dataset(Schema((attr,)), rows).codes[:, 0].tolist()
+    expected = [max(i for i in range(len(edges) - 1) if edges[i] <= v) for v in inside]
+    assert codes == expected

@@ -28,7 +28,6 @@ from dpshuffle import (
     export_csv,
     iterative_shuffle,
     load_csv,
-    one_hot_encode,
     tie_attributes,
 )
 from dpshuffle.cli import main
@@ -139,7 +138,7 @@ def _cli(argv: list[str]) -> bytes:
 def _shuffled_table(csv_path: Path, schema_path: Path, mode: str):
     schema = Schema.from_dict(json.loads(schema_path.read_text(encoding="utf-8")))
     dataset = load_csv(str(csv_path), schema)
-    tied = tie_attributes(one_hot_encode(dataset), ("Age", "Weight"))
+    tied = tie_attributes(dataset, ("Age", "Weight"))
     channels = [ch.name for ch in tied.channels]
     if mode == "IS":
         return iterative_shuffle(tied, build_plan(tied.n, 12, channels, 2, seed=5))

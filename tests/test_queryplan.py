@@ -1,4 +1,9 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpshuffle import (
     Attribute,
@@ -75,6 +80,8 @@ class TestParse:
             ("count where name < Riya", "only supports"),
             ("count where age < abc", "not a number"),
             ("count where name = Bob", "not in the domain"),
+            ("count where age < nan", "not a number"),
+            ("count where weight >= NaN", "not a number"),
         ],
     )
     def test_rejects_bad_queries(self, people_schema, text, message):
@@ -85,6 +92,12 @@ class TestParse:
         schema = Schema((Attribute("time", ("a", "b"), (0, 5, 10)),))
         with pytest.raises(QueryError, match="exceeds"):
             parse_query("count where time < 5 during 9..2", schema)
+        with pytest.raises(QueryError, match="not a number"):
+            parse_query("count where time < 5 during nan..5", schema)
+        with pytest.raises(QueryError, match="not a number"):
+            validate_query(
+                QuerySpec((), TimeHorizon("time", 0.0, math.nan)), schema
+            )
 
     def test_empty_query_rejected(self, people_schema):
         with pytest.raises(QueryError, match="at least one predicate"):
@@ -116,52 +129,50 @@ class TestRelevantAttributes:
 
 
 class TestTie:
-    def test_two_of_four(self, people_encoded):
-        td = tie_attributes(people_encoded, ("Age", "Weight"))
+    def test_two_of_four(self, people_dataset):
+        td = tie_attributes(people_dataset, ("Age", "Weight"))
         assert td.g == 3
         assert [c.name for c in td.channels] == ["Name", "Age:Weight", "Height"]
         assert td.tied_attributes == ("Age", "Weight")
 
-    def test_single_attribute_is_identity_layout(self, people_encoded):
-        td = tie_attributes(people_encoded, ("Height",))
+    def test_single_attribute_is_identity_layout(self, people_dataset):
+        td = tie_attributes(people_dataset, ("Height",))
         assert td.g == 4
         assert [c.name for c in td.channels] == ["Name", "Age", "Height", "Weight"]
 
-    def test_all_attributes_travel_together(self, people_encoded):
-        td = tie_attributes(people_encoded, ("Name", "Age", "Height", "Weight"))
+    def test_all_attributes_travel_together(self, people_dataset):
+        td = tie_attributes(people_dataset, ("Name", "Age", "Height", "Weight"))
         assert td.g == 1
         assert td.channels[0].width == 4
 
-    def test_g_plus_m_is_k_plus_one(self, people_encoded):
-        k = people_encoded.schema.k
-        names = people_encoded.schema.names
+    def test_g_plus_m_is_k_plus_one(self, people_dataset):
+        k = people_dataset.schema.k
+        names = people_dataset.schema.names
         for m in range(1, k + 1):
-            td = tie_attributes(people_encoded, names[:m])
+            td = tie_attributes(people_dataset, names[:m])
             assert td.g + m == k + 1
 
-    def test_member_order_follows_schema_not_input(self, people_encoded):
-        td = tie_attributes(people_encoded, ("Weight", "Age"))
+    def test_member_order_follows_schema_not_input(self, people_dataset):
+        td = tie_attributes(people_dataset, ("Weight", "Age"))
         assert td.tied_channel == "Age:Weight"
 
-    def test_tuples_preserved_exactly(self, people_encoded):
-        td = tie_attributes(people_encoded, ("Age", "Weight"))
-        originals = [
-            (row.vectors[1], row.vectors[3]) for row in people_encoded.rows
-        ]
-        assert td.columns["Age:Weight"] == originals
+    def test_tuples_preserved_exactly(self, people_dataset):
+        td = tie_attributes(people_dataset, ("Age", "Weight"))
+        originals = people_dataset.codes[:, [1, 3]]
+        assert np.array_equal(td.columns["Age:Weight"], originals)
 
-    def test_empty_and_unknown_sets_rejected(self, people_encoded):
+    def test_empty_and_unknown_sets_rejected(self, people_dataset):
         with pytest.raises(QueryError, match="empty"):
-            tie_attributes(people_encoded, ())
+            tie_attributes(people_dataset, ())
         with pytest.raises(QueryError, match="unknown"):
-            tie_attributes(people_encoded, ("salary",))
+            tie_attributes(people_dataset, ("salary",))
 
     def test_in_group_query_counts_match_encoded(
-        self, people_encoded, people_schema
+        self, people_dataset, people_schema
     ):
         q = parse_query("count where age < 40 and weight > 60", people_schema)
-        td = tie_attributes(people_encoded, ("Age", "Weight"))
-        assert count_query(td, q) == count_query(people_encoded, q) == 3
+        td = tie_attributes(people_dataset, ("Age", "Weight"))
+        assert count_query(td, q) == count_query(people_dataset, q) == 3
 
 
 class TestBucketSemantics:
@@ -198,3 +209,55 @@ class TestBucketSemantics:
         assert horizon_mask(time, TimeHorizon("time", 2, 3)) == (False, True, False)
         assert horizon_mask(time, TimeHorizon("time", 1.5, 2)) == (True, True, False)
         assert horizon_mask(time, TimeHorizon("time", 0, 6)) == (True, True, True)
+
+
+FUZZ_SCHEMA = Schema(
+    (
+        Attribute("sex", ("F", "M")),
+        Attribute("age", ("young", "old"), (0, 40, math.inf)),
+        Attribute("time", ("t1", "t2"), (0, 5, 10)),
+    )
+)
+NAMES = ("sex", "age", "time", "Age", "bogus")
+OPS = ("=", "<", ">", "<=", ">=", "~")
+VALUES = ("F", "m", "'F'", "40", "-3.5", "1e3", "nan", "inf", "x")
+WINDOWS = ("0..5", "nan..2", "3..1", "1..inf", "..", "2")
+QUERY_TOKENS = ("count", "where", "and", "during", *NAMES, *OPS, *VALUES, *WINDOWS)
+
+
+def query_like_texts():
+    """Queries in the grammar's shape over a mix of valid and bad tokens."""
+    clause = st.tuples(
+        st.sampled_from(NAMES), st.sampled_from(OPS), st.sampled_from(VALUES)
+    ).map(" ".join)
+    window = st.one_of(
+        st.just(""), st.sampled_from(WINDOWS).map(lambda w: " during " + w)
+    )
+    return st.builds(
+        lambda clauses, tail: "count where " + " and ".join(clauses) + tail,
+        st.lists(clause, min_size=1, max_size=3),
+        window,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=60),
+        st.lists(st.sampled_from(QUERY_TOKENS), max_size=12).map(" ".join),
+        query_like_texts(),
+    )
+)
+def test_parse_query_returns_a_validated_spec_or_raises_query_error(text):
+    try:
+        spec = parse_query(text, FUZZ_SCHEMA)
+    except QueryError:
+        return
+    assert validate_query(spec, FUZZ_SCHEMA) == spec
+    assert parse_query(spec.text(), FUZZ_SCHEMA) == spec
+    for pred in spec.predicates:
+        assert pred.attribute in FUZZ_SCHEMA.names
+        if isinstance(pred.value, float):
+            assert not math.isnan(pred.value)
+    if spec.time_horizon is not None:
+        assert spec.time_horizon.start <= spec.time_horizon.end

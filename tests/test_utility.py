@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -11,19 +12,18 @@ from dpshuffle import (
     Scheme,
     Schema,
     apply_channel_permutations,
-    build_plan,
     count_query,
     default_regularizer,
     empirical_risk,
     loss,
     loss_bound,
     measure_utility,
-    one_hot_encode,
     parse_query,
     select_scheme,
     tie_attributes,
 )
-from conftest import AFTER_SHUFFLE_PERMS, EXAMPLE_QUERY
+from dpshuffle.queryplan import bucket_mask
+from conftest import AFTER_SHUFFLE_PERMS, EXAMPLE_QUERY, random_tied_case
 
 
 @pytest.fixture()
@@ -44,54 +44,54 @@ def shapes_dataset():
 
 
 class TestCountQuery:
-    def test_fixture_count_before_shuffling(self, people_encoded):
-        query = parse_query(EXAMPLE_QUERY, people_encoded.schema)
-        assert count_query(people_encoded, query) == 3
-        tied = tie_attributes(people_encoded, ("Age", "Weight"))
+    def test_fixture_count_before_shuffling(self, people_dataset):
+        query = parse_query(EXAMPLE_QUERY, people_dataset.schema)
+        assert count_query(people_dataset, query) == 3
+        tied = tie_attributes(people_dataset, ("Age", "Weight"))
         assert count_query(tied, query) == 3
 
-    def test_fixture_count_after_injected_shuffle(self, people_encoded):
-        tied = tie_attributes(people_encoded, ("Height", "Weight"))
+    def test_fixture_count_after_injected_shuffle(self, people_dataset):
+        tied = tie_attributes(people_dataset, ("Height", "Weight"))
         after = apply_channel_permutations(tied, AFTER_SHUFFLE_PERMS)
-        query = parse_query(EXAMPLE_QUERY, people_encoded.schema)
+        query = parse_query(EXAMPLE_QUERY, people_dataset.schema)
         assert count_query(after, query) == 2
 
-    def test_categorical_equality(self, people_encoded):
-        query = parse_query("count where name = Riya", people_encoded.schema)
-        assert count_query(people_encoded, query) == 1
+    def test_categorical_equality(self, people_dataset):
+        query = parse_query("count where name = Riya", people_dataset.schema)
+        assert count_query(people_dataset, query) == 1
 
-    def test_unsatisfiable_threshold_counts_zero(self, people_encoded):
-        query = parse_query("count where age >= 130", people_encoded.schema)
-        assert count_query(people_encoded, query) == 0
+    def test_unsatisfiable_threshold_counts_zero(self, people_dataset):
+        query = parse_query("count where age >= 130", people_dataset.schema)
+        assert count_query(people_dataset, query) == 0
 
-    def test_time_horizon_restricts_rows(self, people_encoded):
+    def test_time_horizon_restricts_rows(self, people_dataset):
         old_heavy = parse_query(
             "count where weight > 60 during 40..130",
-            people_encoded.schema,
+            people_dataset.schema,
             time_attribute="Age",
         )
         old_light = parse_query(
             "count where weight <= 60 during 40..130",
-            people_encoded.schema,
+            people_dataset.schema,
             time_attribute="Age",
         )
-        assert count_query(people_encoded, old_heavy) == 0
-        assert count_query(people_encoded, old_light) == 1
+        assert count_query(people_dataset, old_heavy) == 0
+        assert count_query(people_dataset, old_light) == 1
 
-    def test_batched_count_equals_whole_count(self, people_encoded):
-        tied = tie_attributes(people_encoded, ("Age", "Weight"))
-        plan = build_plan(
-            6, 3, [c.name for c in tied.channels], 2, seed=4
-        )
-        query = parse_query(EXAMPLE_QUERY, people_encoded.schema)
-        assert count_query(tied, query, plan) == count_query(tied, query)
-
-    def test_plan_size_mismatch_rejected(self, people_encoded):
-        tied = tie_attributes(people_encoded, ("Age", "Weight"))
-        plan = build_plan(8, 2, [c.name for c in tied.channels], 2, seed=0)
-        query = parse_query(EXAMPLE_QUERY, people_encoded.schema)
-        with pytest.raises(RiskError, match="plan covers 8 rows"):
-            count_query(tied, query, plan)
+    def test_matches_a_row_by_row_loop(self):
+        rnd = random.Random(31)
+        for _ in range(40):
+            case = random_tied_case(rnd)
+            dataset, query = case["dataset"], case["query"]
+            checks = [
+                (dataset.column(p.attribute), bucket_mask(dataset.schema.attribute(p.attribute), p))
+                for p in query.predicates
+            ]
+            expected = sum(
+                all(mask[column[slot]] for column, mask in checks)
+                for slot in range(dataset.n)
+            )
+            assert count_query(dataset, query) == expected
 
 
 class TestLoss:
