@@ -7,87 +7,39 @@ into near-equal batches, shuffle each batch (or growing prefixes) under
 S independent shufflers, account for the privacy budget in closed form,
 and release the count measured on the shuffled output once it satisfies
 its loss bound.
+
+This package exports the library API the README documents, plus the
+types and errors those functions take, return or raise.  Helpers such
+as ``epsilon_is`` or ``stage_permutation`` live in their own modules.
 """
 
-from .dataset import (
-    Attribute,
-    Dataset,
-    DatasetError,
-    Row,
-    Schema,
-    load_csv,
-)
-from .partition import (
-    PlanError,
-    ShufflePlan,
-    assign_shufflers,
-    assignment_for_stage,
-    batch_bounds,
-    build_plan,
-    group_attributes,
-    plan_batches,
-)
+from .dataset import Attribute, Dataset, DatasetError, Row, Schema, load_csv
+from .partition import PlanError, ShufflePlan, build_plan
 from .pipeline import (
     ConfigError,
     DPReport,
     PipelineConfig,
     PipelineRefused,
-    REFERENCE_EPSILONS,
-    ReferenceReport,
     RetriesExhausted,
     load_config,
-    reproduce_table3,
-    risk_sweep,
-    run_on_dataset,
     run_pipeline,
 )
-from .privacy import (
-    PrivacyAccount,
-    RROracleEstimate,
-    account,
-    account_for_plan,
-    epsilon_cis,
-    epsilon_is,
-    mc_rr_estimate,
-    rr_batch,
-)
-from .queryplan import (
-    Channel,
-    Predicate,
-    QueryError,
-    QuerySpec,
-    TiedDataset,
-    TimeHorizon,
-    parse_query,
-    relevant_attributes,
-    tie_attributes,
-    validate_query,
-)
-from .seeds import derive_rng, derive_seed
+from .privacy import PrivacyAccount, RROracleEstimate, account, mc_rr_estimate
+from .queryplan import QueryError, QuerySpec, TiedDataset, parse_query, tie_attributes
 from .shuffler import (
-    Provenance,
-    ShuffleError,
     ShuffledDataset,
-    apply_channel_permutations,
+    ShuffleError,
     cumulative_iterative_shuffle,
     export_csv,
     iterative_shuffle,
-    shuffle_batch,
-    stage_permutation,
 )
 from .utility import (
     RiskConfig,
     RiskError,
-    RiskResult,
     Scheme,
-    SchemeRisk,
     SchemeSelection,
     UtilityReport,
     count_query,
-    default_regularizer,
-    empirical_risk,
-    loss,
-    loss_bound,
     measure_utility,
     select_scheme,
 )
@@ -95,73 +47,45 @@ from .utility import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Attribute",
-    "Channel",
-    "ConfigError",
-    "DPReport",
-    "Dataset",
-    "DatasetError",
-    "PipelineConfig",
-    "PipelineRefused",
-    "PlanError",
-    "Predicate",
-    "PrivacyAccount",
-    "Provenance",
-    "QueryError",
-    "QuerySpec",
-    "REFERENCE_EPSILONS",
-    "ReferenceReport",
-    "RetriesExhausted",
-    "RiskConfig",
-    "RiskError",
-    "RiskResult",
-    "Row",
-    "RROracleEstimate",
-    "Schema",
-    "Scheme",
-    "SchemeRisk",
-    "SchemeSelection",
-    "ShuffleError",
-    "ShuffledDataset",
-    "ShufflePlan",
-    "TiedDataset",
-    "TimeHorizon",
-    "UtilityReport",
+    # Functions
     "account",
-    "account_for_plan",
-    "apply_channel_permutations",
-    "assign_shufflers",
-    "assignment_for_stage",
-    "batch_bounds",
     "build_plan",
     "count_query",
     "cumulative_iterative_shuffle",
-    "default_regularizer",
-    "derive_rng",
-    "derive_seed",
-    "empirical_risk",
-    "epsilon_cis",
-    "epsilon_is",
     "export_csv",
-    "group_attributes",
     "iterative_shuffle",
     "load_config",
     "load_csv",
-    "loss",
-    "loss_bound",
     "mc_rr_estimate",
     "measure_utility",
     "parse_query",
-    "plan_batches",
-    "relevant_attributes",
-    "reproduce_table3",
-    "risk_sweep",
-    "rr_batch",
-    "run_on_dataset",
     "run_pipeline",
     "select_scheme",
-    "shuffle_batch",
-    "stage_permutation",
     "tie_attributes",
-    "validate_query",
+    # Types they take or return
+    "Attribute",
+    "DPReport",
+    "Dataset",
+    "PipelineConfig",
+    "PrivacyAccount",
+    "QuerySpec",
+    "RROracleEstimate",
+    "RiskConfig",
+    "Row",
+    "Schema",
+    "Scheme",
+    "SchemeSelection",
+    "ShufflePlan",
+    "ShuffledDataset",
+    "TiedDataset",
+    "UtilityReport",
+    # Errors they raise
+    "ConfigError",
+    "DatasetError",
+    "PipelineRefused",
+    "PlanError",
+    "QueryError",
+    "RetriesExhausted",
+    "RiskError",
+    "ShuffleError",
 ]

@@ -78,11 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--shufflers", "-S", type=int, required=True)
     oracle.add_argument("--trials", type=int, default=1_000_000)
     oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument(
-        "--skip-assignment",
-        action="store_true",
-        help="skip the shuffler-assignment draw whose probability cancels",
-    )
     oracle.add_argument("--json", action="store_true")
     oracle.set_defaults(func=_cmd_oracle)
 
@@ -163,13 +158,7 @@ def _cmd_table3(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    estimate = mc_rr_estimate(
-        args.n1,
-        args.shufflers,
-        args.trials,
-        args.seed,
-        include_assignment=not args.skip_assignment,
-    )
+    estimate = mc_rr_estimate(args.n1, args.shufflers, args.trials, args.seed)
     if args.json:
         _emit_json(
             {

@@ -60,6 +60,10 @@ class Attribute:
                     f"attribute {self.name!r}: {len(edges)} bin edges do not "
                     f"bound {len(self.values)} buckets"
                 )
+            if any(math.isnan(e) for e in edges):
+                raise DatasetError(
+                    f"attribute {self.name!r}: bin edges must be numbers"
+                )
             if any(e2 <= e1 for e1, e2 in zip(edges, edges[1:])):
                 raise DatasetError(f"attribute {self.name!r}: bin edges must ascend")
             if any(math.isinf(e) for e in edges[:-1]):
@@ -147,6 +151,15 @@ def _auto_labels(edges: tuple[float, ...]) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _spec_list(spec: dict, key: str, name: str) -> list:
+    value = spec[key]
+    if not isinstance(value, list):
+        raise DatasetError(
+            f"attribute {name!r}: {key!r} must be a list, got {value!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class Schema:
     """Ordered collection of attributes."""
@@ -180,24 +193,33 @@ class Schema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> Schema:
-        try:
-            specs = payload["attributes"]
-        except (TypeError, KeyError):
+        specs = payload.get("attributes") if isinstance(payload, dict) else None
+        if not isinstance(specs, list):
             raise DatasetError("schema payload must have an 'attributes' list")
         attrs = []
         for spec in specs:
+            if not isinstance(spec, dict):
+                raise DatasetError(f"schema attribute {spec!r} must be an object")
             name = spec.get("name")
-            if name is None:
-                raise DatasetError("every schema attribute needs a 'name'")
+            if not isinstance(name, str):
+                raise DatasetError("every schema attribute needs a 'name' string")
             if "bins" in spec:
-                edges = tuple(
-                    math.inf if e is None else float(e) for e in spec["bins"]
+                bins = _spec_list(spec, "bins", name)
+                try:
+                    edges = tuple(math.inf if e is None else float(e) for e in bins)
+                except (TypeError, ValueError):
+                    raise DatasetError(
+                        f"attribute {name!r}: bin edges must be numbers or null"
+                    ) from None
+                values = (
+                    tuple(_spec_list(spec, "labels", name))
+                    if spec.get("labels")
+                    else _auto_labels(edges)
                 )
-                labels = spec.get("labels")
-                values = tuple(labels) if labels else _auto_labels(edges)
                 attrs.append(Attribute(name, values, edges))
             elif "domain" in spec:
-                attrs.append(Attribute(name, tuple(str(v) for v in spec["domain"])))
+                domain = _spec_list(spec, "domain", name)
+                attrs.append(Attribute(name, tuple(str(v) for v in domain)))
             else:
                 raise DatasetError(
                     f"attribute {name!r} needs either 'domain' or 'bins'"

@@ -94,21 +94,10 @@ def assign_shufflers(
     return tuple(int(s) for s in rng.permutation(num_shufflers))
 
 
-def _stage_assignment(
-    seed: int,
-    groups: Sequence[Sequence[str]],
-    num_shufflers: int,
-    stage_index: int,
-) -> tuple[int, ...]:
-    rng = derive_rng(seed, "assign", stage_index)
-    return assign_shufflers(groups, num_shufflers, rng)
-
-
 def assignment_for_stage(plan: ShufflePlan, stage_index: int) -> tuple[int, ...]:
     """The group-to-shuffler assignment drawn afresh for one stage."""
-    return _stage_assignment(
-        plan.seed, plan.attribute_groups, plan.num_shufflers, stage_index
-    )
+    rng = derive_rng(plan.seed, "assign", stage_index)
+    return assign_shufflers(plan.attribute_groups, plan.num_shufflers, rng)
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,6 @@ class ShufflePlan:
     batch_sizes: tuple[int, ...]
     channels: tuple[str, ...]
     attribute_groups: tuple[tuple[str, ...], ...]
-    shuffler_assignment: tuple[int, ...]
 
     @property
     def n1(self) -> int:
@@ -142,7 +130,7 @@ class ShufflePlan:
             "batch_sizes": list(self.batch_sizes),
             "channels": list(self.channels),
             "attribute_groups": [list(g) for g in self.attribute_groups],
-            "shuffler_assignment": list(self.shuffler_assignment),
+            "shuffler_assignment": list(assignment_for_stage(self, 0)),
             "accounting_batch_size": self.n1,
             "accounting_batch_rule": "largest batch (batch 1)",
         }
@@ -161,14 +149,13 @@ def build_plan(
 ) -> ShufflePlan:
     """Derive a complete plan from the root seed.
 
-    The stored shuffler assignment is stage 0's draw; later stages
-    re-draw via :func:`assignment_for_stage`.
+    Each stage's group-to-shuffler assignment is drawn from the seed by
+    :func:`assignment_for_stage`; the audit record lists stage 0's.
     """
     sizes = plan_batches(n, num_batches)
     groups = group_attributes(
         channels, num_shufflers, derive_rng(seed, "plan", "group-extras")
     )
-    assignment = _stage_assignment(seed, groups, num_shufflers, 0)
     return ShufflePlan(
         n=n,
         num_batches=num_batches,
@@ -177,5 +164,4 @@ def build_plan(
         batch_sizes=sizes,
         channels=tuple(channels),
         attribute_groups=groups,
-        shuffler_assignment=assignment,
     )

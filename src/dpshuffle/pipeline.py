@@ -102,23 +102,48 @@ class PipelineConfig:
             raise ConfigError("t and S must be configured together")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
-def _parse_grid(raw: object) -> tuple[Scheme, ...]:
+_KINDS = {"an integer": int, "a number": (int, float), "a string": str, "a list": list}
+
+
+def _check(value: object, kind: str, key: str):
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise ConfigError(f"{key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _get(raw: dict, key: str, kind: str, default=None):
+    """``raw[key]`` checked to be a JSON value of ``kind``; null means unset."""
+    value = raw.get(key)
+    return default if value is None else _check(value, kind, key)
+
+
+def _strings(items: list | None, key: str) -> tuple[str, ...] | None:
+    if items is None:
+        return None
+    return tuple(_check(item, "a string", key) for item in items)
+
+
+def _parse_grid(entries: list) -> tuple[Scheme, ...]:
     grid = []
-    for entry in raw:
+    for entry in entries:
         if isinstance(entry, dict):
-            grid.append(Scheme(int(entry["t"]), int(entry["S"])))
-        else:
-            t, s = entry
-            grid.append(Scheme(int(t), int(s)))
+            entry = [entry.get("t"), entry.get("S")]
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ConfigError(
+                f"'hypothesis_grid' entries must be [t, S] or "
+                f'{{"t": t, "S": S}}, got {entry!r}'
+            )
+        t, s = (_check(v, "an integer", "hypothesis_grid") for v in entry)
+        grid.append(Scheme(t, s))
     return tuple(grid)
 
 
 def load_config(path: str) -> PipelineConfig:
-    """Read a JSON config file, rejecting unknown keys."""
+    """Read a JSON config file, rejecting unknown keys and ill-typed values."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -129,30 +154,26 @@ def load_config(path: str) -> PipelineConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)!r}")
-    if "seed" not in raw:
+    if raw.get("seed") is None:
         raise ConfigError(f"{path}: config needs a 'seed'")
     try:
         return PipelineConfig(
-            seed=int(raw["seed"]),
-            t=None if raw.get("t") is None else int(raw["t"]),
-            S=None if raw.get("S") is None else int(raw["S"]),
+            seed=_get(raw, "seed", "an integer"),
+            t=_get(raw, "t", "an integer"),
+            S=_get(raw, "S", "an integer"),
             mode=raw.get("mode", "IS"),
-            lam=float(raw.get("lambda", 0.01)),
-            max_retries=int(raw.get("max_retries", 16)),
-            hypothesis_grid=_parse_grid(raw.get("hypothesis_grid", ())),
-            trials=int(raw.get("trials", 4)),
-            tied_attributes=(
-                None
-                if raw.get("tied_attributes") is None
-                else tuple(raw["tied_attributes"])
+            lam=float(_get(raw, "lambda", "a number", 0.01)),
+            max_retries=_get(raw, "max_retries", "an integer", 16),
+            hypothesis_grid=_parse_grid(_get(raw, "hypothesis_grid", "a list", [])),
+            trials=_get(raw, "trials", "an integer", 4),
+            tied_attributes=_strings(
+                _get(raw, "tied_attributes", "a list"), "tied_attributes"
             ),
-            time_attribute=raw.get("time_attribute"),
-            schema_path=raw.get("schema"),
-            workload=tuple(raw.get("workload", ())),
+            time_attribute=_get(raw, "time_attribute", "a string"),
+            schema_path=_get(raw, "schema", "a string"),
+            workload=_strings(_get(raw, "workload", "a list", []), "workload"),
         )
-    except (TypeError, ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -288,7 +309,7 @@ def run_on_dataset(
                 epsilon_signed=acct.epsilon,
                 epsilon_report=acct.epsilon_report,
                 loss_bound=util.loss_bound,
-                plan_digest=plan.digest(),
+                plan_digest=shuffled.provenance.plan_digest,
                 seed=config.seed,
                 retries_used=attempt,
                 t=scheme.t,

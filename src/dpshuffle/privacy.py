@@ -26,11 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .partition import ShufflePlan
 from .seeds import derive_rng
 
 MIN_ORACLE_TRIALS = 10_000
-_ORACLE_CHUNK = 250_000
+# Uniform keys drawn per chunk of trials (8 bytes each), whatever n1 is.
+_ORACLE_KEYS = 1 << 21
 
 
 def _check_scale(n1: int, num_shufflers: int) -> None:
@@ -127,10 +127,6 @@ def account(
     )
 
 
-def account_for_plan(plan: ShufflePlan, mode: str) -> PrivacyAccount:
-    return account(mode, plan.batch_sizes, plan.num_shufflers)
-
-
 @dataclass(frozen=True)
 class RROracleEstimate:
     """Monte-Carlo estimate of the single-batch likelihood ratio."""
@@ -150,20 +146,17 @@ class RROracleEstimate:
 
 
 def mc_rr_estimate(
-    n1: int,
-    num_shufflers: int,
-    trials: int,
-    seed: int,
-    include_assignment: bool = True,
+    n1: int, num_shufflers: int, trials: int, seed: int
 ) -> RROracleEstimate:
     """Simulate one batch and estimate P(fixed) / P(displaced).
 
-    Each trial draws S independent permutations of the batch (plus,
-    when ``include_assignment`` is set, the group-to-shuffler assignment
-    whose probability cancels in the ratio) and tracks the first row:
-    fixed means it kept slot 0 in every permutation, displaced means it
-    lost slot 0 in every permutation.  The assignment draw comes from
-    its own derived stream, so skipping it cannot shift the estimate.
+    Each trial draws S independent permutations of the batch and tracks
+    the first row: fixed means it kept slot 0 in every permutation,
+    displaced means it lost slot 0 in every permutation.  The
+    group-to-shuffler assignment is not drawn, since its probability
+    cancels in the ratio.  Trials run in chunks of about
+    ``_ORACLE_KEYS`` keys; the generator fills its output in order, so
+    the counts do not depend on the chunk size.
     """
     _check_scale(n1, num_shufflers)
     if trials < MIN_ORACLE_TRIALS:
@@ -171,19 +164,17 @@ def mc_rr_estimate(
             f"need at least {MIN_ORACLE_TRIALS} trials for a stable "
             f"estimate, got {trials}"
         )
-    rng_assign = derive_rng(seed, "rr-oracle", "assign", n1, num_shufflers)
-    rng_perm = derive_rng(seed, "rr-oracle", "perm", n1, num_shufflers)
+    rng = derive_rng(seed, "rr-oracle", "perm", n1, num_shufflers)
+    chunk_trials = max(1, _ORACLE_KEYS // (num_shufflers * n1))
 
     fixed = displaced = 0
     remaining = trials
     while remaining:
-        chunk = min(remaining, _ORACLE_CHUNK)
+        chunk = min(remaining, chunk_trials)
         remaining -= chunk
-        if include_assignment:
-            rng_assign.random((chunk, num_shufflers)).argsort(axis=1)
         # Sorting iid uniform keys yields a uniform permutation per
         # (trial, shuffler); slot 0's occupant is the argmin key.
-        keys = rng_perm.random((chunk, num_shufflers, n1))
+        keys = rng.random((chunk, num_shufflers, n1))
         slot0_source = keys.argmin(axis=2)
         fixed += int((slot0_source == 0).all(axis=1).sum())
         displaced += int((slot0_source != 0).all(axis=1).sum())

@@ -3,6 +3,9 @@
 Iterative shuffling (IS) permutes each batch independently; cumulative
 iterative shuffling (CIS) permutes a growing prefix, stage i covering
 batches 1..i, so earlier rows are re-shuffled at every later stage.
+The last CIS stage applies a fresh uniform permutation to all n rows, so
+each attribute group's output is one uniform permutation of its input,
+independent of the earlier stages' draws.
 
 A shuffle moves rows of domain indices, each row standing for the
 paper's one-hot encodings of one slot's values in a channel; moving the
@@ -23,15 +26,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .partition import ShufflePlan, assignment_for_stage
 from .queryplan import TiedDataset
 from .seeds import derive_rng
-
-MODES = ("IS", "CIS")
 
 
 class ShuffleError(ValueError):
@@ -73,55 +74,6 @@ def stage_permutation(
     return rng.permutation(size)
 
 
-def _group_permutations(
-    plan: ShufflePlan, mode: str, stage_index: int, size: int
-) -> Iterator[tuple[tuple[str, ...], np.ndarray]]:
-    """(group, permutation) for every non-empty attribute group of a stage."""
-    assignment = assignment_for_stage(plan, stage_index)
-    for gi, group in enumerate(plan.attribute_groups):
-        if group:
-            yield group, stage_permutation(
-                plan, mode, stage_index, assignment[gi], size
-            )
-
-
-def shuffle_batch(
-    columns: Mapping[str, np.ndarray],
-    plan: ShufflePlan,
-    stage_index: int,
-    mode_tag: str = "IS",
-) -> dict[str, np.ndarray]:
-    """Shuffle one batch (or prefix) of channel columns.
-
-    Each attribute group's channels move under a single shared
-    permutation drawn by the group's shuffler for this stage.
-    """
-    if mode_tag not in MODES:
-        raise ShuffleError(f"unknown shuffle mode {mode_tag!r}")
-    if set(columns) != set(plan.channels):
-        raise ShuffleError(
-            f"columns {sorted(columns)!r} do not match plan channels "
-            f"{sorted(plan.channels)!r}"
-        )
-    if not 0 <= stage_index < plan.num_batches:
-        raise ShuffleError(
-            f"stage index {stage_index} outside the plan's "
-            f"{plan.num_batches} stages"
-        )
-    lengths = {len(col) for col in columns.values()}
-    if len(lengths) != 1:
-        raise ShuffleError("all channel columns must have the same length")
-    size = lengths.pop()
-    if size == 0:
-        raise ShuffleError("cannot shuffle an empty batch")
-
-    out = {}
-    for group, perm in _group_permutations(plan, mode_tag, stage_index, size):
-        for name in group:
-            out[name] = columns[name][perm]
-    return out
-
-
 def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset:
     """Compose every stage's draws per group, then gather each channel once.
 
@@ -143,8 +95,11 @@ def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset
     orders = {group: np.arange(tied.n) for group in plan.attribute_groups if group}
     for stage, (start, end) in enumerate(plan.bounds):
         lo = start if mode == "IS" else 0
-        for group, perm in _group_permutations(plan, mode, stage, end - lo):
-            orders[group][lo:end] = orders[group][lo:end][perm]
+        assignment = assignment_for_stage(plan, stage)
+        for gi, group in enumerate(plan.attribute_groups):
+            if group:
+                perm = stage_permutation(plan, mode, stage, assignment[gi], end - lo)
+                orders[group][lo:end] = orders[group][lo:end][perm]
     columns = {
         name: tied.columns[name][order]
         for group, order in orders.items()

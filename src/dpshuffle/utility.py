@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class RiskConfig:
     trials_per_scheme: int = 4
     tied_attributes: tuple[str, ...] | None = None
     time_attribute: str | None = None
-    regularizer: Callable[[Scheme], float] = default_regularizer
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,6 @@ def empirical_risk(
     epsilon: float,
     lam: float,
     scheme: Scheme,
-    regularizer: Callable[[Scheme], float] = default_regularizer,
 ) -> RiskResult:
     """Mean loss plus complexity penalty, with its theoretical ceiling.
 
@@ -160,9 +158,11 @@ def empirical_risk(
         raise RiskError(
             f"{len(per_run_losses)} losses but {len(c_primes)} released counts"
         )
-    if lam < 0:
-        raise RiskError(f"regularization strength must be non-negative, got {lam}")
-    penalty = lam * regularizer(scheme)
+    if not 0 <= lam < math.inf:
+        raise RiskError(
+            f"regularization strength must be finite and non-negative, got {lam}"
+        )
+    penalty = lam * default_regularizer(scheme)
     mean_loss = fmean(per_run_losses)
     risk = mean_loss + penalty
     bound = fmean(math.exp(epsilon) * c for c in c_primes) + penalty
@@ -277,9 +277,7 @@ def select_scheme(
                 c_prime = count_query(shuffled, query)
                 losses.append(loss(c, c_prime))
                 released.append(c_prime)
-        result = empirical_risk(
-            losses, released, epsilon, config.lam, scheme, config.regularizer
-        )
+        result = empirical_risk(losses, released, epsilon, config.lam, scheme)
         rows.append(SchemeRisk(scheme=scheme, n1=sizes[0], result=result))
 
     rows.sort(key=lambda row: (row.result.risk, row.scheme.S, row.scheme.t))

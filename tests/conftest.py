@@ -95,7 +95,7 @@ def random_tied_case(rnd: random.Random) -> dict:
     The query's attributes always lie inside the tied set, so its count
     must survive any shuffle unchanged.
     """
-    from dpshuffle import Predicate, QuerySpec, validate_query
+    from dpshuffle.queryplan import Predicate, QuerySpec, validate_query
 
     schema = random_schema(rnd)
     dataset = random_dataset(rnd, schema)

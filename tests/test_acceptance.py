@@ -26,22 +26,20 @@ from dpshuffle import (
     Row,
     Scheme,
     Schema,
-    apply_channel_permutations,
     build_plan,
     count_query,
-    epsilon_cis,
-    epsilon_is,
     iterative_shuffle,
-    loss,
     mc_rr_estimate,
     parse_query,
-    plan_batches,
-    reproduce_table3,
-    rr_batch,
     run_pipeline,
     select_scheme,
     tie_attributes,
 )
+from dpshuffle.partition import plan_batches
+from dpshuffle.pipeline import reproduce_table3
+from dpshuffle.privacy import epsilon_cis, epsilon_is, rr_batch
+from dpshuffle.shuffler import apply_channel_permutations
+from dpshuffle.utility import loss
 from dpshuffle.cli import main
 from conftest import AFTER_SHUFFLE_PERMS, EXAMPLE_QUERY, random_tied_case
 

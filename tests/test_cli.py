@@ -99,16 +99,6 @@ class TestOracleCommand:
         assert payload["trials"] == 50000
         assert payload["deviation_in_se"] < 5
 
-    def test_assignment_skip_does_not_shift_counts(self, capsys):
-        base = ["oracle-rr", "--n1", "4", "--shufflers", "2",
-                "--trials", "20000", "--seed", "9", "--json"]
-        assert main(base) == 0
-        with_assignment = json.loads(capsys.readouterr().out)
-        assert main(base + ["--skip-assignment"]) == 0
-        without = json.loads(capsys.readouterr().out)
-        assert with_assignment["fixed_runs"] == without["fixed_runs"]
-        assert with_assignment["displaced_runs"] == without["displaced_runs"]
-
     def test_thin_trials_exit_nonzero(self, capsys):
         assert main(
             ["oracle-rr", "--n1", "3", "--shufflers", "2", "--trials", "100"]

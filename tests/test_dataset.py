@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -77,6 +78,10 @@ class TestAttribute:
             Attribute("a", ("lo", "hi"), (0, 40))
         with pytest.raises(DatasetError, match="infinite"):
             Attribute("a", ("lo", "hi"), (-math.inf, 0, 40))
+        with pytest.raises(DatasetError, match="must be numbers"):
+            # Python's json module reads NaN.
+            spec = json.loads('{"name": "a", "bins": [0, NaN, 10]}')
+            Schema.from_dict({"attributes": [spec]})
 
 
 class TestSchema:
@@ -107,6 +112,22 @@ class TestSchema:
     def test_missing_domain_and_bins_rejected(self):
         with pytest.raises(DatasetError, match="'domain' or 'bins'"):
             Schema.from_dict({"attributes": [{"name": "a"}]})
+        malformed = [
+            ({"attributes": 5}, "'attributes' list"),
+            ([], "'attributes' list"),
+            ({"attributes": [1]}, "must be an object"),
+            ({"attributes": [{"name": 3, "domain": ["x"]}]}, "'name' string"),
+            ({"attributes": [{"name": "a", "domain": "xyz"}]}, "'domain' must be"),
+            ({"attributes": [{"name": "a", "bins": 5}]}, "'bins' must be a list"),
+            ({"attributes": [{"name": "a", "bins": [0, "x"]}]}, "numbers or null"),
+            (
+                {"attributes": [{"name": "a", "bins": [0, 1], "labels": "lo"}]},
+                "'labels' must be a list",
+            ),
+        ]
+        for payload, message in malformed:
+            with pytest.raises(DatasetError, match=message):
+                Schema.from_dict(payload)
 
 
 class TestLoadCsv:

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpshuffle import (
-    PlanError,
+from dpshuffle import PlanError, build_plan
+from dpshuffle.partition import (
     assign_shufflers,
     assignment_for_stage,
     batch_bounds,
-    build_plan,
-    derive_rng,
     group_attributes,
     plan_batches,
 )
+from dpshuffle.seeds import derive_rng
 
 
 class TestPlanBatches:
@@ -154,10 +153,6 @@ class TestBuildPlan:
         plan = build_plan(10, 3, ["x"], 2, seed=0)
         assert plan.batch_sizes == (4, 3, 3)
         assert plan.n1 == 4
-
-    def test_stored_assignment_is_stage_zero(self):
-        plan = build_plan(30, 3, ["x", "y"], 2, seed=5)
-        assert plan.shuffler_assignment == assignment_for_stage(plan, 0)
 
     def test_assignment_redrawn_per_stage(self):
         plan = build_plan(128, 64, ["x", "y"], 2, seed=5)

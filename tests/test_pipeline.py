@@ -9,20 +9,22 @@ from dpshuffle import (
     Dataset,
     PipelineConfig,
     PipelineRefused,
-    REFERENCE_EPSILONS,
     RetriesExhausted,
     Row,
     Scheme,
     Schema,
-    epsilon_cis,
     load_config,
     parse_query,
+    run_pipeline,
+)
+from dpshuffle.pipeline import (
+    REFERENCE_EPSILONS,
+    REPORT_FIELDS,
     reproduce_table3,
     risk_sweep,
     run_on_dataset,
-    run_pipeline,
 )
-from dpshuffle.pipeline import REPORT_FIELDS
+from dpshuffle.privacy import epsilon_cis
 from conftest import EXAMPLE_QUERY
 
 DRIFTY_QUERY = "count where name = Riya and weight > 60"
@@ -117,7 +119,7 @@ class TestLoadConfig:
                 write_json("config.json", {"seed": 1, "mode": "shuffle"})
             )
 
-    def test_rejects_invalid_json_and_non_objects(self, tmp_path):
+    def test_rejects_invalid_json_and_non_objects(self, tmp_path, write_json):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
@@ -126,12 +128,37 @@ class TestLoadConfig:
         arr.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(str(arr))
+        # Values of the wrong JSON type are rejected, never coerced.
+        ill_typed = [
+            ({"seed": 7.9}, "'seed' must be an integer"),
+            ({"seed": True}, "'seed' must be an integer"),
+            ({"seed": 1, "t": 2.7, "S": 2}, "'t' must be an integer"),
+            ({"seed": 1, "t": 2, "S": True}, "'S' must be an integer"),
+            ({"seed": 1, "max_retries": 1.5}, "'max_retries' must be an integer"),
+            ({"seed": 1, "trials": "4"}, "'trials' must be an integer"),
+            ({"seed": 1, "lambda": math.nan}, "lambda must be finite"),
+            ({"seed": 1, "lambda": math.inf}, "lambda must be finite"),
+            ({"seed": 1, "lambda": "0.5"}, "'lambda' must be a number"),
+            ({"seed": 1, "hypothesis_grid": [[10.5, 2]]}, "'hypothesis_grid' must be"),
+            ({"seed": 1, "hypothesis_grid": [{"t": 10}]}, "'hypothesis_grid' must be"),
+            ({"seed": 1, "hypothesis_grid": [[10, 2, 3]]}, "entries must be"),
+            ({"seed": 1, "hypothesis_grid": "10,2"}, "'hypothesis_grid' must"),
+            ({"seed": 1, "workload": "count where age < 3"}, "'workload' must be a"),
+            ({"seed": 1, "workload": [EXAMPLE_QUERY, 3]}, "'workload' must be a string"),
+            ({"seed": 1, "tied_attributes": "Age"}, "must be a list"),
+            ({"seed": 1, "time_attribute": 5}, "'time_attribute' must be a string"),
+            ({"seed": 1, "schema": True}, "'schema' must be a string"),
+        ]
+        for payload, message in ill_typed:
+            with pytest.raises(ConfigError, match=message):
+                load_config(write_json("config.json", payload))
 
     def test_direct_construction_guards(self):
         with pytest.raises(ConfigError, match="max_retries"):
             PipelineConfig(seed=1, max_retries=-1)
-        with pytest.raises(ConfigError, match="lambda"):
-            PipelineConfig(seed=1, lam=-0.1)
+        for lam in (-0.1, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="lambda"):
+                PipelineConfig(seed=1, lam=lam)
 
 
 class TestRunOnDataset:

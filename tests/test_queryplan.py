@@ -7,18 +7,21 @@ from hypothesis import strategies as st
 
 from dpshuffle import (
     Attribute,
-    Predicate,
     QueryError,
     QuerySpec,
     Schema,
-    TimeHorizon,
     count_query,
     parse_query,
-    relevant_attributes,
     tie_attributes,
+)
+from dpshuffle.queryplan import (
+    Predicate,
+    TimeHorizon,
+    bucket_mask,
+    horizon_mask,
+    relevant_attributes,
     validate_query,
 )
-from dpshuffle.queryplan import bucket_mask, horizon_mask
 
 
 class TestParse:

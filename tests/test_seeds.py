@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpshuffle import derive_rng, derive_seed
+from dpshuffle.seeds import derive_rng, derive_seed
 
 
 def test_same_path_reproduces_stream():

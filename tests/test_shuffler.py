@@ -12,16 +12,14 @@ from dpshuffle import (
     Row,
     Schema,
     ShuffleError,
-    apply_channel_permutations,
-    assignment_for_stage,
     build_plan,
     cumulative_iterative_shuffle,
     export_csv,
     iterative_shuffle,
-    shuffle_batch,
-    stage_permutation,
     tie_attributes,
 )
+from dpshuffle.partition import assignment_for_stage
+from dpshuffle.shuffler import apply_channel_permutations, stage_permutation
 from conftest import AFTER_SHUFFLE_PERMS
 
 
@@ -55,6 +53,20 @@ def same_shuffle(a, b) -> bool:
     )
 
 
+def reference_stage(columns, plan, mode: str, stage: int) -> dict:
+    """One stage applied by hand: each group's channels gathered through
+    the permutation its assigned shuffler draws for the stage."""
+    size = len(next(iter(columns.values())))
+    assignment = assignment_for_stage(plan, stage)
+    out = {}
+    for gi, group in enumerate(plan.attribute_groups):
+        if group:
+            perm = stage_permutation(plan, mode, stage, assignment[gi], size)
+            for name in group:
+                out[name] = columns[name][perm]
+    return out
+
+
 def realized_permutation(before, after, channel: str) -> list[int]:
     """Recover which input slot each output slot's payload came from."""
     source = {payload: i for i, payload in enumerate(rows_of(before.columns[channel]))}
@@ -62,16 +74,18 @@ def realized_permutation(before, after, channel: str) -> list[int]:
 
 
 class TestShuffleBatch:
+    """A one-batch plan: the whole table is one shuffled batch."""
+
     def test_single_row_batch_is_identity(self):
         td = make_tied(1, attrs=2)
         plan = build_plan(1, 1, [c.name for c in td.channels], 2, seed=3)
-        out = shuffle_batch(td.columns, plan, 0)
+        out = iterative_shuffle(td, plan).columns
         assert same_columns(out, td.columns)
 
     def test_multisets_preserved_per_channel(self):
         td = make_tied(12, attrs=3, tie_first=2)
         plan = build_plan(12, 1, [c.name for c in td.channels], 2, seed=9)
-        out = shuffle_batch(td.columns, plan, 0)
+        out = iterative_shuffle(td, plan).columns
         for name in plan.channels:
             assert Counter(rows_of(out[name])) == Counter(rows_of(td.columns[name]))
 
@@ -80,7 +94,7 @@ class TestShuffleBatch:
         plan = build_plan(8, 1, [c.name for c in td.channels], 2, seed=1)
         shared = [g for g in plan.attribute_groups if len(g) == 2]
         assert shared, "expected one group with two channels"
-        out = shuffle_batch(td.columns, plan, 0)
+        out = iterative_shuffle(td, plan).columns
         before = {name: rows_of(td.columns[name]) for name in plan.channels}
         first, second = shared[0]
         perm_a = [
@@ -97,29 +111,13 @@ class TestShuffleBatch:
         td = make_tied(6, attrs=2)
         plan = build_plan(6, 1, [c.name for c in td.channels], 2, seed=4)
         assignment = assignment_for_stage(plan, 0)
-        out = shuffle_batch(td.columns, plan, 0, "IS")
+        out = iterative_shuffle(td, plan).columns
         for gi, group in enumerate(plan.attribute_groups):
             perm = stage_permutation(plan, "IS", 0, assignment[gi], 6)
             for name in group:
                 assert rows_of(out[name]) == [
                     rows_of(td.columns[name])[src] for src in perm
                 ]
-
-    def test_rejects_bad_inputs(self):
-        td = make_tied(4, attrs=2)
-        plan = build_plan(4, 2, [c.name for c in td.channels], 2, seed=0)
-        with pytest.raises(ShuffleError, match="do not match plan"):
-            shuffle_batch({"wrong": []}, plan, 0)
-        with pytest.raises(ShuffleError, match="empty"):
-            shuffle_batch({name: [] for name in plan.channels}, plan, 0)
-        with pytest.raises(ShuffleError, match="same length"):
-            columns = {name: list(td.columns[name]) for name in plan.channels}
-            columns[plan.channels[0]] = columns[plan.channels[0]][:2]
-            shuffle_batch(columns, plan, 0)
-        with pytest.raises(ShuffleError, match="stage index"):
-            shuffle_batch(td.columns, plan, 5)
-        with pytest.raises(ShuffleError, match="unknown shuffle mode"):
-            shuffle_batch(td.columns, plan, 0, "XX")
 
     def test_fixed_point_frequency_matches_analytic_rate(self):
         # A slot keeps its full row only when every group's permutation
@@ -130,7 +128,7 @@ class TestShuffleBatch:
         channels = [c.name for c in td.channels]
         for i in range(trials):
             plan = build_plan(n1, 1, channels, 2, seed=i)
-            out = shuffle_batch(td.columns, plan, 0)
+            out = iterative_shuffle(td, plan).columns
             hits += all(
                 np.array_equal(out[ch][0], td.columns[ch][0]) for ch in channels
             )
@@ -144,7 +142,7 @@ class TestIterativeShuffle:
         td = make_tied(7, attrs=2)
         plan = build_plan(7, 1, [c.name for c in td.channels], 2, seed=13)
         whole = iterative_shuffle(td, plan)
-        direct = shuffle_batch(td.columns, plan, 0, "IS")
+        direct = reference_stage(td.columns, plan, "IS", 0)
         assert same_columns(whole.columns, direct)
 
     def test_batches_never_mix(self):
@@ -189,7 +187,7 @@ class TestIterativeShuffle:
             piece = {
                 name: td.columns[name][start:end] for name in plan.channels
             }
-            shuffled = shuffle_batch(piece, plan, stage, "IS")
+            shuffled = reference_stage(piece, plan, "IS", stage)
             for name in plan.channels:
                 rebuilt[name][start:end] = shuffled[name]
         assert same_columns(rebuilt, expected.columns)
@@ -217,7 +215,7 @@ class TestCumulativeShuffle:
         td = make_tied(6, attrs=2)
         plan = build_plan(6, 1, [c.name for c in td.channels], 2, seed=19)
         out = cumulative_iterative_shuffle(td, plan)
-        direct = shuffle_batch(td.columns, plan, 0, "CIS")
+        direct = reference_stage(td.columns, plan, "CIS", 0)
         assert same_columns(out.columns, direct)
 
     def test_two_stage_composition_is_exact(self):
@@ -239,23 +237,31 @@ class TestCumulativeShuffle:
 
     def test_every_arrangement_reachable_at_two_stages(self):
         # Math oracle: composing a prefix-2 permutation with a full
-        # 4-permutation spans all of S4.
-        outcomes = set()
+        # 4-permutation hits every arrangement of S4 equally often, 2 of
+        # the 48 (p1, p2) pairs each, so the output is uniform whatever
+        # the first stage drew.
+        outcomes = Counter()
         for p1 in permutations(range(2)):
             prefix = tuple(p1) + (2, 3)
             for p2 in permutations(range(4)):
-                outcomes.add(tuple(prefix[p2[i]] for i in range(4)))
-        assert outcomes == set(permutations(range(4)))
+                outcomes[tuple(prefix[p2[i]] for i in range(4))] += 1
+        assert outcomes == Counter({p: 2 for p in permutations(range(4))})
 
-        # Implementation check: the same 24 arrangements occur across seeds.
+        # Implementation check: over 3000 seeds the 24 arrangements occur
+        # with frequencies consistent with 1/24 each.
         td = make_tied(4, attrs=1)
         channel = td.channels[0].name
-        seen = set()
-        for seed in range(3_000):
+        trials = 3_000
+        seen = Counter()
+        for seed in range(trials):
             plan = build_plan(4, 2, [channel], 2, seed=seed)
             out = cumulative_iterative_shuffle(td, plan)
-            seen.add(tuple(realized_permutation(td, out, channel)))
-        assert seen == set(permutations(range(4)))
+            seen[tuple(realized_permutation(td, out, channel))] += 1
+        assert set(seen) == set(permutations(range(4)))
+        expected = trials / 24
+        chi_square = sum((k - expected) ** 2 / expected for k in seen.values())
+        # 99.9th percentile of the chi-square law with 23 degrees of freedom.
+        assert chi_square < 49.73
 
     def test_whole_dataset_multisets_preserved(self):
         td = make_tied(10, attrs=2)
