@@ -8,6 +8,14 @@ once and stores it as its index in the attribute's domain, in one
 bit in the paper's one-hot encoding, so it carries exactly the same
 information; the shuffling stages downstream only ever move rows of
 indices, and labels come back only when a table is exported.
+
+``load_csv`` reads a file in chunks of records and turns each chunk
+straight into a block of indices, so besides the row IDs loading holds
+the index array plus one chunk of records, never a ``Row`` or a record
+per row.  A CSV cell of a bucketed
+attribute is read as a number first and as a bucket label only when it
+does not parse; a string value given to ``Dataset`` in a ``Row`` is tried
+as a label first.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,19 +95,50 @@ class Attribute:
         return self.bin_edges[index], self.bin_edges[index + 1]
 
 
-def _column_codes(attr: Attribute, cells: Sequence[object]) -> np.ndarray:
+def _column_codes(
+    attr: Attribute, cells: Sequence[object], start: int = 0
+) -> np.ndarray:
     """Domain index of every cell of one attribute's column.
 
     This is the only place a value is checked against its domain.  A cell
     is one of the attribute's labels or, for a bucketed attribute, a
     number or numeric string, which lands in the bucket [lo, hi) holding
-    it.  Errors name the 1-based row of the offending cell.
+    it.  Errors name the 1-based row of the offending cell, counting
+    ``start`` rows before the column.  A column of labels only, or of
+    numbers only, is converted whole; the cell-by-cell loop runs for
+    mixed columns and to word the first error exactly.
     """
 
     def error(slot: int, problem: str) -> DatasetError:
-        return DatasetError(f"row {slot + 1}, attribute {attr.name!r}: {problem}")
+        return DatasetError(
+            f"row {start + slot + 1}, attribute {attr.name!r}: {problem}"
+        )
+
+    def buckets(x: np.ndarray, slots: Sequence[int]) -> np.ndarray:
+        edges = np.array(attr.bin_edges)
+        outside = ~((edges[0] <= x) & (x < edges[-1]))  # NaN is outside too
+        if outside.any():
+            i = int(np.argmax(outside))
+            value = float(x[i])
+            if math.isnan(value):
+                raise error(slots[i], f"value {value!r} is not a number")
+            raise error(
+                slots[i],
+                f"value {value!r} outside the bucket range "
+                f"[{_format_number(edges[0])}, {_format_number(edges[-1])})",
+            )
+        return np.searchsorted(edges, x, side="right") - 1
 
     labels = {label: i for i, label in enumerate(attr.values)}
+    if not attr.is_numeric:
+        try:
+            return np.fromiter(map(labels.get, cells), np.int64, len(cells))
+        except TypeError:
+            pass  # a cell is not a label: the loop below words the error
+    elif set(map(type, cells)) <= {int, float}:
+        numbers = np.fromiter(map(float, cells), np.float64, len(cells))
+        return buckets(numbers, range(len(cells)))
+
     codes = [0] * len(cells)
     number_slots: list[int] = []
     numbers: list[float] = []
@@ -124,20 +164,7 @@ def _column_codes(attr: Attribute, cells: Sequence[object]) -> np.ndarray:
 
     out = np.array(codes, dtype=np.int64)
     if numbers:
-        x = np.array(numbers)
-        edges = np.array(attr.bin_edges)
-        outside = ~((edges[0] <= x) & (x < edges[-1]))  # NaN is outside too
-        if outside.any():
-            i = int(np.argmax(outside))
-            value = numbers[i]
-            if math.isnan(value):
-                raise error(number_slots[i], f"value {value!r} is not a number")
-            raise error(
-                number_slots[i],
-                f"value {value!r} outside the bucket range "
-                f"[{_format_number(edges[0])}, {_format_number(edges[-1])})",
-            )
-        out[number_slots] = np.searchsorted(edges, x, side="right") - 1
+        out[number_slots] = buckets(np.array(numbers), number_slots)
     return out
 
 
@@ -243,32 +270,54 @@ class Row:
     values: tuple[object, ...]
 
 
+def _check_unique(ids: Sequence[str]) -> None:
+    if len(set(ids)) == len(ids):
+        return
+    seen: set[str] = set()
+    for number, uid in enumerate(ids, start=1):
+        if uid in seen:
+            raise DatasetError(f"row {number}: duplicate row ID {uid!r}")
+        seen.add(uid)
+
+
 class Dataset:
     """Rows checked against a schema and stored as domain indices.
 
     ``ids`` keeps the row IDs in input order and ``codes[i, j]`` is the
     index of row i's value in the domain of attribute j.  Row IDs must be
-    unique and every row must carry one value per attribute.
+    unique and every row must carry one value per attribute.  String
+    values of a bucketed attribute are tried as bucket labels first, then
+    as numbers.
     """
 
     def __init__(self, schema: Schema, rows: Iterable[Row]) -> None:
         rows = tuple(rows)
-        seen: set[str] = set()
         for number, row in enumerate(rows, start=1):
-            if row.uid in seen:
-                raise DatasetError(f"row {number}: duplicate row ID {row.uid!r}")
-            seen.add(row.uid)
             if len(row.values) != schema.k:
                 raise DatasetError(
                     f"row {number} ({row.uid!r}) has {len(row.values)} values, "
                     f"expected {schema.k}"
                 )
+        ids = tuple(row.uid for row in rows)
+        _check_unique(ids)
         codes = np.empty((len(rows), schema.k), dtype=np.int64)
         for j, attr in enumerate(schema.attributes):
             codes[:, j] = _column_codes(attr, [row.values[j] for row in rows])
+        self._store(schema, ids, codes)
+
+    @classmethod
+    def _from_codes(
+        cls, schema: Schema, ids: tuple[str, ...], codes: np.ndarray
+    ) -> Dataset:
+        """A dataset of already checked IDs and codes."""
+        dataset = cls.__new__(cls)
+        dataset._store(schema, ids, codes)
+        return dataset
+
+    def _store(self, schema: Schema, ids: tuple[str, ...], codes: np.ndarray) -> None:
         codes.flags.writeable = False
         self.schema = schema
-        self.ids = tuple(row.uid for row in rows)
+        self.ids = ids
         self.codes = codes
 
     @property
@@ -280,15 +329,28 @@ class Dataset:
         return self.codes[:, self.schema.index_of(name)]
 
 
+# Records read and converted at a time: large enough that per-chunk work
+# is amortised, small enough that a chunk's cell lists stay a few MB.
+_CHUNK_ROWS = 1 << 14
+
+
 def load_csv(path: str, schema: Schema) -> Dataset:
     """Load rows from a CSV file whose first column is the unique row ID.
 
     The header must name every schema attribute, in schema order, after
-    the ID column.  Cells of bucketed attributes that parse as numbers
-    are read as numbers.  Only the file's layout is checked here; the
-    values are checked by :class:`Dataset`.  Rows are numbered from 1
-    after the header, not counting blank lines, which are skipped.
+    the ID column.  The file is read in chunks of records, and each chunk
+    goes straight to a block of domain indices, so besides the IDs memory
+    holds the codes and one chunk, never a ``Row`` per line; the blocks
+    are joined once at the end.  Cells are stripped of surrounding
+    whitespace; a cell of a bucketed attribute that parses as a number is
+    read as a number first, and only otherwise as a bucket label.  Rows
+    are numbered from 1 after the header, not counting blank lines, which
+    are skipped.  Each chunk is checked as it is read, and IDs are checked
+    for duplicates once the whole file is in.
     """
+    width = schema.k + 1
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -302,35 +364,62 @@ def load_csv(path: str, schema: Schema) -> Dataset:
                 f"{path}: header columns {header[1:]!r} do not match schema "
                 f"attributes {list(schema.names)!r}"
             )
-        numeric = [attr.is_numeric for attr in schema.attributes]
-        rows = []
-        for record in reader:
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            number = len(rows) + 1
-            if len(record) != schema.k + 1:
-                raise DatasetError(
-                    f"{path} row {number}: expected {schema.k + 1} columns, "
-                    f"got {len(record)}"
-                )
-            uid = record[0].strip()
-            if not uid:
-                raise DatasetError(f"{path} row {number}: empty row ID")
-            values = tuple(
-                _read_cell(cell.strip(), is_numeric)
-                for cell, is_numeric in zip(record[1:], numeric)
-            )
-            rows.append(Row(uid, values))
-    try:
-        return Dataset(schema, rows)
-    except DatasetError as exc:
-        raise DatasetError(f"{path} {exc}") from None
-
-
-def _read_cell(cell: str, is_numeric: bool) -> object:
-    if is_numeric:
         try:
-            return float(cell)
-        except ValueError:
-            pass
-    return cell
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                columns = _stripped_columns(chunk, width)
+                if columns is None:  # blank records, or a layout fault
+                    chunk = [r for r in chunk if any(map(str.strip, r))]
+                    _check_layout(chunk, width, len(ids))
+                    if not chunk:
+                        continue
+                    columns = _stripped_columns(chunk, width)
+                block = np.empty((len(chunk), schema.k), dtype=np.int64)
+                for j, attr in enumerate(schema.attributes):
+                    cells = columns[j + 1]
+                    if attr.is_numeric:
+                        cells = _read_numbers(cells)
+                    block[:, j] = _column_codes(attr, cells, len(ids))
+                ids.extend(columns[0])
+                blocks.append(block)
+            _check_unique(ids)
+        except DatasetError as exc:
+            raise DatasetError(f"{path} {exc}") from None
+    codes = np.concatenate(blocks) if blocks else np.empty((0, schema.k), np.int64)
+    return Dataset._from_codes(schema, tuple(ids), codes)
+
+
+def _stripped_columns(records: list[list[str]], width: int) -> list[list[str]] | None:
+    """Stripped columns of records that all have ``width`` cells and an ID.
+
+    Returns None when a record is blank, has another width or an empty ID.
+    """
+    if set(map(len, records)) != {width}:
+        return None
+    columns = [list(map(str.strip, column)) for column in zip(*records)]
+    return None if "" in columns[0] else columns
+
+
+def _check_layout(records: list[list[str]], width: int, start: int) -> None:
+    """Raise for the first wrong width or empty ID among non-blank ``records``."""
+    for number, record in enumerate(records, start=start + 1):
+        if len(record) != width:
+            raise DatasetError(
+                f"row {number}: expected {width} columns, got {len(record)}"
+            )
+        if not record[0].strip():
+            raise DatasetError(f"row {number}: empty row ID")
+
+
+def _read_numbers(cells: list[str]) -> list[object]:
+    """Cells of a bucketed attribute: numbers where they parse, else labels."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [_read_cell(cell) for cell in cells]
+
+
+def _read_cell(cell: str) -> object:
+    try:
+        return float(cell)
+    except ValueError:
+        return cell

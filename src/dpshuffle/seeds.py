@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 
@@ -29,10 +30,28 @@ def _canonical_payload(root: int, path: tuple[PathPart, ...]) -> bytes:
     return json.dumps([root, *path], separators=(",", ":")).encode("utf-8")
 
 
+def _digest(root: int, path: tuple[PathPart, ...]) -> bytes:
+    return hashlib.sha256(_canonical_payload(root, path)).digest()
+
+
+def _entropy_words(digest: bytes) -> np.ndarray:
+    """The uint32 words ``SeedSequence(int.from_bytes(digest, "big"))`` uses.
+
+    numpy splits an int entropy into 32-bit words, least significant
+    first, and drops the high-order zero words (keeping one word for 0).
+    Handing it those words directly gives the same pool without the
+    slow split of a 256-bit int.
+    """
+    words = struct.unpack(">8I", digest)[::-1]
+    size = len(words)
+    while size > 1 and not words[size - 1]:
+        size -= 1
+    return np.array(words[:size], dtype=np.uint32)
+
+
 def derive_entropy(root: int, *path: PathPart) -> int:
     """Hash (root, *path) into a 256-bit integer."""
-    digest = hashlib.sha256(_canonical_payload(root, path)).digest()
-    return int.from_bytes(digest, "big")
+    return int.from_bytes(_digest(root, path), "big")
 
 
 def derive_seed(root: int, *path: PathPart) -> int:
@@ -42,4 +61,5 @@ def derive_seed(root: int, *path: PathPart) -> int:
 
 def derive_rng(root: int, *path: PathPart) -> np.random.Generator:
     """Return an independent generator for the stream named by ``path``."""
-    return np.random.default_rng(np.random.SeedSequence(derive_entropy(root, *path)))
+    entropy = _entropy_words(_digest(root, path))
+    return np.random.default_rng(np.random.SeedSequence(entropy))

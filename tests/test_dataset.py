@@ -1,6 +1,12 @@
+import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +19,7 @@ from dpshuffle import (
     Schema,
     load_csv,
 )
+from dpshuffle import dataset as dataset_module
 
 
 def value_index(attr: Attribute, value: object) -> int:
@@ -275,3 +282,219 @@ def test_buckets_match_a_linear_scan_of_the_edges(edges, values):
     codes = Dataset(Schema((attr,)), rows).codes[:, 0].tolist()
     expected = [max(i for i in range(len(edges) - 1) if edges[i] <= v) for v in inside]
     assert codes == expected
+
+
+def reference_load_csv(path: str, schema: Schema) -> Dataset:
+    """The row-by-row loader: one ``Row`` per line, then ``Dataset``.
+
+    Header checks are left out; the files under test have good headers.
+    """
+
+    def read_cell(cell: str, is_numeric: bool) -> object:
+        if is_numeric:
+            try:
+                return float(cell)
+            except ValueError:
+                pass
+        return cell
+
+    numeric = [attr.is_numeric for attr in schema.attributes]
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for record in reader:
+            if not record or all(not cell.strip() for cell in record):
+                continue
+            number = len(rows) + 1
+            if len(record) != schema.k + 1:
+                raise DatasetError(
+                    f"{path} row {number}: expected {schema.k + 1} columns, "
+                    f"got {len(record)}"
+                )
+            uid = record[0].strip()
+            if not uid:
+                raise DatasetError(f"{path} row {number}: empty row ID")
+            values = tuple(
+                read_cell(cell.strip(), is_numeric)
+                for cell, is_numeric in zip(record[1:], numeric)
+            )
+            rows.append(Row(uid, values))
+    try:
+        return Dataset(schema, rows)
+    except DatasetError as exc:
+        raise DatasetError(f"{path} {exc}") from None
+
+
+def load_or_error(load, path: str, schema: Schema):
+    try:
+        dataset = load(path, schema)
+    except DatasetError as exc:
+        return str(exc)
+    return dataset.ids, dataset.codes.tolist()
+
+
+# Numeric-looking and comma-holding labels, auto bucket labels with a
+# comma, and a bucket label ("7") that CSV cells read as a number.
+LOADER_SCHEMA = Schema(
+    (
+        Attribute("Name", ("1", "2.5", "1e3", "a,b", "x y", "nan")),
+        Attribute("Age", ("[0,18)", "[18,40)", "40+"), (0.0, 18.0, 40.0, math.inf)),
+        Attribute("Score", ("lo", "mid", "7"), (0.0, 1.0, 10.0, 100.0)),
+    )
+)
+LOADER_HEADER = "id,Name,Age,Score\n"
+BAD_CELLS = {
+    "Name": ("zzz", "3", "A,B"),
+    "Age": ("-1", "nan", "adult", "-1e-3"),
+    "Score": ("100", "1e9", "nan", "high", "-inf"),
+}
+BLANK_LINES = ("", "   ", " , ,", ",,,", "\t")
+NUMBER_FORMATS = ("{:g}", "{:e}", "{:.2f}", "{!r}", "{:.0f}")
+
+
+@st.composite
+def padded(draw, text):
+    return draw(st.sampled_from(("", " ", "  "))) + text + draw(
+        st.sampled_from(("", " "))
+    )
+
+
+@st.composite
+def good_cell(draw, attr: Attribute):
+    if attr.is_numeric and draw(st.booleans()):
+        hi = min(attr.bin_edges[-1], 200.0)
+        x = draw(st.floats(attr.bin_edges[0], hi, exclude_max=True))
+        text = draw(st.sampled_from(NUMBER_FORMATS)).format(x)
+        if not attr.bin_edges[0] <= float(text) < attr.bin_edges[-1]:
+            text = repr(x)  # rounding pushed it out of range
+    else:
+        text = draw(st.sampled_from(attr.values))
+    return draw(padded(text))
+
+
+@st.composite
+def loader_files(draw):
+    """CSV text over LOADER_SCHEMA with blank lines and at most one fault."""
+    attrs = LOADER_SCHEMA.attributes
+    n = draw(st.integers(0, 9))
+    records = [
+        [draw(padded(f"u{i}")), *(draw(good_cell(attr)) for attr in attrs)]
+        for i in range(n)
+    ]
+    fault = draw(st.sampled_from((None, "cell", "width", "empty_id", "duplicate")))
+    if n and fault == "cell":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(attrs) - 1))
+        bad = draw(st.sampled_from(BAD_CELLS[attrs[j].name]))
+        records[i][j + 1] = draw(padded(bad))
+    elif n and fault == "width":
+        i = draw(st.integers(0, n - 1))
+        records[i] = records[i][:-1] if draw(st.booleans()) else [*records[i], "7"]
+    elif n and fault == "empty_id":
+        records[draw(st.integers(0, n - 1))][0] = draw(st.sampled_from(("", "  ")))
+    elif n >= 2 and fault == "duplicate":
+        first = draw(st.integers(0, n - 2))
+        records[draw(st.integers(first + 1, n - 1))][0] = records[first][0].strip()
+    out = io.StringIO()
+    quoting = draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
+    csv.writer(out, quoting=quoting, lineterminator="\n").writerows(records)
+    lines = out.getvalue().splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(
+            draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANK_LINES))
+        )
+    return LOADER_HEADER + "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loader_files(), st.sampled_from((1, 2, 3, dataset_module._CHUNK_ROWS)))
+def test_load_csv_matches_the_row_by_row_loader(text, chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "data.csv")
+        Path(path).write_text(text, encoding="utf-8")
+        expected = load_or_error(reference_load_csv, path, LOADER_SCHEMA)
+        with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk_rows):
+            assert load_or_error(load_csv, path, LOADER_SCHEMA) == expected
+
+
+def test_csv_reads_bucketed_cells_as_numbers_first(tmp_path):
+    # "7" is the label of bucket [10, 100) but the number 7 lies in [1, 10).
+    path = tmp_path / "seven.csv"
+    path.write_text(LOADER_HEADER + "u1,1,20,7\nu2,1,20,mid\n", encoding="utf-8")
+    assert load_csv(str(path), LOADER_SCHEMA).codes[:, 2].tolist() == [1, 1]
+    row = Row("u1", ("1", "20", "7"))
+    assert Dataset(LOADER_SCHEMA, (row,)).codes[0].tolist() == [0, 1, 2]
+
+
+class TestChunkBoundaries:
+    """``load_csv`` with 3-record chunks, blank lines counted in a chunk."""
+
+    LINES = [
+        "r1,Riya,20,5.3,48",
+        "",
+        "r2,Sonal,7,4.8,42",
+        "r3,Priya,28,5.3,78",
+        "   ",
+        "r4,Sayan,35,6.00,85",
+        "r5,Pranab,60,5.9,55",
+        "r6,Ravi,17,6.01,64",
+        "r7,Riya,1e1,4.8,59.5",
+        "r8,Sonal, 129 ,5.9,60",
+        "",
+        "r9,Priya,0,6.00,199",
+        "r10,Ravi,40,6.01,0",
+    ]
+
+    def write(self, tmp_path, lines) -> str:
+        path = tmp_path / "chunks.csv"
+        text = "id,Name,Age,Height,Weight\n" + "".join(f"{l}\n" for l in lines)
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def test_ten_rows_load_as_with_the_default_chunk(
+        self, tmp_path, monkeypatch, people_schema
+    ):
+        path = self.write(tmp_path, self.LINES)
+        whole = load_csv(path, people_schema)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 3)
+        chunked = load_csv(path, people_schema)
+        assert whole.n == chunked.n == 10
+        assert chunked.ids == whole.ids
+        assert np.array_equal(chunked.codes, whole.codes)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("r6,Ravi,17,6.02,64", "row 6, attribute 'Height': value '6.02' is not"),
+            ("r6,Ravi,17,6.01", "row 6: expected 5 columns, got 4"),
+            (" ,Ravi,17,6.01,64", "row 6: empty row ID"),
+        ],
+    )
+    def test_fault_in_third_chunk_names_its_row(
+        self, tmp_path, monkeypatch, people_schema, line, message
+    ):
+        lines = list(self.LINES)
+        lines[7] = line  # third chunk of 3 records; 6th non-blank row
+        path = self.write(tmp_path, lines)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 3)
+        with pytest.raises(DatasetError) as exc:
+            load_csv(path, people_schema)
+        assert str(exc.value).startswith(f"{path} {message}")
+
+    def test_duplicate_of_a_first_chunk_id_is_reported(
+        self, tmp_path, monkeypatch, people_schema
+    ):
+        lines = list(self.LINES)
+        lines[-1] = "r2,Ravi,40,6.01,0"
+        path = self.write(tmp_path, lines)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 3)
+        with pytest.raises(DatasetError) as exc:
+            load_csv(path, people_schema)
+        assert str(exc.value) == f"{path} row 10: duplicate row ID 'r2'"
+
+    def test_header_only_file(self, tmp_path, monkeypatch, people_schema):
+        path = self.write(tmp_path, [])
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 3)
+        dataset = load_csv(path, people_schema)
+        assert dataset.n == 0
+        assert dataset.codes.shape == (0, people_schema.k)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpshuffle.seeds import derive_rng, derive_seed
+from dpshuffle.seeds import _entropy_words, derive_entropy, derive_rng, derive_seed
 
 
 def test_same_path_reproduces_stream():
@@ -52,3 +52,44 @@ def test_non_canonical_path_parts_rejected(bad):
 def test_bool_root_rejected():
     with pytest.raises(TypeError):
         derive_rng(True, "x")
+
+
+@pytest.mark.parametrize(
+    "entropy",
+    [
+        0,
+        1,
+        2**32,  # lowest word zero
+        2**192 - 2**32,  # top two words and lowest word zero
+        2**224 + 2**64,  # top word zero, lowest word zero
+        2**255 + 2**32,  # no high zero word, lowest word zero
+        2**256 - 1,
+        0x0123456789ABCDEF << 96,
+    ],
+)
+def test_entropy_words_match_numpy_int_split(entropy):
+    words = _entropy_words(entropy.to_bytes(32, "big"))
+    assert words.dtype == np.uint32
+    from_int = np.random.SeedSequence(entropy)
+    from_words = np.random.SeedSequence(words)
+    assert np.array_equal(from_int.pool, from_words.pool)
+    assert np.array_equal(from_int.generate_state(8), from_words.generate_state(8))
+
+
+def test_derive_rng_draws_equal_the_int_seeded_stream():
+    paths = [
+        (root, label, a, b)
+        for root in (0, 1, 2**40 + 3)
+        for label in ("perm", "assign")
+        for a in range(20)
+        for b in range(25)
+    ]
+    assert len(paths) == 3000
+    for root, *path in paths:
+        reference = np.random.default_rng(
+            np.random.SeedSequence(derive_entropy(root, *path))
+        )
+        assert np.array_equal(
+            derive_rng(root, *path).integers(0, 2**63, 4),
+            reference.integers(0, 2**63, 4),
+        )
