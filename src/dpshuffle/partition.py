@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .seeds import derive_rng
+from .seeds import _permutations, derive_rng
 
 
 class PlanError(ValueError):
@@ -86,18 +86,35 @@ def assign_shufflers(
     Entry i is the shuffler ID handling group i; the result is a uniform
     permutation of range(num_shufflers).
     """
+    _check_one_to_one(groups, num_shufflers)
+    return tuple(int(s) for s in rng.permutation(num_shufflers))
+
+
+def _check_one_to_one(groups: Sequence[Sequence[str]], num_shufflers: int) -> None:
     if len(groups) != num_shufflers:
         raise PlanError(
             f"{len(groups)} groups cannot map one-to-one onto "
             f"{num_shufflers} shufflers"
         )
-    return tuple(int(s) for s in rng.permutation(num_shufflers))
 
 
 def assignment_for_stage(plan: ShufflePlan, stage_index: int) -> tuple[int, ...]:
     """The group-to-shuffler assignment drawn afresh for one stage."""
     rng = derive_rng(plan.seed, "assign", stage_index)
     return assign_shufflers(plan.attribute_groups, plan.num_shufflers, rng)
+
+
+def _stage_assignments(plan: ShufflePlan) -> list[tuple[int, ...]]:
+    """``assignment_for_stage(plan, i)`` for every stage, derived in one batch."""
+    _check_one_to_one(plan.attribute_groups, plan.num_shufflers)
+    stages = range(len(plan.bounds))
+    perms = _permutations(
+        plan.seed,
+        ("assign",),
+        ((stage,) for stage in stages),
+        [plan.num_shufflers] * len(stages),
+    )
+    return [tuple(perm.tolist()) for perm in perms]
 
 
 @dataclass(frozen=True)

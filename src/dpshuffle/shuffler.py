@@ -30,9 +30,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .partition import ShufflePlan, assignment_for_stage
+from .partition import ShufflePlan, _stage_assignments
 from .queryplan import TiedDataset
-from .seeds import derive_rng
+from .seeds import _permutations, derive_rng
 
 
 class ShuffleError(ValueError):
@@ -92,14 +92,25 @@ def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset
         raise ShuffleError(
             f"plan covers {plan.n} rows but the dataset has {tied.n}"
         )
-    orders = {group: np.arange(tied.n) for group in plan.attribute_groups if group}
-    for stage, (start, end) in enumerate(plan.bounds):
-        lo = start if mode == "IS" else 0
-        assignment = assignment_for_stage(plan, stage)
-        for gi, group in enumerate(plan.attribute_groups):
-            if group:
-                perm = stage_permutation(plan, mode, stage, assignment[gi], end - lo)
-                orders[group][lo:end] = orders[group][lo:end][perm]
+    groups = [(gi, group) for gi, group in enumerate(plan.attribute_groups) if group]
+    # One draw per stage and non-empty group: stage_permutation(plan,
+    # mode, stage, shuffler, end - lo), all derived in one batch.
+    draws = [
+        (stage, assignment[gi], start if mode == "IS" else 0, end, group)
+        for stage, ((start, end), assignment) in enumerate(
+            zip(plan.bounds, _stage_assignments(plan), strict=True)
+        )
+        for gi, group in groups
+    ]
+    perms = _permutations(
+        plan.seed,
+        ("perm", mode),
+        [(stage, shuffler) for stage, shuffler, *_ in draws],
+        [end - lo for _, _, lo, end, _ in draws],
+    )
+    orders = {group: np.arange(tied.n) for _, group in groups}
+    for (_, _, lo, end, group), perm in zip(draws, perms):
+        orders[group][lo:end] = orders[group][lo:end][perm]
     columns = {
         name: tied.columns[name][order]
         for group, order in orders.items()

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -190,6 +191,42 @@ class TestLoadCsv:
     def test_missing_file(self, people_schema):
         with pytest.raises(OSError):
             load_csv("/nonexistent/people.csv", people_schema)
+
+    def test_cyclic_gc_is_paused_while_reading_and_then_restored(
+        self, tmp_path, data_dir, monkeypatch, people_schema
+    ):
+        bad = tmp_path / "dup.csv"
+        bad.write_text(
+            "id,Name,Age,Height,Weight\n"
+            "Riya,Riya,20,5.3,48\n"
+            "Riya,Sonal,7,4.8,42\n",
+            encoding="utf-8",
+        )
+        good = str(data_dir / "people.csv")
+        during = []
+        column_codes = dataset_module._column_codes
+
+        def recording(*args):
+            during.append(gc.isenabled())
+            return column_codes(*args)
+
+        monkeypatch.setattr(dataset_module, "_column_codes", recording)
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                if enabled:
+                    gc.enable()
+                else:
+                    gc.disable()
+                assert load_csv(good, people_schema).n == 6
+                assert gc.isenabled() is enabled
+                with pytest.raises(DatasetError, match="duplicate"):
+                    load_csv(str(bad), people_schema)
+                assert gc.isenabled() is enabled
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert during and not any(during)
 
 
 class TestEncoding:

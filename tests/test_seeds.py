@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from dpshuffle.seeds import _entropy_words, derive_entropy, derive_rng, derive_seed
+from dpshuffle.seeds import (
+    _entropy_words,
+    _generate_states,
+    _pcg64_states,
+    _permutations,
+    _pools,
+    derive_entropy,
+    derive_rng,
+    derive_seed,
+)
 
 
 def test_same_path_reproduces_stream():
@@ -93,3 +102,51 @@ def test_derive_rng_draws_equal_the_int_seeded_stream():
             derive_rng(root, *path).integers(0, 2**63, 4),
             reference.integers(0, 2**63, 4),
         )
+
+
+def test_batch_pools_and_states_match_seed_sequence():
+    """Rows of every length 1..8 mixed in one batch, as sha256 digests
+    with high zero words would give (they cannot be hashed on demand)."""
+    rng = np.random.default_rng(11)
+    words = rng.integers(1, 2**32, size=(400, 8), dtype=np.uint32)
+    zero_high = np.arange(400) % 8
+    for row, zeros in enumerate(zero_high):
+        words[row, 8 - zeros :] = 0
+    words[::5, 0] = 0  # a zero lowest word is still entropy
+    words[3] = 0  # all zero: numpy keeps one word
+    pools = _pools(words)
+    states = _generate_states(pools)
+    assert pools.dtype == np.uint32 and states.dtype == np.uint64
+    for row in range(len(words)):
+        length = 1 if row == 3 else 8 - int(zero_high[row])
+        reference = np.random.SeedSequence(words[row, :length])
+        assert np.array_equal(pools[row], reference.pool)
+        assert np.array_equal(states[row], reference.generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [("perm", "CIS"), ("assign",), (), ('q"uo\\te', "naïve ∑", 3)],
+)
+def test_batch_states_equal_derive_rng(prefix):
+    suffixes = [(a,) for a in range(1000)]
+    suffixes += [(a, b) for a in range(0, 1500, 3) for b in (0, 1, 2**40)]
+    suffixes += [(-1, 0), (0, -(2**70)), (2**64, 5)]
+    for root in (0, 2**40 + 3):
+        states = list(_pcg64_states(root, prefix, suffixes))
+        assert states == [
+            derive_rng(root, *prefix, *suffix).bit_generator.state
+            for suffix in suffixes
+        ]
+
+
+@pytest.mark.parametrize("stages", [1, 5, 60])  # 3, 15 and 180 paths
+def test_batch_permutations_equal_derive_rng(stages):
+    suffixes = [
+        (stage, shuffler) for stage in range(stages) for shuffler in range(3)
+    ]
+    sizes = [(7 * i) % 23 + 1 for i in range(len(suffixes))]
+    perms = _permutations(5, ("perm", "IS"), suffixes, sizes)
+    for (stage, shuffler), size, perm in zip(suffixes, sizes, perms, strict=True):
+        reference = derive_rng(5, "perm", "IS", stage, shuffler).permutation(size)
+        assert np.array_equal(perm, reference)

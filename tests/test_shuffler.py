@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -5,6 +6,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpshuffle import (
     Attribute,
@@ -278,6 +281,52 @@ class TestCumulativeShuffle:
         a = cumulative_iterative_shuffle(td, plan)
         assert same_shuffle(a, cumulative_iterative_shuffle(td, plan))
         assert a.provenance.mode == "CIS"
+
+
+@st.composite
+def shuffle_cases(draw):
+    """A tied table, plan and mode; fewer channels than shufflers leaves
+    some attribute groups empty."""
+    attrs = draw(st.integers(1, 4))
+    tie_first = draw(st.integers(1, attrs))
+    n = draw(st.integers(1, 24))
+    t = draw(st.integers(1, n))
+    shufflers = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**64 - 1))
+    mode = draw(st.sampled_from(["IS", "CIS"]))
+    td = make_tied(n, attrs=attrs, tie_first=tie_first)
+    plan = build_plan(n, t, [c.name for c in td.channels], shufflers, seed=seed)
+    return td, plan, mode
+
+
+def stage_by_stage(td, plan, mode):
+    """The columns that ``reference_stage`` gives, one stage per batch."""
+    expected = {name: col.copy() for name, col in td.columns.items()}
+    for stage, (start, end) in enumerate(plan.bounds):
+        lo = start if mode == "IS" else 0
+        piece = {name: col[lo:end] for name, col in expected.items()}
+        for name, col in reference_stage(piece, plan, mode, stage).items():
+            expected[name][lo:end] = col
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffle_cases())
+def test_shuffle_equals_the_stage_by_stage_composition(case):
+    td, plan, mode = case
+    shuffle = iterative_shuffle if mode == "IS" else cumulative_iterative_shuffle
+    assert same_columns(shuffle(td, plan).columns, stage_by_stage(td, plan, mode))
+
+
+@pytest.mark.parametrize("mode", ["IS", "CIS"])
+def test_every_batch_is_a_stage_whatever_num_batches_says(mode):
+    """Stages follow ``batch_sizes``; a hand-built plan whose
+    ``num_batches`` disagrees still shuffles every batch."""
+    td = make_tied(12, attrs=3)
+    plan = build_plan(12, 4, [c.name for c in td.channels], 2, seed=9)
+    plan = dataclasses.replace(plan, num_batches=1)
+    shuffle = iterative_shuffle if mode == "IS" else cumulative_iterative_shuffle
+    assert same_columns(shuffle(td, plan).columns, stage_by_stage(td, plan, mode))
 
 
 class TestInjectedPermutations:
