@@ -3,7 +3,7 @@
 The flow: store each value as its index in the attribute's domain (the
 position of its high bit in the paper's one-hot encoding), tie the
 attributes a query touches into one composite channel, partition rows
-into near-equal batches, shuffle each batch (or growing prefixes) under
+into near-equal batches, shuffle each batch (or, for CIS, all rows) under
 S independent shufflers, account for the privacy budget in closed form,
 and release the count measured on the shuffled output once it satisfies
 its loss bound.

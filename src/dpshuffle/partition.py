@@ -86,16 +86,12 @@ def assign_shufflers(
     Entry i is the shuffler ID handling group i; the result is a uniform
     permutation of range(num_shufflers).
     """
-    _check_one_to_one(groups, num_shufflers)
-    return tuple(int(s) for s in rng.permutation(num_shufflers))
-
-
-def _check_one_to_one(groups: Sequence[Sequence[str]], num_shufflers: int) -> None:
     if len(groups) != num_shufflers:
         raise PlanError(
             f"{len(groups)} groups cannot map one-to-one onto "
             f"{num_shufflers} shufflers"
         )
+    return tuple(int(s) for s in rng.permutation(num_shufflers))
 
 
 def assignment_for_stage(plan: ShufflePlan, stage_index: int) -> tuple[int, ...]:
@@ -104,30 +100,40 @@ def assignment_for_stage(plan: ShufflePlan, stage_index: int) -> tuple[int, ...]
     return assign_shufflers(plan.attribute_groups, plan.num_shufflers, rng)
 
 
-def _stage_assignments(plan: ShufflePlan) -> list[tuple[int, ...]]:
-    """``assignment_for_stage(plan, i)`` for every stage, derived in one batch."""
-    _check_one_to_one(plan.attribute_groups, plan.num_shufflers)
-    stages = range(len(plan.bounds))
+def _stage_assignments(plan: ShufflePlan, stages: int) -> list[tuple[int, ...]]:
+    """``assignment_for_stage(plan, i)`` for stages 0..stages-1, in one batch."""
     perms = _permutations(
         plan.seed,
         ("assign",),
-        ((stage,) for stage in stages),
-        [plan.num_shufflers] * len(stages),
+        ((stage,) for stage in range(stages)),
+        [plan.num_shufflers] * stages,
     )
     return [tuple(perm.tolist()) for perm in perms]
 
 
 @dataclass(frozen=True)
 class ShufflePlan:
-    """Frozen description of how one shuffle run is randomised."""
+    """How one shuffle run is randomised; every other field derives from these."""
 
-    n: int
-    num_batches: int
-    num_shufflers: int
     seed: int
     batch_sizes: tuple[int, ...]
-    channels: tuple[str, ...]
     attribute_groups: tuple[tuple[str, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return sum(self.batch_sizes)
+
+    @property
+    def num_batches(self) -> int:
+        return len(self.batch_sizes)
+
+    @property
+    def num_shufflers(self) -> int:
+        return len(self.attribute_groups)
+
+    @property
+    def channels(self) -> tuple[str, ...]:
+        return tuple(name for group in self.attribute_groups for name in group)
 
     @property
     def n1(self) -> int:
@@ -173,12 +179,4 @@ def build_plan(
     groups = group_attributes(
         channels, num_shufflers, derive_rng(seed, "plan", "group-extras")
     )
-    return ShufflePlan(
-        n=n,
-        num_batches=num_batches,
-        num_shufflers=num_shufflers,
-        seed=seed,
-        batch_sizes=sizes,
-        channels=tuple(channels),
-        attribute_groups=groups,
-    )
+    return ShufflePlan(seed=seed, batch_sizes=sizes, attribute_groups=groups)

@@ -5,8 +5,8 @@ A run ties the query's attributes of a loaded dataset into one
 channel, shuffles under the configured scheme, and releases the count
 measured on the shuffled output together with its privacy budget.  If
 the released count violates its loss bound the run re-shuffles with a
-fresh derived seed, up to ``max_retries`` times.
-Cumulative mode is refused outright when its budget is negative.
+fresh derived seed, up to ``max_retries`` times.  CIS is refused unless
+n1 = 2, where epsilon and loss bound are 0: exact count or no release.
 
 The emitted report never contains the input count, raw rows, or the
 permutations; reruns with the same inputs produce byte-identical JSON.

@@ -85,9 +85,9 @@ def account(
 ) -> PrivacyAccount:
     """Account for a full run over the given batch sizes (largest first).
 
-    IS stages cover single batches; CIS stage i covers the prefix of
-    batches 1..i, so its ratios use cumulative sizes.  Every stage needs
-    at least 2 rows, otherwise its ratio is undefined.
+    IS stages cover single batches; the paper's CIS stage i covers the
+    prefix of batches 1..i, so its ratios use cumulative sizes; admissible
+    CIS (n1 = 2) has epsilon and loss bound 0.  Every stage needs 2 rows.
     """
     if mode not in ("IS", "CIS"):
         raise ValueError(f"unknown accounting mode {mode!r}")

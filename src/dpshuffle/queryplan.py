@@ -284,6 +284,8 @@ def tie_attributes(
         if canonical not in resolved:
             resolved.append(canonical)
     tied = tuple(name for name in schema.names if name in resolved)
+    if len(tied) > 1 and ":".join(tied) in schema.names:
+        raise QueryError(f"tied channel {':'.join(tied)!r} clashes with an attribute name")
 
     channels: list[Channel] = []
     placed = False

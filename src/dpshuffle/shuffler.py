@@ -1,17 +1,17 @@
 """The two shuffle protocols: per-batch and cumulative.
 
-Iterative shuffling (IS) permutes each batch independently; cumulative
-iterative shuffling (CIS) permutes a growing prefix, stage i covering
-batches 1..i, so earlier rows are re-shuffled at every later stage.
-The last CIS stage applies a fresh uniform permutation to all n rows, so
-each attribute group's output is one uniform permutation of its input,
-independent of the earlier stages' draws.
+Iterative shuffling (IS) permutes each batch independently.  The paper's
+cumulative shuffling (CIS) re-shuffles growing prefixes, and its last
+stage is a fresh uniform permutation of all n rows, so that chain ends
+in one uniform permutation per attribute group whatever came before.
+CIS draws exactly that, one stage over all n rows; its budget still
+follows the paper's stages (``privacy.account``).
 
 A shuffle moves rows of domain indices, each row standing for the
 paper's one-hot encodings of one slot's values in a channel; moving the
 index row moves exactly what moving the encodings would.  Each attribute
-group's permutations are composed into one index array over all n
-slots, and every channel of the group is gathered through it once.
+group's stage permutations fill one index array over all n slots, and
+every channel of the group is gathered through it once.
 
 Stage randomness is re-derived from the plan seed per (mode, stage,
 shuffler), never drawn from shared state; results are therefore
@@ -68,19 +68,18 @@ def stage_permutation(
     """The permutation a shuffler draws for one stage.
 
     Exposed for audits: entry i names the input slot whose row lands in
-    output slot i.
+    output slot i.  CIS has one stage, 0, over all n rows.
     """
     rng = derive_rng(plan.seed, "perm", mode, stage_index, shuffler_id)
     return rng.permutation(size)
 
 
 def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset:
-    """Compose every stage's draws per group, then gather each channel once.
+    """Draw each stage's permutations per group, then gather each channel once.
 
     ``orders[group][i]`` is the input slot whose row ends in output slot
-    i of the group's channels.  An IS stage permutes its own batch of it;
-    a CIS stage permutes the prefix up to the batch's end, on top of the
-    earlier stages.
+    i of the group's channels.  Every stage permutes its own disjoint
+    slice of it: a batch for IS, all n rows for CIS.
     """
     names = tuple(ch.name for ch in tied.channels)
     if set(names) != set(plan.channels):
@@ -93,12 +92,13 @@ def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset
             f"plan covers {plan.n} rows but the dataset has {tied.n}"
         )
     groups = [(gi, group) for gi, group in enumerate(plan.attribute_groups) if group]
+    bounds = plan.bounds if mode == "IS" else ((0, plan.n),)
     # One draw per stage and non-empty group: stage_permutation(plan,
-    # mode, stage, shuffler, end - lo), all derived in one batch.
+    # mode, stage, shuffler, end - start), all derived in one batch.
     draws = [
-        (stage, assignment[gi], start if mode == "IS" else 0, end, group)
+        (stage, assignment[gi], start, end, group)
         for stage, ((start, end), assignment) in enumerate(
-            zip(plan.bounds, _stage_assignments(plan), strict=True)
+            zip(bounds, _stage_assignments(plan, len(bounds)), strict=True)
         )
         for gi, group in groups
     ]
@@ -106,11 +106,11 @@ def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset
         plan.seed,
         ("perm", mode),
         [(stage, shuffler) for stage, shuffler, *_ in draws],
-        [end - lo for _, _, lo, end, _ in draws],
+        [end - start for _, _, start, end, _ in draws],
     )
     orders = {group: np.arange(tied.n) for _, group in groups}
-    for (_, _, lo, end, group), perm in zip(draws, perms):
-        orders[group][lo:end] = orders[group][lo:end][perm]
+    for (_, _, start, end, group), perm in zip(draws, perms):
+        orders[group][start:end] = orders[group][start:end][perm]
     columns = {
         name: tied.columns[name][order]
         for group, order in orders.items()
@@ -134,7 +134,7 @@ def iterative_shuffle(tied: TiedDataset, plan: ShufflePlan) -> ShuffledDataset:
 def cumulative_iterative_shuffle(
     tied: TiedDataset, plan: ShufflePlan
 ) -> ShuffledDataset:
-    """Shuffle growing prefixes: stage i re-shuffles batches 1..i together."""
+    """Shuffle all n rows at once: the law of the paper's prefix chain."""
     return _shuffle(tied, plan, "CIS")
 
 

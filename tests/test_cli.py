@@ -200,6 +200,20 @@ class TestRunCommand:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_tied_channel_name_clash_exits_1(self, capsys, tmp_path, make_config):
+        dataset = tmp_path / "clash.csv"
+        dataset.write_text("id,a,b,a:b\nu0,x,y,x\nu1,y,x,y\n", encoding="utf-8")
+        schema = make_config("schema.json", {"attributes": [
+            {"name": name, "domain": ["x", "y"]} for name in ("a", "b", "a:b")
+        ]})
+        config = make_config("c.json", {"seed": 1, "t": 1, "S": 2})
+        code = main(
+            ["run", "--config", config, "--dataset", str(dataset),
+             "--query", "count where a = x and b = y", "--schema", schema]
+        )
+        assert code == 1
+        assert "clashes" in capsys.readouterr().err
+
 
 class TestRiskSweepCommand:
     def test_text_table_and_selection(

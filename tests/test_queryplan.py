@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from dpshuffle import (
     Attribute,
+    Dataset,
     QueryError,
     QuerySpec,
+    Row,
     Schema,
     count_query,
     parse_query,
@@ -169,6 +171,15 @@ class TestTie:
             tie_attributes(people_dataset, ())
         with pytest.raises(QueryError, match="unknown"):
             tie_attributes(people_dataset, ("salary",))
+
+    def test_composite_name_clashing_with_an_attribute_rejected(self):
+        # Tying a and b names the channel "a:b", which the schema's own
+        # "a:b" attribute already uses.
+        schema = Schema(tuple(Attribute(name, ("x", "y")) for name in ("a", "b", "a:b")))
+        dataset = Dataset(schema, (Row("u0", ("x", "y", "x")),))
+        with pytest.raises(QueryError, match="'a:b'.*clashes"):
+            tie_attributes(dataset, ("a", "b"))
+        assert tie_attributes(dataset, ("a", "a:b")).tied_channel == "a:a:b"
 
     def test_in_group_query_counts_match_encoded(
         self, people_dataset, people_schema
