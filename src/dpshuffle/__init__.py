@@ -1,8 +1,9 @@
 """Differentially private count reporting via batched iterative shuffling.
 
 The flow: store each value as its index in the attribute's domain (the
-position of its high bit in the paper's one-hot encoding), tie the
-attributes a query touches into one composite channel, partition rows
+position of its high bit in the paper's one-hot encoding), in one
+``(n, k)`` array per table; tie the attributes a query touches into one
+composite channel, a grouping of that array's columns; partition rows
 into near-equal batches, shuffle each batch (or, for CIS, all rows) under
 S independent shufflers, account for the privacy budget in closed form,
 and release the count measured on the shuffled output once it satisfies

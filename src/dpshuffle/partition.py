@@ -119,6 +119,15 @@ class ShufflePlan:
     batch_sizes: tuple[int, ...]
     attribute_groups: tuple[tuple[str, ...], ...]
 
+    def __post_init__(self) -> None:
+        sizes, groups, channels = self.batch_sizes, self.attribute_groups, self.channels
+        if not sizes or min(sizes) < 1 or max(sizes) != sizes[0]:
+            raise PlanError(f"need batch sizes >= 1, a largest first, got {sizes}")
+        if len(groups) < 2:
+            raise PlanError(f"need at least 2 attribute groups, got {groups}")
+        if len(set(channels)) != len(channels):
+            raise PlanError(f"a channel sits in more than one group in {groups}")
+
     @property
     def n(self) -> int:
         return sum(self.batch_sizes)

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .dataset import Dataset, Schema, load_csv
+from .dataset import Dataset, DatasetError, Schema, load_csv
 from .partition import build_plan, plan_batches
 from .privacy import account, epsilon_is
 from .queryplan import QuerySpec, parse_query, relevant_attributes, tie_attributes, validate_query
@@ -104,6 +104,8 @@ class PipelineConfig:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if not 0 <= self.lam < math.inf:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        if self.tied_attributes is not None and not self.tied_attributes:
+            raise ConfigError("'tied_attributes' must name at least one attribute")
 
 
 _KINDS = {"an integer": int, "a number": (int, float), "a string": str, "a list": list}
@@ -161,7 +163,7 @@ def load_config(path: str) -> PipelineConfig:
             seed=_get(raw, "seed", "an integer"),
             t=_get(raw, "t", "an integer"),
             S=_get(raw, "S", "an integer"),
-            mode=raw.get("mode", "IS"),
+            mode=_get(raw, "mode", "a string", "IS"),
             lam=float(_get(raw, "lambda", "a number", 0.01)),
             max_retries=_get(raw, "max_retries", "an integer", 16),
             hypothesis_grid=_parse_grid(_get(raw, "hypothesis_grid", "a list", [])),
@@ -271,7 +273,9 @@ def run_on_dataset(
     query = validate_query(query, dataset.schema)
     scheme, _ = _resolve_scheme(config, dataset, query)
 
-    tied_names = config.tied_attributes or relevant_attributes(query, dataset.schema)
+    tied_names = config.tied_attributes
+    if tied_names is None:
+        tied_names = relevant_attributes(query, dataset.schema)
     tied_db = tie_attributes(dataset, tied_names)
     channels = tuple(ch.name for ch in tied_db.channels)
 
@@ -337,8 +341,13 @@ def _load_inputs(
         raise ConfigError(
             "a schema file is required (flag --schema or config 'schema')"
         )
-    with open(schema_file, encoding="utf-8") as fh:
-        schema = Schema.from_dict(json.load(fh))
+    try:
+        with open(schema_file, encoding="utf-8") as fh:
+            schema = Schema.from_dict(json.load(fh))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{schema_file}: invalid JSON ({exc})") from None
+    except DatasetError as exc:
+        raise DatasetError(f"{schema_file}: {exc}") from None
     return load_csv(dataset_path, schema)
 
 

@@ -13,10 +13,10 @@ window.
 Tying fuses the attributes a query touches into one composite channel,
 so their values travel together through every shuffle and the query's
 joint counts survive unchanged.  Untied attributes each keep their own
-channel.  A channel's column is an ``(n, width)`` array of domain
-indices, one row per slot and one column per member attribute: the
-paper's one-hot encodings of a slot's tied values, kept as the indices
-of their high bits, so a shuffle moves whole index rows.
+channel.  A tied dataset is the dataset's own ``(n, k)`` array of domain
+indices plus that grouping: a channel names the columns a shuffle moves
+as one, the indices standing for the high bits of the paper's one-hot
+encodings of a slot's tied values.
 """
 
 from __future__ import annotations
@@ -215,51 +215,31 @@ class Channel:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class TiedDataset:
-    """Domain-index rows regrouped into channels, one of them composite.
+class TiedDataset(Dataset):
+    """A dataset whose attributes are grouped into shuffling channels.
 
-    ``columns`` maps channel name to an ``(n, width)`` array whose column
-    p holds member p's domain indices; slot i of every column belongs to
-    the same input row until shuffling breaks the linkage.
+    ``schema``, ``ids`` and the read-only ``codes`` array are the
+    dataset's own, shared rather than copied.  ``channels`` groups the
+    attributes: the members of a channel are columns of ``codes`` that a
+    shuffle moves together, so slot i of a channel's members belongs to
+    one input row until shuffling breaks the linkage with other channels.
     """
 
-    schema: Schema
-    ids: tuple[str, ...]
-    channels: tuple[Channel, ...]
-    columns: dict[str, np.ndarray]
-    tied_channel: str
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
+    def __init__(
+        self,
+        schema: Schema,
+        ids: tuple[str, ...],
+        codes: np.ndarray,
+        channels: tuple[Channel, ...],
+        tied_channel: str,
+    ) -> None:
+        self._store(schema, ids, codes)
+        self.channels = channels
+        self.tied_channel = tied_channel
 
     @property
     def g(self) -> int:
         return len(self.channels)
-
-    @property
-    def tied_attributes(self) -> tuple[str, ...]:
-        return self.channel(self.tied_channel).members
-
-    def channel(self, name: str) -> Channel:
-        for ch in self.channels:
-            if ch.name == name:
-                return ch
-        raise QueryError(f"no channel named {name!r}")
-
-    def locate(self, attr_name: str) -> tuple[str, int]:
-        """(channel name, member position) for an attribute."""
-        target = self.schema.attribute(attr_name).name
-        for ch in self.channels:
-            if target in ch.members:
-                return ch.name, ch.members.index(target)
-        raise QueryError(f"attribute {attr_name!r} is not in any channel")
-
-    def column(self, name: str) -> np.ndarray:
-        """Domain index of attribute ``name`` in every slot."""
-        chan, pos = self.locate(name)
-        return self.columns[chan][:, pos]
 
 
 def tie_attributes(
@@ -269,8 +249,9 @@ def tie_attributes(
 
     With m tied attributes out of k the result has g = k - m + 1
     channels.  The composite sits at the position of its earliest member
-    and is named by joining member names with ':'.  Tied values share a
-    row of the composite's column, so shuffles can never separate them.
+    and is named by joining member names with ':'.  The result shares
+    the dataset's codes; a shuffle moves a channel's member columns
+    through one permutation, so it can never separate tied values.
     """
     schema = dataset.schema
     if not relevant:
@@ -297,16 +278,8 @@ def tie_attributes(
         else:
             channels.append(Channel(name, (name,)))
 
-    columns = {
-        ch.name: dataset.codes[:, [schema.index_of(m) for m in ch.members]]
-        for ch in channels
-    }
     return TiedDataset(
-        schema=schema,
-        ids=dataset.ids,
-        channels=tuple(channels),
-        columns=columns,
-        tied_channel=":".join(tied),
+        schema, dataset.ids, dataset.codes, tuple(channels), ":".join(tied)
     )
 
 

@@ -7,11 +7,12 @@ in one uniform permutation per attribute group whatever came before.
 CIS draws exactly that, one stage over all n rows; its budget still
 follows the paper's stages (``privacy.account``).
 
-A shuffle moves rows of domain indices, each row standing for the
-paper's one-hot encodings of one slot's values in a channel; moving the
-index row moves exactly what moving the encodings would.  Each attribute
-group's stage permutations fill one index array over all n slots, and
-every channel of the group is gathered through it once.
+A shuffle moves the domain indices in a channel's member columns of the
+``(n, k)`` code array, a slot's indices standing for the paper's one-hot
+encodings of its values; moving the indices moves exactly what moving
+the encodings would.  Each attribute group's stage permutations fill one
+index array over all n slots, and the output codes are gathered once,
+each channel's member columns through its group's array.
 
 Stage randomness is re-derived from the plan seed per (mode, stage,
 shuffler), never drawn from shared state; results are therefore
@@ -48,17 +49,21 @@ class Provenance:
     plan_digest: str
 
 
-@dataclass(frozen=True)
 class ShuffledDataset(TiedDataset):
-    """A tied dataset after shuffling; slot IDs keep their input order."""
+    """A tied dataset after shuffling, holding its own read-only codes;
+    slot IDs keep their input order."""
 
-    provenance: Provenance = Provenance("injected", None, "")
+    def __init__(
+        self, tied: TiedDataset, codes: np.ndarray, provenance: Provenance
+    ) -> None:
+        super().__init__(tied.schema, tied.ids, codes, tied.channels, tied.tied_channel)
+        self.provenance = provenance
 
     def decoded_values(self, slot: int) -> tuple[str, ...]:
         """Domain labels now attached to ``slot``, in schema order."""
         return tuple(
-            attr.values[self.column(attr.name)[slot]]
-            for attr in self.schema.attributes
+            attr.values[code]
+            for attr, code in zip(self.schema.attributes, self.codes[slot].tolist())
         )
 
 
@@ -74,11 +79,24 @@ def stage_permutation(
     return rng.permutation(size)
 
 
-def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset:
-    """Draw each stage's permutations per group, then gather each channel once.
+def _gather(tied: TiedDataset, orders: Mapping[str, np.ndarray]) -> np.ndarray:
+    """``tied.codes`` with each channel's member columns taken through
+    ``orders[channel]``, whose entry i names the input slot that lands in
+    output slot i."""
+    codes = np.empty_like(tied.codes)
+    for ch in tied.channels:
+        order = orders[ch.name]
+        for member in ch.members:
+            j = tied.schema.index_of(member)
+            codes[:, j] = tied.codes[:, j][order]
+    return codes
 
-    ``orders[group][i]`` is the input slot whose row ends in output slot
-    i of the group's channels.  Every stage permutes its own disjoint
+
+def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset:
+    """Draw each stage's permutations per group, then gather the codes once.
+
+    ``orders[group][i]`` is the input slot whose values end in output
+    slot i of the group's channels.  Every stage permutes its own disjoint
     slice of it: a batch for IS, all n rows for CIS.
     """
     names = tuple(ch.name for ch in tied.channels)
@@ -111,19 +129,10 @@ def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset
     orders = {group: np.arange(tied.n) for _, group in groups}
     for (_, _, start, end, group), perm in zip(draws, perms):
         orders[group][start:end] = orders[group][start:end][perm]
-    columns = {
-        name: tied.columns[name][order]
-        for group, order in orders.items()
-        for name in group
-    }
-    return ShuffledDataset(
-        schema=tied.schema,
-        ids=tied.ids,
-        channels=tied.channels,
-        columns=columns,
-        tied_channel=tied.tied_channel,
-        provenance=Provenance(mode, plan.seed, plan.digest()),
+    codes = _gather(
+        tied, {name: order for group, order in orders.items() for name in group}
     )
+    return ShuffledDataset(tied, codes, Provenance(mode, plan.seed, plan.digest()))
 
 
 def iterative_shuffle(tied: TiedDataset, plan: ShufflePlan) -> ShuffledDataset:
@@ -143,8 +152,8 @@ def apply_channel_permutations(
 ) -> ShuffledDataset:
     """Apply explicit per-channel permutations (for tests and audits).
 
-    ``perms[name][i]`` is the input slot whose row moves to output slot i
-    of channel ``name``.
+    ``perms[name][i]`` is the input slot whose values move to output
+    slot i of channel ``name``.
     """
     names = tuple(ch.name for ch in tied.channels)
     if set(perms) != set(names):
@@ -152,23 +161,15 @@ def apply_channel_permutations(
             f"permutations given for {sorted(perms)!r} but the dataset has "
             f"channels {sorted(names)!r}"
         )
-    columns = {}
-    for name in names:
-        perm = np.asarray(perms[name])
+    orders = {name: np.asarray(perms[name]) for name in names}
+    for name, perm in orders.items():
         if not np.array_equal(np.sort(perm), np.arange(tied.n)):
             raise ShuffleError(
                 f"permutation for channel {name!r} is not a permutation of "
                 f"0..{tied.n - 1}"
             )
-        columns[name] = tied.columns[name][perm]
-    return ShuffledDataset(
-        schema=tied.schema,
-        ids=tied.ids,
-        channels=tied.channels,
-        columns=columns,
-        tied_channel=tied.tied_channel,
-        provenance=Provenance("injected", None, ""),
-    )
+    injected = Provenance("injected", None, "")
+    return ShuffledDataset(tied, _gather(tied, orders), injected)
 
 
 def export_csv(shuffled: ShuffledDataset, path: str) -> None:

@@ -27,7 +27,6 @@ from .partition import build_plan, plan_batches
 from .privacy import epsilon_is
 from .queryplan import (
     QuerySpec,
-    TiedDataset,
     bucket_mask,
     horizon_mask,
     parse_query,
@@ -43,11 +42,11 @@ class RiskError(ValueError):
     """Raised for invalid risk configurations or broken risk guarantees."""
 
 
-def count_query(db: Dataset | TiedDataset, query: QuerySpec) -> int:
+def count_query(db: Dataset, query: QuerySpec) -> int:
     """Rows of ``db`` satisfying every predicate and the time window.
 
-    ``db`` is a dataset, or a tied or shuffled one: each condition looks
-    up the attribute's domain indices in a mask of the matching indices.
+    ``db`` may be tied or shuffled: each condition looks up a column of
+    its codes in a mask of the matching domain indices.
     """
     query = validate_query(query, db.schema)
     hits = np.ones(db.n, dtype=bool)

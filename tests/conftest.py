@@ -7,6 +7,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dpshuffle import (
@@ -28,6 +29,17 @@ AFTER_SHUFFLE_PERMS = {
 }
 
 EXAMPLE_QUERY = "count where age < 40 and weight > 60"
+
+
+def channel_columns(tied) -> dict[str, np.ndarray]:
+    """Each channel's ``(n, width)`` block of ``tied.codes``, by channel
+    name: column p holds member p's domain indices.  Builds a copy, so
+    call it outside loops."""
+    index = tied.schema.index_of
+    return {
+        ch.name: tied.codes[:, [index(m) for m in ch.members]]
+        for ch in tied.channels
+    }
 
 
 @pytest.fixture

@@ -41,7 +41,12 @@ from dpshuffle.privacy import epsilon_cis, epsilon_is, rr_batch
 from dpshuffle.shuffler import apply_channel_permutations
 from dpshuffle.utility import loss
 from dpshuffle.cli import main
-from conftest import AFTER_SHUFFLE_PERMS, EXAMPLE_QUERY, random_tied_case
+from conftest import (
+    AFTER_SHUFFLE_PERMS,
+    EXAMPLE_QUERY,
+    channel_columns,
+    random_tied_case,
+)
 
 
 @contextmanager
@@ -79,11 +84,12 @@ def tied_suite():
         shuffled = iterative_shuffle(tied_db, plan)
         c = count_query(tied_db, case["query"])
         c_prime = count_query(shuffled, case["query"])
+        before, after = channel_columns(tied_db), channel_columns(shuffled)
         multiset_violations = 0
         for start, end in plan.bounds:
             for name in plan.channels:
-                if rows_multiset(shuffled.columns[name], start, end) != rows_multiset(
-                    tied_db.columns[name], start, end
+                if rows_multiset(after[name], start, end) != rows_multiset(
+                    before[name], start, end
                 ):
                     multiset_violations += 1
         cases.append(

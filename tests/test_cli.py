@@ -200,6 +200,28 @@ class TestRunCommand:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "schema_text, message",
+        [
+            ('{"attributes": [\n', "invalid JSON (Expecting value: line 2"),
+            ('{"attributes": "\xff"}', "invalid JSON ('utf-8' codec can't decode"),
+            ('{"attributes": [{"name": "Age"}]}', "attribute 'Age' needs either"),
+        ],
+    )
+    def test_bad_schema_file_is_named(
+        self, capsys, tmp_path, people_paths, make_config, schema_text, message
+    ):
+        dataset, _ = people_paths
+        schema = tmp_path / "schema.json"
+        schema.write_text(schema_text, encoding="latin-1")
+        config = make_config("c.json", {"seed": 1, "t": 2, "S": 2})
+        code = main(
+            ["run", "--config", config, "--dataset", dataset,
+             "--query", EXAMPLE_QUERY, "--schema", str(schema)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {schema}: {message}")
+
     def test_tied_channel_name_clash_exits_1(self, capsys, tmp_path, make_config):
         dataset = tmp_path / "clash.csv"
         dataset.write_text("id,a,b,a:b\nu0,x,y,x\nu1,y,x,y\n", encoding="utf-8")

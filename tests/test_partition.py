@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpshuffle import PlanError, build_plan
+from dpshuffle import PlanError, ShufflePlan, build_plan
 from dpshuffle.partition import (
     assign_shufflers,
     assignment_for_stage,
@@ -148,6 +148,21 @@ class TestBuildPlan:
         a = build_plan(100, 7, ["x", "y", "z"], 2, seed=11)
         b = build_plan(100, 7, ["x", "y", "z"], 2, seed=12)
         assert a.digest() != b.digest()
+
+    @pytest.mark.parametrize(
+        "sizes, groups, message",
+        [
+            ((6, 6), (("a",), ("a", "b", "c")), "channel sits in more than one"),
+            ((6, 6), (("a", "b"), ("c", "c")), "channel sits in more than one"),
+            ((6, 6), (("a", "b", "c"),), "at least 2 attribute groups"),
+            ((6, 0), (("a",), ("b",)), r"batch sizes >= 1.*\(6, 0\)"),
+            ((), (("a",), ("b",)), r"batch sizes >= 1.*\(\)"),
+            ((2, 10), (("a",), ("b",)), r"a largest first, got \(2, 10\)"),
+        ],
+    )
+    def test_contradictory_plan_rejected(self, sizes, groups, message):
+        with pytest.raises(PlanError, match=message):
+            ShufflePlan(seed=5, batch_sizes=sizes, attribute_groups=groups)
 
     def test_largest_batch_first(self):
         plan = build_plan(10, 3, ["x"], 2, seed=0)

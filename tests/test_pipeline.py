@@ -18,6 +18,7 @@ from dpshuffle import (
     run_pipeline,
 )
 from dpshuffle.pipeline import (
+    _CONFIG_KEYS,
     REFERENCE_EPSILONS,
     REPORT_FIELDS,
     reproduce_table3,
@@ -99,6 +100,9 @@ class TestLoadConfig:
         assert config.trials == 4
         assert config.hypothesis_grid == ()
         assert config.workload == ()
+        # Null means unset for every key but the seed.
+        nulls = dict.fromkeys(_CONFIG_KEYS - {"seed"})
+        assert load_config(write_json("nulls.json", {"seed": 5, **nulls})) == config
 
     def test_rejects_unknown_keys(self, write_json):
         path = write_json("config.json", {"seed": 1, "shufflers": 3})
@@ -146,6 +150,8 @@ class TestLoadConfig:
             ({"seed": 1, "workload": "count where age < 3"}, "'workload' must be a"),
             ({"seed": 1, "workload": [EXAMPLE_QUERY, 3]}, "'workload' must be a string"),
             ({"seed": 1, "tied_attributes": "Age"}, "must be a list"),
+            ({"seed": 1, "tied_attributes": []}, "'tied_attributes' must name at least"),
+            ({"seed": 1, "mode": 5}, "'mode' must be a string"),
             ({"seed": 1, "time_attribute": 5}, "'time_attribute' must be a string"),
             ({"seed": 1, "schema": True}, "'schema' must be a string"),
         ]

@@ -24,6 +24,7 @@ from dpshuffle.queryplan import (
     relevant_attributes,
     validate_query,
 )
+from conftest import channel_columns
 
 
 class TestParse:
@@ -138,7 +139,7 @@ class TestTie:
         td = tie_attributes(people_dataset, ("Age", "Weight"))
         assert td.g == 3
         assert [c.name for c in td.channels] == ["Name", "Age:Weight", "Height"]
-        assert td.tied_attributes == ("Age", "Weight")
+        assert td.channels[1].members == ("Age", "Weight")
 
     def test_single_attribute_is_identity_layout(self, people_dataset):
         td = tie_attributes(people_dataset, ("Height",))
@@ -161,10 +162,15 @@ class TestTie:
         td = tie_attributes(people_dataset, ("Weight", "Age"))
         assert td.tied_channel == "Age:Weight"
 
+    def test_tying_shares_the_read_only_codes(self, people_dataset):
+        td = tie_attributes(people_dataset, ("Age", "Weight"))
+        assert np.shares_memory(td.codes, people_dataset.codes)
+        assert not td.codes.flags.writeable
+
     def test_tuples_preserved_exactly(self, people_dataset):
         td = tie_attributes(people_dataset, ("Age", "Weight"))
         originals = people_dataset.codes[:, [1, 3]]
-        assert np.array_equal(td.columns["Age:Weight"], originals)
+        assert np.array_equal(channel_columns(td)["Age:Weight"], originals)
 
     def test_empty_and_unknown_sets_rejected(self, people_dataset):
         with pytest.raises(QueryError, match="empty"):

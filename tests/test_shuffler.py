@@ -22,7 +22,7 @@ from dpshuffle import (
 )
 from dpshuffle.partition import assignment_for_stage
 from dpshuffle.shuffler import apply_channel_permutations, stage_permutation
-from conftest import AFTER_SHUFFLE_PERMS
+from conftest import AFTER_SHUFFLE_PERMS, channel_columns
 
 
 def make_tied(n: int, attrs: int = 2, tie_first: int = 1):
@@ -50,7 +50,7 @@ def same_columns(a, b) -> bool:
 def same_shuffle(a, b) -> bool:
     """Field-by-field equality of two shuffled datasets."""
     fields = ("schema", "ids", "channels", "tied_channel", "provenance")
-    return same_columns(a.columns, b.columns) and all(
+    return same_columns(channel_columns(a), channel_columns(b)) and all(
         getattr(a, f) == getattr(b, f) for f in fields
     )
 
@@ -69,10 +69,11 @@ def reference_stage(columns, plan, mode: str, stage: int) -> dict:
     return out
 
 
-def realized_permutation(before, after, channel: str) -> list[int]:
-    """Recover which input slot each output slot's payload came from."""
-    source = {payload: i for i, payload in enumerate(rows_of(before.columns[channel]))}
-    return [source[payload] for payload in rows_of(after.columns[channel])]
+def realized_permutation(before, after) -> list[int]:
+    """Recover which input slot each output slot's payload came from,
+    given a channel's block before and after a shuffle."""
+    source = {payload: i for i, payload in enumerate(rows_of(before))}
+    return [source[payload] for payload in rows_of(after)]
 
 
 class TestShuffleBatch:
@@ -81,23 +82,24 @@ class TestShuffleBatch:
     def test_single_row_batch_is_identity(self):
         td = make_tied(1, attrs=2)
         plan = build_plan(1, 1, [c.name for c in td.channels], 2, seed=3)
-        out = iterative_shuffle(td, plan).columns
-        assert same_columns(out, td.columns)
+        out = channel_columns(iterative_shuffle(td, plan))
+        assert same_columns(out, channel_columns(td))
 
     def test_multisets_preserved_per_channel(self):
         td = make_tied(12, attrs=3, tie_first=2)
         plan = build_plan(12, 1, [c.name for c in td.channels], 2, seed=9)
-        out = iterative_shuffle(td, plan).columns
+        out = channel_columns(iterative_shuffle(td, plan))
+        before = channel_columns(td)
         for name in plan.channels:
-            assert Counter(rows_of(out[name])) == Counter(rows_of(td.columns[name]))
+            assert Counter(rows_of(out[name])) == Counter(rows_of(before[name]))
 
     def test_channels_in_one_group_share_a_permutation(self):
         td = make_tied(8, attrs=3, tie_first=1)  # g=3 channels, S=2
         plan = build_plan(8, 1, [c.name for c in td.channels], 2, seed=1)
         shared = [g for g in plan.attribute_groups if len(g) == 2]
         assert shared, "expected one group with two channels"
-        out = iterative_shuffle(td, plan).columns
-        before = {name: rows_of(td.columns[name]) for name in plan.channels}
+        out = channel_columns(iterative_shuffle(td, plan))
+        before = {name: rows_of(col) for name, col in channel_columns(td).items()}
         first, second = shared[0]
         perm_a = [
             {p: i for i, p in enumerate(before[first])}[payload]
@@ -113,27 +115,27 @@ class TestShuffleBatch:
         td = make_tied(6, attrs=2)
         plan = build_plan(6, 1, [c.name for c in td.channels], 2, seed=4)
         assignment = assignment_for_stage(plan, 0)
-        out = iterative_shuffle(td, plan).columns
+        out = channel_columns(iterative_shuffle(td, plan))
+        before = channel_columns(td)
         for gi, group in enumerate(plan.attribute_groups):
             perm = stage_permutation(plan, "IS", 0, assignment[gi], 6)
             for name in group:
                 assert rows_of(out[name]) == [
-                    rows_of(td.columns[name])[src] for src in perm
+                    rows_of(before[name])[src] for src in perm
                 ]
 
     def test_fixed_point_frequency_matches_analytic_rate(self):
         # A slot keeps its full row only when every group's permutation
-        # fixes it: rate (1/n1)^S, here (1/3)^2 = 1/9.
+        # fixes it: rate (1/n1)^S, here (1/3)^2 = 1/9.  Every channel
+        # keeps slot 0's values exactly when the whole code row does.
         trials = 30_000
         n1, hits = 3, 0
         td = make_tied(n1, attrs=2)  # two channels, one per shuffler group
         channels = [c.name for c in td.channels]
         for i in range(trials):
             plan = build_plan(n1, 1, channels, 2, seed=i)
-            out = iterative_shuffle(td, plan).columns
-            hits += all(
-                np.array_equal(out[ch][0], td.columns[ch][0]) for ch in channels
-            )
+            out = iterative_shuffle(td, plan).codes
+            hits += np.array_equal(out[0], td.codes[0])
         rate = hits / trials
         sigma = math.sqrt((1 / 9) * (8 / 9) / trials)
         assert abs(rate - 1 / 9) <= 3 * sigma
@@ -144,17 +146,18 @@ class TestIterativeShuffle:
         td = make_tied(7, attrs=2)
         plan = build_plan(7, 1, [c.name for c in td.channels], 2, seed=13)
         whole = iterative_shuffle(td, plan)
-        direct = reference_stage(td.columns, plan, "IS", 0)
-        assert same_columns(whole.columns, direct)
+        direct = reference_stage(channel_columns(td), plan, "IS", 0)
+        assert same_columns(channel_columns(whole), direct)
 
     def test_batches_never_mix(self):
         td = make_tied(10, attrs=2)
         plan = build_plan(10, 3, [c.name for c in td.channels], 2, seed=2)
-        out = iterative_shuffle(td, plan)
+        out = channel_columns(iterative_shuffle(td, plan))
+        before = channel_columns(td)
         for start, end in plan.bounds:
             for name in plan.channels:
-                assert Counter(rows_of(out.columns[name][start:end])) == Counter(
-                    rows_of(td.columns[name][start:end])
+                assert Counter(rows_of(out[name][start:end])) == Counter(
+                    rows_of(before[name][start:end])
                 )
 
     def test_slot_ids_keep_input_order(self):
@@ -165,10 +168,10 @@ class TestIterativeShuffle:
     def test_tied_tuples_stay_fused(self):
         td = make_tied(12, attrs=3, tie_first=2)
         plan = build_plan(12, 4, [c.name for c in td.channels], 3, seed=5)
-        out = iterative_shuffle(td, plan)
-        tied = td.tied_channel
-        assert Counter(rows_of(out.columns[tied])) == Counter(rows_of(td.columns[tied]))
-        assert all(len(payload) == 2 for payload in rows_of(out.columns[tied]))
+        out = channel_columns(iterative_shuffle(td, plan))[td.tied_channel]
+        before = channel_columns(td)[td.tied_channel]
+        assert Counter(rows_of(out)) == Counter(rows_of(before))
+        assert all(len(payload) == 2 for payload in rows_of(out))
 
     def test_deterministic_across_runs(self):
         td = make_tied(20, attrs=3, tie_first=1)
@@ -183,16 +186,15 @@ class TestIterativeShuffle:
         td = make_tied(11, attrs=2)
         plan = build_plan(11, 3, [c.name for c in td.channels], 2, seed=17)
         expected = iterative_shuffle(td, plan)
-        rebuilt = {name: np.empty_like(td.columns[name]) for name in plan.channels}
+        before = channel_columns(td)
+        rebuilt = {name: np.empty_like(col) for name, col in before.items()}
         for stage in reversed(range(plan.num_batches)):
             start, end = plan.bounds[stage]
-            piece = {
-                name: td.columns[name][start:end] for name in plan.channels
-            }
+            piece = {name: col[start:end] for name, col in before.items()}
             shuffled = reference_stage(piece, plan, "IS", stage)
             for name in plan.channels:
                 rebuilt[name][start:end] = shuffled[name]
-        assert same_columns(rebuilt, expected.columns)
+        assert same_columns(rebuilt, channel_columns(expected))
 
     def test_plan_mismatch_rejected(self):
         td = make_tied(6, attrs=2)
@@ -202,6 +204,20 @@ class TestIterativeShuffle:
         plan = build_plan(6, 1, ["nope"], 2, seed=0)
         with pytest.raises(ShuffleError, match="channels"):
             iterative_shuffle(td, plan)
+
+    @pytest.mark.parametrize("mode", ["IS", "CIS", "injected"])
+    def test_output_codes_are_a_read_only_copy(self, mode):
+        td = make_tied(6, attrs=3, tie_first=2)
+        channels = [c.name for c in td.channels]
+        if mode == "injected":
+            out = apply_channel_permutations(td, {name: range(6) for name in channels})
+        else:
+            shuffle = iterative_shuffle if mode == "IS" else cumulative_iterative_shuffle
+            out = shuffle(td, build_plan(6, 2, channels, 2, seed=7))
+        assert not out.codes.flags.writeable
+        assert not np.shares_memory(out.codes, td.codes)
+        with pytest.raises(ValueError, match="read-only"):
+            out.codes[0, 0] = 0
 
     def test_provenance_records_mode_seed_and_digest(self):
         td = make_tied(5, attrs=2)
@@ -217,8 +233,8 @@ class TestCumulativeShuffle:
         td = make_tied(6, attrs=2)
         plan = build_plan(6, 1, [c.name for c in td.channels], 2, seed=19)
         out = cumulative_iterative_shuffle(td, plan)
-        direct = reference_stage(td.columns, plan, "CIS", 0)
-        assert same_columns(out.columns, direct)
+        direct = reference_stage(channel_columns(td), plan, "CIS", 0)
+        assert same_columns(channel_columns(out), direct)
 
     def test_many_batches_shuffle_all_rows_at_stage_0(self):
         # The paper's prefix chain ends in one uniform permutation of all
@@ -226,8 +242,8 @@ class TestCumulativeShuffle:
         td = make_tied(9, attrs=3)
         plan = build_plan(9, 3, [c.name for c in td.channels], 2, seed=77)
         out = cumulative_iterative_shuffle(td, plan)
-        direct = reference_stage(td.columns, plan, "CIS", 0)
-        assert same_columns(out.columns, direct)
+        direct = reference_stage(channel_columns(td), plan, "CIS", 0)
+        assert same_columns(channel_columns(out), direct)
 
     def test_output_does_not_depend_on_the_batch_count(self):
         td = make_tied(8, attrs=3)
@@ -236,7 +252,7 @@ class TestCumulativeShuffle:
             cumulative_iterative_shuffle(td, build_plan(8, t, channels, 2, seed=5))
             for t in (2, 4)
         )
-        assert same_columns(two.columns, four.columns)
+        assert same_columns(channel_columns(two), channel_columns(four))
 
     def test_every_arrangement_reachable_at_two_stages(self):
         # Math oracle: composing a prefix-2 permutation with a full
@@ -254,12 +270,14 @@ class TestCumulativeShuffle:
         # with frequencies consistent with 1/24 each.
         td = make_tied(4, attrs=1)
         channel = td.channels[0].name
+        before = channel_columns(td)[channel]
         trials = 3_000
         seen = Counter()
         for seed in range(trials):
             plan = build_plan(4, 2, [channel], 2, seed=seed)
             out = cumulative_iterative_shuffle(td, plan)
-            seen[tuple(realized_permutation(td, out, channel))] += 1
+            after = channel_columns(out)[channel]
+            seen[tuple(realized_permutation(before, after))] += 1
         assert set(seen) == set(permutations(range(4)))
         expected = trials / 24
         chi_square = sum((k - expected) ** 2 / expected for k in seen.values())
@@ -269,11 +287,10 @@ class TestCumulativeShuffle:
     def test_whole_dataset_multisets_preserved(self):
         td = make_tied(10, attrs=2)
         plan = build_plan(10, 4, [c.name for c in td.channels], 3, seed=23)
-        out = cumulative_iterative_shuffle(td, plan)
+        out = channel_columns(cumulative_iterative_shuffle(td, plan))
+        before = channel_columns(td)
         for name in plan.channels:
-            assert Counter(rows_of(out.columns[name])) == Counter(
-                rows_of(td.columns[name])
-            )
+            assert Counter(rows_of(out[name])) == Counter(rows_of(before[name]))
 
     def test_deterministic_and_mode_tagged(self):
         td = make_tied(8, attrs=2)
@@ -303,8 +320,8 @@ def stage_by_stage(td, plan, mode):
     """The columns that ``reference_stage`` gives: one stage per batch for
     IS, one stage over all n rows for CIS."""
     if mode == "CIS":
-        return reference_stage(td.columns, plan, mode, 0)
-    expected = {name: col.copy() for name, col in td.columns.items()}
+        return reference_stage(channel_columns(td), plan, mode, 0)
+    expected = channel_columns(td)
     for stage, (start, end) in enumerate(plan.bounds):
         piece = {name: col[start:end] for name, col in expected.items()}
         for name, col in reference_stage(piece, plan, mode, stage).items():
@@ -317,7 +334,9 @@ def stage_by_stage(td, plan, mode):
 def test_shuffle_equals_the_stage_by_stage_composition(case):
     td, plan, mode = case
     shuffle = iterative_shuffle if mode == "IS" else cumulative_iterative_shuffle
-    assert same_columns(shuffle(td, plan).columns, stage_by_stage(td, plan, mode))
+    assert same_columns(
+        channel_columns(shuffle(td, plan)), stage_by_stage(td, plan, mode)
+    )
 
 
 class TestInjectedPermutations:
@@ -326,9 +345,10 @@ class TestInjectedPermutations:
         names = [c.name for c in td.channels]
         perms = {names[0]: [3, 2, 1, 0], names[1]: [1, 2, 3, 0]}
         out = apply_channel_permutations(td, perms)
-        before = {name: rows_of(td.columns[name]) for name in names}
-        assert rows_of(out.columns[names[0]]) == [before[names[0]][i] for i in (3, 2, 1, 0)]
-        assert rows_of(out.columns[names[1]]) == [before[names[1]][i] for i in (1, 2, 3, 0)]
+        before = {name: rows_of(col) for name, col in channel_columns(td).items()}
+        after = {name: rows_of(col) for name, col in channel_columns(out).items()}
+        assert after[names[0]] == [before[names[0]][i] for i in (3, 2, 1, 0)]
+        assert after[names[1]] == [before[names[1]][i] for i in (1, 2, 3, 0)]
         assert out.provenance.mode == "injected"
 
     def test_rejects_non_permutations_and_wrong_channels(self):

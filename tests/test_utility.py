@@ -89,6 +89,8 @@ class TestCountQuery:
                 for slot in range(dataset.n)
             )
             assert count_query(dataset, query) == expected
+            for tied in (case["tied"], dataset.schema.names[-1:]):
+                assert count_query(tie_attributes(dataset, tied), query) == expected
 
 
 class TestLoss:
