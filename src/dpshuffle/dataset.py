@@ -9,13 +9,15 @@ bit in the paper's one-hot encoding, so it carries exactly the same
 information; the shuffling stages downstream only ever move rows of
 indices, and labels come back only when a table is exported.
 
-``load_csv`` reads a file in chunks of records and turns each chunk
+``load_csv`` reads a file in chunks of lines and turns each chunk
 straight into a block of indices, so besides the row IDs loading holds
-the index array plus one chunk of records, never a ``Row`` or a record
-per row.  A CSV cell of a bucketed
-attribute is read as a number first and as a bucket label only when it
-does not parse; a string value given to ``Dataset`` in a ``Row`` is tried
-as a label first.
+the index array plus one chunk of cells, never a ``Row`` or a record per
+row.  A chunk free of quotes is split directly at newlines and commas;
+from the first quote on, ``csv.reader`` parses the rest of the file.
+Each column of a chunk is then converted in one pass over its cells: a
+CSV cell of a bucketed attribute is read as a number first and as a
+bucket label only when it does not parse; a string value given to
+``Dataset`` in a ``Row`` is tried as a label first.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import csv
 import gc
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,14 +98,34 @@ class Attribute:
         return self.bin_edges[index], self.bin_edges[index + 1]
 
 
-def _column_codes(
+def _bucket_codes(attr: Attribute, x: np.ndarray, rows: Sequence[int]) -> np.ndarray:
+    """Bucket index of every number in ``x``; ``rows`` are their row numbers.
+
+    The first number outside the buckets, NaN included, is an error.
+    """
+    edges = np.array(attr.bin_edges)
+    outside = ~((edges[0] <= x) & (x < edges[-1]))  # NaN is outside too
+    if outside.any():
+        i = int(np.argmax(outside))
+        value = float(x[i])
+        if math.isnan(value):
+            problem = f"value {value!r} is not a number"
+        else:
+            problem = (
+                f"value {value!r} outside the bucket range "
+                f"[{_format_number(edges[0])}, {_format_number(edges[-1])})"
+            )
+        raise DatasetError(f"row {rows[i]}, attribute {attr.name!r}: {problem}")
+    return np.searchsorted(edges, x, side="right") - 1
+
+
+def _value_codes(
     attr: Attribute, cells: Sequence[object], start: int = 0
 ) -> np.ndarray:
-    """Domain index of every cell of one attribute's column.
+    """Domain index of every cell of one attribute's column of values.
 
-    This is the only place a value is checked against its domain.  A cell
-    is one of the attribute's labels or, for a bucketed attribute, a
-    number or numeric string, which lands in the bucket [lo, hi) holding
+    A cell is one of the attribute's labels or, for a bucketed attribute,
+    a number or numeric string, which lands in the bucket [lo, hi) holding
     it.  Errors name the 1-based row of the offending cell, counting
     ``start`` rows before the column.  A column of labels only, or of
     numbers only, is converted whole; the cell-by-cell loop runs for
@@ -115,22 +137,8 @@ def _column_codes(
             f"row {start + slot + 1}, attribute {attr.name!r}: {problem}"
         )
 
-    def buckets(x: np.ndarray, slots: Sequence[int]) -> np.ndarray:
-        edges = np.array(attr.bin_edges)
-        outside = ~((edges[0] <= x) & (x < edges[-1]))  # NaN is outside too
-        if outside.any():
-            i = int(np.argmax(outside))
-            value = float(x[i])
-            if math.isnan(value):
-                raise error(slots[i], f"value {value!r} is not a number")
-            raise error(
-                slots[i],
-                f"value {value!r} outside the bucket range "
-                f"[{_format_number(edges[0])}, {_format_number(edges[-1])})",
-            )
-        return np.searchsorted(edges, x, side="right") - 1
-
     labels = {label: i for i, label in enumerate(attr.values)}
+    rows = range(start + 1, start + len(cells) + 1)
     if not attr.is_numeric:
         try:
             return np.fromiter(map(labels.get, cells), np.int64, len(cells))
@@ -138,7 +146,7 @@ def _column_codes(
             pass  # a cell is not a label: the loop below words the error
     elif set(map(type, cells)) <= {int, float}:
         numbers = np.fromiter(map(float, cells), np.float64, len(cells))
-        return buckets(numbers, range(len(cells)))
+        return _bucket_codes(attr, numbers, rows)
 
     codes = [0] * len(cells)
     number_slots: list[int] = []
@@ -165,7 +173,8 @@ def _column_codes(
 
     out = np.array(codes, dtype=np.int64)
     if numbers:
-        out[number_slots] = buckets(np.array(numbers), number_slots)
+        number_rows = [rows[slot] for slot in number_slots]
+        out[number_slots] = _bucket_codes(attr, np.array(numbers), number_rows)
     return out
 
 
@@ -303,7 +312,7 @@ class Dataset:
         _check_unique(ids)
         codes = np.empty((len(rows), schema.k), dtype=np.int64)
         for j, attr in enumerate(schema.attributes):
-            codes[:, j] = _column_codes(attr, [row.values[j] for row in rows])
+            codes[:, j] = _value_codes(attr, [row.values[j] for row in rows])
         self._store(schema, ids, codes)
 
     @classmethod
@@ -330,8 +339,8 @@ class Dataset:
         return self.codes[:, self.schema.index_of(name)]
 
 
-# Records read and converted at a time: large enough that per-chunk work
-# is amortised, small enough that a chunk's cell lists stay a few MB.
+# Lines read and converted at a time: large enough that per-chunk work
+# is amortised, small enough that a chunk's cells stay a few MB.
 _CHUNK_ROWS = 1 << 14
 
 
@@ -339,72 +348,113 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     """Load rows from a CSV file whose first column is the unique row ID.
 
     The header must name every schema attribute, in schema order, after
-    the ID column.  The file is read in chunks of records, and each chunk
+    the ID column.  The file is read in chunks of lines, and each chunk
     goes straight to a block of domain indices, so besides the IDs memory
     holds the codes and one chunk, never a ``Row`` per line; the blocks
-    are joined once at the end.  Cells are stripped of surrounding
-    whitespace; a cell of a bucketed attribute that parses as a number is
-    read as a number first, and only otherwise as a bucket label.  Rows
-    are numbered from 1 after the header, not counting blank lines, which
-    are skipped.  Each chunk is checked as it is read, and IDs are checked
-    for duplicates once the whole file is in.
+    are joined once at the end.  A chunk free of quotes is split directly
+    at newlines and commas; from the first chunk holding a quote on,
+    ``csv.reader`` parses the rest of the file, so quoted cells may hold
+    commas and newlines.  Each cell is converted once: a cell of a
+    bucketed attribute that parses as a number is read as a number first,
+    and only otherwise as a bucket label.  Cells are read as if stripped
+    of surrounding whitespace.  Rows are numbered from 1 after the header,
+    not counting blank lines, which are skipped.  Each chunk is checked as
+    it is read, and IDs are checked for duplicates once the whole file is
+    in.
     """
     width = schema.k + 1
     ids: list[str] = []
     blocks: list[np.ndarray] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty")
-        got = [h.strip().lower() for h in header[1:]]
-        expected = [name.lower() for name in schema.names]
-        if got != expected:
-            raise DatasetError(
-                f"{path}: header columns {header[1:]!r} do not match schema "
-                f"attributes {list(schema.names)!r}"
-            )
-        # Every csv record is a GC-tracked list and none is in a cycle, so
-        # collections during the read find nothing but cost a third of it.
-        gc_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                columns = _stripped_columns(chunk, width)
-                if columns is None:  # blank records, or a layout fault
-                    chunk = [r for r in chunk if any(map(str.strip, r))]
-                    _check_layout(chunk, width, len(ids))
-                    if not chunk:
-                        continue
-                    columns = _stripped_columns(chunk, width)
-                block = np.empty((len(chunk), schema.k), dtype=np.int64)
-                for j, attr in enumerate(schema.attributes):
-                    cells = columns[j + 1]
-                    if attr.is_numeric:
-                        cells = _read_numbers(cells)
-                    block[:, j] = _column_codes(attr, cells, len(ids))
-                ids.extend(columns[0])
-                blocks.append(block)
-            _check_unique(ids)
-        except DatasetError as exc:
-            raise DatasetError(f"{path} {exc}") from None
-        finally:
-            if gc_enabled:
-                gc.enable()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise DatasetError(f"{path}: file is empty")
+            got = [h.strip().lower() for h in header[1:]]
+            expected = [name.lower() for name in schema.names]
+            if got != expected:
+                raise DatasetError(
+                    f"{path}: header columns {header[1:]!r} do not match schema "
+                    f"attributes {list(schema.names)!r}"
+                )
+            # Every csv record is a GC-tracked list and none is in a cycle,
+            # so collections during the read find nothing but can cost a
+            # third of it.
+            gc_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                for cells, records in _chunks(fh, width):
+                    row_ids = None if cells is None else _stripped_ids(cells, width)
+                    if row_ids is None or "" in row_ids:  # blank, or a fault
+                        records = [r for r in records if any(map(str.strip, r))]
+                        _check_layout(records, width, len(ids))
+                        cells = list(chain.from_iterable(records))
+                        row_ids = _stripped_ids(cells, width)
+                    block = np.empty((len(row_ids), schema.k), dtype=np.int64)
+                    for j, attr in enumerate(schema.attributes):
+                        column = cells[j + 1 :: width]
+                        block[:, j] = _column_codes(attr, column, len(ids))
+                    ids.extend(row_ids)
+                    blocks.append(block)
+                _check_unique(ids)
+            except DatasetError as exc:
+                raise DatasetError(f"{path} {exc}") from None
+            finally:
+                if gc_enabled:
+                    gc.enable()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
     codes = np.concatenate(blocks) if blocks else np.empty((0, schema.k), np.int64)
     return Dataset._from_codes(schema, tuple(ids), codes)
 
 
-def _stripped_columns(records: list[list[str]], width: int) -> list[list[str]] | None:
-    """Stripped columns of records that all have ``width`` cells and an ID.
+def _chunks(
+    fh: Iterable[str], width: int
+) -> Iterator[tuple[list[str] | None, Iterable[list[str]]]]:
+    """The cells and the ``csv.reader`` records of each chunk of ``fh``.
 
-    Returns None when a record is blank, has another width or an empty ID.
+    The cells are the chunk's cells in one flat list, record after record,
+    when every record has ``width`` cells, and None otherwise.  A chunk is
+    ``_CHUNK_ROWS`` lines.  When it holds no quote, no NUL (which
+    ``csv.reader`` rejects before Python 3.11), no CR outside a CRLF line
+    end, and ``width - 1`` commas on every line, ``csv.reader`` would
+    split it exactly at line ends and commas, so ``str.split`` does that
+    and the records are parsed only if the caller reads them.  From the
+    first chunk holding a quote on, which may open a cell spanning lines,
+    ``csv.reader`` reads the rest of the file, ``_CHUNK_ROWS`` records at
+    a time.
     """
-    if set(map(len, records)) != {width}:
-        return None
-    columns = [list(map(str.strip, column)) for column in zip(*records)]
-    return None if "" in columns[0] else columns
+    commas = repeat(",")
+    while lines := list(islice(fh, _CHUNK_ROWS)):
+        text = "".join(lines).replace("\r\n", "\n")
+        if '"' in text:
+            break
+        records = csv.reader(lines)
+        if (
+            "\r" in text
+            or "\0" in text
+            or set(map(str.count, lines, commas)) != {width - 1}
+        ):
+            yield None, records
+            continue
+        cells = text.replace("\n", ",").split(",")
+        if text.endswith("\n"):
+            cells.pop()
+        yield cells, records
+    else:
+        return
+    reader = csv.reader(chain(lines, fh))
+    while records := list(islice(reader, _CHUNK_ROWS)):
+        if set(map(len, records)) == {width}:
+            yield list(chain.from_iterable(records)), records
+        else:
+            yield None, records
+
+
+def _stripped_ids(cells: list[str], width: int) -> list[str]:
+    """The stripped first cell of every record in flat ``cells``."""
+    return list(map(str.strip, cells[::width]))
 
 
 def _check_layout(records: list[list[str]], width: int, start: int) -> None:
@@ -418,16 +468,43 @@ def _check_layout(records: list[list[str]], width: int, start: int) -> None:
             raise DatasetError(f"row {number}: empty row ID")
 
 
+def _column_codes(attr: Attribute, cells: list[str], start: int) -> np.ndarray:
+    """Domain index of every CSV cell of one attribute's column.
+
+    A column converts in one pass over its raw cells: ``float`` on each
+    cell of a bucketed attribute, which where it succeeds reads a cell as
+    its stripped form, or a label lookup on each cell of a categorical
+    one.  Only a column where that fails is stripped, read as numbers
+    where they parse and labels elsewhere, and checked value by value by
+    ``_value_codes``, which words the first error.
+    """
+    n = len(cells)
+    if attr.is_numeric:
+        try:
+            numbers = np.fromiter(map(float, cells), np.float64, n)
+        except ValueError:
+            pass
+        else:
+            return _bucket_codes(attr, numbers, range(start + 1, start + n + 1))
+    else:
+        # A label with surrounding whitespace never matches a stripped cell.
+        labels = {v: i for i, v in enumerate(attr.values) if v == v.strip()}
+        try:
+            return np.fromiter(map(labels.get, cells), np.int64, n)
+        except TypeError:
+            pass
+    values: list[object] = list(map(str.strip, cells))
+    if attr.is_numeric:
+        values = _read_numbers(values)
+    return _value_codes(attr, values, start)
+
+
 def _read_numbers(cells: list[str]) -> list[object]:
     """Cells of a bucketed attribute: numbers where they parse, else labels."""
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        return [_read_cell(cell) for cell in cells]
-
-
-def _read_cell(cell: str) -> object:
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
+    values: list[object] = []
+    for cell in cells:
+        try:
+            values.append(float(cell))
+        except ValueError:
+            values.append(cell)
+    return values

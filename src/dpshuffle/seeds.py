@@ -19,6 +19,7 @@ is equal, draw for draw, to ``derive_rng``'s for the same path.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -86,12 +87,19 @@ def derive_rng(root: int, *path: PathPart) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """``count + 1`` successive SeedSequence hash constants from ``init``."""
+    """``count + 1`` successive SeedSequence hash constants from ``init``.
+
+    Built once per process for each argument triple; the array is shared,
+    so it is read-only.
+    """
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
+    out = np.array(consts, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
 
 
 def _pools(words: np.ndarray) -> np.ndarray:

@@ -222,6 +222,33 @@ class TestRunCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {schema}: {message}")
 
+    def test_non_utf8_dataset_is_named(
+        self, capsys, tmp_path, people_paths, make_config
+    ):
+        _, schema = people_paths
+        dataset = tmp_path / "latin.csv"
+        dataset.write_bytes(b"id,Name,Age,Height,Weight\nRiya,Riya\xff,20,5.3,48\n")
+        config = make_config("c.json", {"seed": 1, "t": 2, "S": 2})
+        code = main(
+            ["run", "--config", config, "--dataset", str(dataset),
+             "--query", EXAMPLE_QUERY, "--schema", schema]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dataset}: 'utf-8' codec can't decode")
+
+    def test_non_utf8_config_is_named(self, capsys, tmp_path, people_paths):
+        dataset, schema = people_paths
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"seed": 1, "t": 2, "S": 2, "mode": "\xff"}')
+        code = main(
+            ["run", "--config", str(config), "--dataset", dataset,
+             "--query", EXAMPLE_QUERY, "--schema", schema]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: invalid JSON ('utf-8' codec")
+
     def test_tied_channel_name_clash_exits_1(self, capsys, tmp_path, make_config):
         dataset = tmp_path / "clash.csv"
         dataset.write_text("id,a,b,a:b\nu0,x,y,x\nu1,y,x,y\n", encoding="utf-8")

@@ -188,6 +188,13 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=r"row 2.*'Age'.*not a number"):
             load_csv(str(path), people_schema)
 
+    def test_padded_label_reads_as_stripped(self, tmp_path):
+        # Cells are read stripped, so " x" is the label "x", never " x".
+        schema = Schema((Attribute("Name", (" x", "x")),))
+        path = tmp_path / "padded.csv"
+        path.write_text("id,Name\nu1, x\nu2,x\n", encoding="utf-8")
+        assert load_csv(str(path), schema).codes[:, 0].tolist() == [1, 1]
+
     def test_missing_file(self, people_schema):
         with pytest.raises(OSError):
             load_csv("/nonexistent/people.csv", people_schema)
@@ -371,11 +378,18 @@ def load_or_error(load, path: str, schema: Schema):
     return dataset.ids, dataset.codes.tolist()
 
 
-# Numeric-looking and comma-holding labels, auto bucket labels with a
-# comma, and a bucket label ("7") that CSV cells read as a number.
+# Numeric-looking labels, labels holding a comma, a quote, a newline, a
+# line separator or a vertical tab, auto bucket labels with a comma, and
+# a bucket label ("7") that CSV cells read as a number.
 LOADER_SCHEMA = Schema(
     (
-        Attribute("Name", ("1", "2.5", "1e3", "a,b", "x y", "nan")),
+        Attribute(
+            "Name",
+            (
+                "1", "2.5", "1e3", "a,b", "x y", "nan",
+                'say "hi"', "two\nlines", "p\u2028q", "v\x0bw",
+            ),
+        ),
         Attribute("Age", ("[0,18)", "[18,40)", "40+"), (0.0, 18.0, 40.0, math.inf)),
         Attribute("Score", ("lo", "mid", "7"), (0.0, 1.0, 10.0, 100.0)),
     )
@@ -390,15 +404,18 @@ BLANK_LINES = ("", "   ", " , ,", ",,,", "\t")
 NUMBER_FORMATS = ("{:g}", "{:e}", "{:.2f}", "{!r}", "{:.0f}")
 
 
+# Padding that str.strip removes, with two of the line breaks that
+# str.splitlines splits at; float() ignores all of it but the ASCII unit
+# separator "\x1f".
 @st.composite
 def padded(draw, text):
-    return draw(st.sampled_from(("", " ", "  "))) + text + draw(
-        st.sampled_from(("", " "))
-    )
+    lead = draw(st.sampled_from(("", " ", "  ", "\u00a0", "\u2003 ", " \x1f")))
+    end = draw(st.sampled_from(("", " ", "\x1f", " \u00a0", "\x0b", "\u2028 ")))
+    return lead + text + end
 
 
 @st.composite
-def good_cell(draw, attr: Attribute):
+def good_cell(draw, attr: Attribute, plain: bool):
     if attr.is_numeric and draw(st.booleans()):
         hi = min(attr.bin_edges[-1], 200.0)
         x = draw(st.floats(attr.bin_edges[0], hi, exclude_max=True))
@@ -406,23 +423,34 @@ def good_cell(draw, attr: Attribute):
         if not attr.bin_edges[0] <= float(text) < attr.bin_edges[-1]:
             text = repr(x)  # rounding pushed it out of range
     else:
-        text = draw(st.sampled_from(attr.values))
+        text = draw(st.sampled_from(unquoted(attr.values, plain)))
     return draw(padded(text))
+
+
+def unquoted(texts, plain: bool) -> list[str]:
+    """``texts``, less those a CSV writer quotes when ``plain``."""
+    return [t for t in texts if not (plain and any(c in t for c in ',"\r\n'))]
 
 
 @st.composite
 def loader_files(draw):
-    """CSV text over LOADER_SCHEMA with blank lines and at most one fault."""
+    """CSV text over LOADER_SCHEMA with blank lines and at most one fault.
+
+    Lines end in LF, CRLF or a lone CR, and the last one maybe in nothing.
+    Half the files are plain, with no quoted cell, so that ``load_csv``
+    splits every chunk of them itself.
+    """
     attrs = LOADER_SCHEMA.attributes
+    plain = draw(st.booleans())
     n = draw(st.integers(0, 9))
     records = [
-        [draw(padded(f"u{i}")), *(draw(good_cell(attr)) for attr in attrs)]
+        [draw(padded(f"u{i}")), *(draw(good_cell(attr, plain)) for attr in attrs)]
         for i in range(n)
     ]
     fault = draw(st.sampled_from((None, "cell", "width", "empty_id", "duplicate")))
     if n and fault == "cell":
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(attrs) - 1))
-        bad = draw(st.sampled_from(BAD_CELLS[attrs[j].name]))
+        bad = draw(st.sampled_from(unquoted(BAD_CELLS[attrs[j].name], plain)))
         records[i][j + 1] = draw(padded(bad))
     elif n and fault == "width":
         i = draw(st.integers(0, n - 1))
@@ -432,15 +460,24 @@ def loader_files(draw):
     elif n >= 2 and fault == "duplicate":
         first = draw(st.integers(0, n - 2))
         records[draw(st.integers(first + 1, n - 1))][0] = records[first][0].strip()
-    out = io.StringIO()
-    quoting = draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
-    csv.writer(out, quoting=quoting, lineterminator="\n").writerows(records)
-    lines = out.getvalue().splitlines()
+    quoting = csv.QUOTE_MINIMAL
+    if not plain:
+        quoting = draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
+    lines = []
+    for record in records:
+        out = io.StringIO()
+        # A "\r\n" terminator quotes every cell holding a CR or an LF.
+        csv.writer(out, quoting=quoting, lineterminator="\r\n").writerow(record)
+        lines.append(out.getvalue()[:-2])
     for _ in range(draw(st.integers(0, 4))):
         lines.insert(
             draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANK_LINES))
         )
-    return LOADER_HEADER + "".join(line + "\n" for line in lines)
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = "".join(line + end for line in lines)
+    if draw(st.booleans()):
+        text = text.removesuffix(end)
+    return LOADER_HEADER + text
 
 
 @settings(max_examples=300, deadline=None)
@@ -535,3 +572,39 @@ class TestChunkBoundaries:
         dataset = load_csv(path, people_schema)
         assert dataset.n == 0
         assert dataset.codes.shape == (0, people_schema.k)
+
+    def test_quoted_cell_spanning_lines_in_third_chunk(
+        self, tmp_path, monkeypatch, people_schema
+    ):
+        # Two quote-free chunks are split directly; csv.reader takes over
+        # at the third, whose quoted cells hold a newline and a comma.
+        lines = list(self.LINES)
+        lines[7] = 'r6,"Ravi",17,6.01,"64\n"'
+        lines[8] = '"r7,b",Riya,1e1," 4.8",59.5'
+        path = self.write(tmp_path, lines)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 3)
+        chunked = load_or_error(load_csv, path, people_schema)
+        assert chunked == load_or_error(reference_load_csv, path, people_schema)
+        assert chunked[0][5:7] == ("r6", "r7,b")
+
+    def test_crlf_lines(self, tmp_path, monkeypatch, people_schema):
+        path = tmp_path / "crlf.csv"
+        lines = ["id,Name,Age,Height,Weight", *self.LINES]
+        path.write_bytes("".join(f"{l}\r\n" for l in lines).encode("utf-8"))
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 3)
+        chunked = load_or_error(load_csv, str(path), people_schema)
+        assert chunked == load_or_error(reference_load_csv, str(path), people_schema)
+        assert len(chunked[0]) == 10
+
+    def test_short_and_long_row_in_one_chunk(
+        self, tmp_path, monkeypatch, people_schema
+    ):
+        # The chunk still holds 3 x 5 cells, but not 5 on every line.
+        lines = list(self.LINES)
+        lines[6] = "r5,Pranab,60,5.9"
+        lines[7] = "r6,Ravi,17,6.01,64,1"
+        path = self.write(tmp_path, lines)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 3)
+        with pytest.raises(DatasetError) as exc:
+            load_csv(path, people_schema)
+        assert str(exc.value) == f"{path} row 5: expected 5 columns, got 4"
