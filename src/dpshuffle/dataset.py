@@ -403,7 +403,7 @@ def load_csv(path: str, schema: Schema) -> Dataset:
             finally:
                 if gc_enabled:
                     gc.enable()
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: {exc}") from None
     codes = np.concatenate(blocks) if blocks else np.empty((0, schema.k), np.int64)
     return Dataset._from_codes(schema, tuple(ids), codes)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .seeds import _permutations, derive_rng
+from .seeds import derive_rng
 
 
 class PlanError(ValueError):
@@ -98,17 +98,6 @@ def assignment_for_stage(plan: ShufflePlan, stage_index: int) -> tuple[int, ...]
     """The group-to-shuffler assignment drawn afresh for one stage."""
     rng = derive_rng(plan.seed, "assign", stage_index)
     return assign_shufflers(plan.attribute_groups, plan.num_shufflers, rng)
-
-
-def _stage_assignments(plan: ShufflePlan, stages: int) -> list[tuple[int, ...]]:
-    """``assignment_for_stage(plan, i)`` for stages 0..stages-1, in one batch."""
-    perms = _permutations(
-        plan.seed,
-        ("assign",),
-        ((stage,) for stage in range(stages)),
-        [plan.num_shufflers] * stages,
-    )
-    return [tuple(perm.tolist()) for perm in perms]
 
 
 @dataclass(frozen=True)

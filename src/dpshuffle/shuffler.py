@@ -19,7 +19,10 @@ shuffler), never drawn from shared state; results are therefore
 identical however stages are ordered or parallelised.  Within a stage
 each attribute group gets one permutation, applied jointly to all of
 the group's channels, and the group-to-shuffler assignment is re-drawn
-per stage.
+per stage.  A shuffle seeds all of its assignment and permutation
+streams in one pass and draws the permutations of each batch size
+together, by the vectorized kernel when they are many and short (see
+``seeds``); each equals ``stage_permutation``'s draw for draw.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .partition import ShufflePlan, _stage_assignments
+from .partition import ShufflePlan
 from .queryplan import TiedDataset
-from .seeds import _permutations, derive_rng
+from .seeds import _path_digests, _pcg64_seeds, _permutation_rows, derive_rng
 
 
 class ShuffleError(ValueError):
@@ -92,13 +96,51 @@ def _gather(tied: TiedDataset, orders: Mapping[str, np.ndarray]) -> np.ndarray:
     return codes
 
 
-def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset:
-    """Draw each stage's permutations per group, then gather the codes once.
+def _group_orders(plan: ShufflePlan, mode: str) -> dict[tuple[str, ...], np.ndarray]:
+    """Each non-empty attribute group's composed order over all n slots.
 
     ``orders[group][i]`` is the input slot whose values end in output
-    slot i of the group's channels.  Every stage permutes its own disjoint
-    slice of it: a batch for IS, all n rows for CIS.
+    slot i of the group's channels.  Every stage permutes its own
+    disjoint slice of it: a batch for IS, all n rows for CIS.  Group gi's
+    slice of stage s is ``stage_permutation(plan, mode, s,
+    assignment_for_stage(plan, s)[gi], size)``.  Every stage's assignment
+    path and every (stage, shuffler) permutation path is hashed and
+    seeded in one pass, and the permutations of each batch size are drawn
+    together and stored with one index per group.
     """
+    batch_sizes = plan.batch_sizes if mode == "IS" else (plan.n,)
+    sizes = np.array(batch_sizes)
+    starts = np.cumsum(sizes) - sizes
+    stages, shufflers = len(sizes), plan.num_shufflers
+    seeds = _pcg64_seeds(
+        _path_digests(plan.seed, ("assign",), ((stage,) for stage in range(stages)))
+        + _path_digests(
+            plan.seed, ("perm", mode), product(range(stages), range(shufflers))
+        )
+    )
+    assignments = _permutation_rows(seeds[:stages], shufflers)
+    groups = [(gi, group) for gi, group in enumerate(plan.attribute_groups) if group]
+    # The seed row of the permutation each (stage, group) draws.
+    rows = (
+        stages
+        + np.arange(stages)[:, None] * shufflers
+        + assignments[:, [gi for gi, _ in groups]]
+    )
+    orders = {group: np.empty(plan.n, dtype=np.intp) for _, group in groups}
+    # Not np.unique, which imports numpy.ma (about 1 MB) on first use.
+    for size in sorted(set(batch_sizes)):
+        in_class = np.flatnonzero(sizes == size)
+        perms = _permutation_rows(seeds[rows[in_class].ravel()], size)
+        perms = perms.reshape(len(in_class), len(groups), size)
+        class_starts = starts[in_class, None]
+        slots = class_starts + np.arange(size)
+        for k, (_, group) in enumerate(groups):
+            orders[group][slots] = class_starts + perms[:, k]
+    return orders
+
+
+def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset:
+    """Compose each group's stage permutations, then gather the codes once."""
     names = tuple(ch.name for ch in tied.channels)
     if set(names) != set(plan.channels):
         raise ShuffleError(
@@ -109,26 +151,7 @@ def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset
         raise ShuffleError(
             f"plan covers {plan.n} rows but the dataset has {tied.n}"
         )
-    groups = [(gi, group) for gi, group in enumerate(plan.attribute_groups) if group]
-    bounds = plan.bounds if mode == "IS" else ((0, plan.n),)
-    # One draw per stage and non-empty group: stage_permutation(plan,
-    # mode, stage, shuffler, end - start), all derived in one batch.
-    draws = [
-        (stage, assignment[gi], start, end, group)
-        for stage, ((start, end), assignment) in enumerate(
-            zip(bounds, _stage_assignments(plan, len(bounds)), strict=True)
-        )
-        for gi, group in groups
-    ]
-    perms = _permutations(
-        plan.seed,
-        ("perm", mode),
-        [(stage, shuffler) for stage, shuffler, *_ in draws],
-        [end - start for _, _, start, end, _ in draws],
-    )
-    orders = {group: np.arange(tied.n) for _, group in groups}
-    for (_, _, start, end, group), perm in zip(draws, perms):
-        orders[group][start:end] = orders[group][start:end][perm]
+    orders = _group_orders(plan, mode)
     codes = _gather(
         tied, {name: order for group, order in orders.items() for name in group}
     )

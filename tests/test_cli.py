@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -236,6 +237,25 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {dataset}: 'utf-8' codec can't decode")
+
+    def test_oversized_quoted_cell_is_named(
+        self, capsys, tmp_path, people_paths, make_config
+    ):
+        # csv.reader refuses a field longer than csv.field_size_limit().
+        _, schema = people_paths
+        dataset = tmp_path / "long.csv"
+        name = "x" * (csv.field_size_limit() + 1)
+        dataset.write_text(
+            f'id,Name,Age,Height,Weight\nRiya,"{name}",20,5.3,48\n', encoding="utf-8"
+        )
+        config = make_config("c.json", {"seed": 1, "t": 2, "S": 2})
+        code = main(
+            ["run", "--config", config, "--dataset", str(dataset),
+             "--query", EXAMPLE_QUERY, "--schema", schema]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dataset}: field larger than field limit")
 
     def test_non_utf8_config_is_named(self, capsys, tmp_path, people_paths):
         dataset, schema = people_paths

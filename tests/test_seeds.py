@@ -1,12 +1,22 @@
+from itertools import islice
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpshuffle import seeds
 from dpshuffle.seeds import (
     _entropy_words,
     _generate_states,
-    _pcg64_states,
+    _kernel_rows,
+    _loop_rows,
+    _path_digests,
+    _pcg64_seeds,
     _permutations,
     _pools,
+    _raw_outputs,
+    _state_dict,
     derive_entropy,
     derive_rng,
     derive_seed,
@@ -133,7 +143,10 @@ def test_batch_states_equal_derive_rng(prefix):
     suffixes += [(a, b) for a in range(0, 1500, 3) for b in (0, 1, 2**40)]
     suffixes += [(-1, 0), (0, -(2**70)), (2**64, 5)]
     for root in (0, 2**40 + 3):
-        states = list(_pcg64_states(root, prefix, suffixes))
+        states = [
+            _state_dict(seed)
+            for seed in _pcg64_seeds(_path_digests(root, prefix, suffixes)).tolist()
+        ]
         assert states == [
             derive_rng(root, *prefix, *suffix).bit_generator.state
             for suffix in suffixes
@@ -146,7 +159,72 @@ def test_batch_permutations_equal_derive_rng(stages):
         (stage, shuffler) for stage in range(stages) for shuffler in range(3)
     ]
     sizes = [(7 * i) % 23 + 1 for i in range(len(suffixes))]
-    perms = _permutations(5, ("perm", "IS"), suffixes, sizes)
-    for (stage, shuffler), size, perm in zip(suffixes, sizes, perms, strict=True):
+    perms = {}
+    for size in set(sizes):
+        drawn = [suffix for suffix, z in zip(suffixes, sizes) if z == size]
+        perms.update(zip(drawn, _permutations(5, ("perm", "IS"), drawn, size)))
+    for (stage, shuffler), size in zip(suffixes, sizes, strict=True):
+        perm = perms[stage, shuffler]
         reference = derive_rng(5, "perm", "IS", stage, shuffler).permutation(size)
         assert np.array_equal(perm, reference)
+
+
+def _suffixes(prefix: tuple, count: int) -> list[tuple[int, ...]]:
+    """Path suffixes as a shuffle forms them: (stage,) for an assignment,
+    (stage, shuffler) for a permutation."""
+    if prefix == ("assign",):
+        return [(k,) for k in range(count)]
+    return [(k // 3, k % 3) for k in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    root=st.sampled_from([0, 2**64 + 12345]),
+    prefix=st.sampled_from([("perm", "IS"), ("perm", "CIS"), ("assign",)]),
+    size=st.integers(1, 70),
+    side=st.sampled_from([-1, 0, 3]),
+)
+def test_kernel_and_loop_rows_equal_derive_rng(root, prefix, size, side):
+    """Both ways of drawing equal derive_rng, at stream counts just below,
+    at and above the kernel's crossover, whichever the entry point picks."""
+    count = max(1, seeds._KERNEL_MIN_STREAMS_PER_ENTRY * size + side)
+    suffixes = _suffixes(prefix, count)
+    reference = np.array(
+        [derive_rng(root, *prefix, *suffix).permutation(size) for suffix in suffixes]
+    )
+    assert np.array_equal(_permutations(root, prefix, suffixes, size), reference)
+    seeded = _pcg64_seeds(_path_digests(root, prefix, suffixes))
+    for fill in (_kernel_rows, _loop_rows):
+        out = np.empty_like(reference)
+        fill(seeded, out)
+        assert np.array_equal(out, reference), fill.__name__
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("size", [2, 17, 33, 64])
+def test_kernel_draws_past_its_first_outputs(monkeypatch, lanes, size):
+    """With one or three raw outputs per stream and step, every stream
+    runs out of draws and takes more, mid-shuffle; sizes just above a
+    power of two reject about half their draws."""
+    monkeypatch.setattr(seeds, "_LANES", lanes)
+    seeds._jump_table.cache_clear()
+    try:
+        suffixes = _suffixes(("perm", "IS"), 40)
+        out = np.empty((40, size), dtype=np.intp)
+        _kernel_rows(_pcg64_seeds(_path_digests(9, ("perm", "IS"), suffixes)), out)
+    finally:
+        seeds._jump_table.cache_clear()
+    for row, suffix in zip(out, suffixes):
+        reference = derive_rng(9, "perm", "IS", *suffix).permutation(size)
+        assert np.array_equal(row, reference)
+
+
+@pytest.mark.parametrize("root", [0, 2**64 + 12345])
+def test_raw_outputs_equal_random_raw(root):
+    suffixes = _suffixes(("perm", "CIS"), 50)
+    seeded = _pcg64_seeds(_path_digests(root, ("perm", "CIS"), suffixes))
+    outputs = np.concatenate(list(islice(_raw_outputs(seeded), 5)))
+    assert outputs.shape == (5 * seeds._LANES, len(suffixes))
+    for column, suffix in zip(outputs.T, suffixes):
+        generator = derive_rng(root, "perm", "CIS", *suffix)
+        assert np.array_equal(column, generator.bit_generator.random_raw(len(column)))

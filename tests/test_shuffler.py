@@ -14,6 +14,7 @@ from dpshuffle import (
     Row,
     Schema,
     ShuffleError,
+    ShufflePlan,
     build_plan,
     cumulative_iterative_shuffle,
     export_csv,
@@ -21,7 +22,11 @@ from dpshuffle import (
     tie_attributes,
 )
 from dpshuffle.partition import assignment_for_stage
-from dpshuffle.shuffler import apply_channel_permutations, stage_permutation
+from dpshuffle.shuffler import (
+    _group_orders,
+    apply_channel_permutations,
+    stage_permutation,
+)
 from conftest import AFTER_SHUFFLE_PERMS, channel_columns
 
 
@@ -126,16 +131,18 @@ class TestShuffleBatch:
 
     def test_fixed_point_frequency_matches_analytic_rate(self):
         # A slot keeps its full row only when every group's permutation
-        # fixes it: rate (1/n1)^S, here (1/3)^2 = 1/9.  Every channel
-        # keeps slot 0's values exactly when the whole code row does.
+        # fixes it: rate (1/n1)^S, here (1/3)^2 = 1/9.  Payloads are
+        # unique per slot, so slot 0 keeps its row exactly when every
+        # group's composed order, which the shuffle gathers through,
+        # maps slot 0 to itself.
         trials = 30_000
         n1, hits = 3, 0
         td = make_tied(n1, attrs=2)  # two channels, one per shuffler group
         channels = [c.name for c in td.channels]
         for i in range(trials):
-            plan = build_plan(n1, 1, channels, 2, seed=i)
-            out = iterative_shuffle(td, plan).codes
-            hits += np.array_equal(out[0], td.codes[0])
+            orders = _group_orders(build_plan(n1, 1, channels, 2, seed=i), "IS")
+            assert len(orders) == 2
+            hits += all(order[0] == 0 for order in orders.values())
         rate = hits / trials
         sigma = math.sqrt((1 / 9) * (8 / 9) / trials)
         assert abs(rate - 1 / 9) <= 3 * sigma
@@ -303,7 +310,9 @@ class TestCumulativeShuffle:
 @st.composite
 def shuffle_cases(draw):
     """A tied table, plan and mode; fewer channels than shufflers leaves
-    some attribute groups empty."""
+    some attribute groups empty.  Some plans take any batch sizes with a
+    largest first, as ``ShufflePlan`` allows, so batches of one size need
+    not be adjacent."""
     attrs = draw(st.integers(1, 4))
     tie_first = draw(st.integers(1, attrs))
     n = draw(st.integers(1, 24))
@@ -313,6 +322,11 @@ def shuffle_cases(draw):
     mode = draw(st.sampled_from(["IS", "CIS"]))
     td = make_tied(n, attrs=attrs, tie_first=tie_first)
     plan = build_plan(n, t, [c.name for c in td.channels], shufflers, seed=seed)
+    if n > 1 and draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
+        sizes = [end - start for start, end in zip([0, *cuts], [*cuts, n])]
+        sizes.insert(0, sizes.pop(sizes.index(max(sizes))))
+        plan = ShufflePlan(seed, tuple(sizes), plan.attribute_groups)
     return td, plan, mode
 
 
