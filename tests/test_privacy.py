@@ -77,6 +77,32 @@ class TestEpsilonCis:
         assert epsilon_cis(n1, shufflers) < 0
 
 
+class TestHugeScales:
+    """(n1-1)^S past the float range: the ratio underflows to 0.0."""
+
+    def test_budgets_come_from_logs_when_the_ratio_underflows(self):
+        assert rr_batch(100, 200) == 0.0
+        assert epsilon_is(3, 100, 200) == math.log(3) - 200 * math.log(99)
+        assert epsilon_cis(100, 200) == -200 * math.log(99)
+        acct = account("IS", [100, 100, 100], 200)
+        assert acct.total_ratio == 0.0
+        assert acct.epsilon == epsilon_is(3, 100, 200)
+
+    @pytest.mark.parametrize(
+        "t, n1, shufflers",
+        # Normal ratios, subnormal ones, and the last finite ones.
+        [(3, 100, 150), (1, 100, 154), (10**6, 100, 155), (1, 100, 160),
+         (7, 2**20, 50), (1, 10**6, 53)],
+    )
+    def test_finite_budgets_keep_the_log_of_the_ratio(self, t, n1, shufflers):
+        ratio = t / (n1 - 1) ** shufflers
+        assert ratio > 0
+        assert epsilon_is(t, n1, shufflers) == math.log(ratio)
+        if (n1 - 1) ** shufflers < 2**1024:
+            cis_ratio = 1.0 / (n1 - 1) ** shufflers
+            assert epsilon_cis(n1, shufflers) == math.log(cis_ratio)
+
+
 class TestAccount:
     def test_per_batch_accounting(self):
         acct = account("IS", (4, 4, 3), 2)

@@ -21,12 +21,8 @@ from dpshuffle import (
     iterative_shuffle,
     tie_attributes,
 )
-from dpshuffle.partition import assignment_for_stage
-from dpshuffle.shuffler import (
-    _group_orders,
-    apply_channel_permutations,
-    stage_permutation,
-)
+from dpshuffle.seeds import derive_rng
+from dpshuffle.shuffler import _group_orders, apply_channel_permutations
 from conftest import AFTER_SHUFFLE_PERMS, channel_columns
 
 
@@ -60,18 +56,30 @@ def same_shuffle(a, b) -> bool:
     )
 
 
-def reference_stage(columns, plan, mode: str, stage: int) -> dict:
-    """One stage applied by hand: each group's channels gathered through
-    the permutation its assigned shuffler draws for the stage."""
-    size = len(next(iter(columns.values())))
-    assignment = assignment_for_stage(plan, stage)
-    out = {}
-    for gi, group in enumerate(plan.attribute_groups):
+def reference_orders(plan, mode: str) -> dict:
+    """Each non-empty group's order, drawn by hand: one generator, then
+    ``rng.shuffle`` on each batch slice of each group in plan order.
+    CIS has one batch of all n rows."""
+    rng = derive_rng(plan.seed, "shuffle", mode)
+    bounds = plan.bounds if mode == "IS" else ((0, plan.n),)
+    orders = {}
+    for group in plan.attribute_groups:
         if group:
-            perm = stage_permutation(plan, mode, stage, assignment[gi], size)
-            for name in group:
-                out[name] = columns[name][perm]
-    return out
+            orders[group] = np.arange(plan.n)
+            for start, end in bounds:
+                rng.shuffle(orders[group][start:end])
+    return orders
+
+
+def reference_columns(td, plan, mode: str) -> dict:
+    """The channel blocks ``reference_orders`` gives: each group's
+    channels gathered through its group's order."""
+    before = channel_columns(td)
+    return {
+        name: before[name][order]
+        for group, order in reference_orders(plan, mode).items()
+        for name in group
+    }
 
 
 def realized_permutation(before, after) -> list[int]:
@@ -119,11 +127,9 @@ class TestShuffleBatch:
     def test_moves_follow_the_drawn_stage_permutation(self):
         td = make_tied(6, attrs=2)
         plan = build_plan(6, 1, [c.name for c in td.channels], 2, seed=4)
-        assignment = assignment_for_stage(plan, 0)
         out = channel_columns(iterative_shuffle(td, plan))
         before = channel_columns(td)
-        for gi, group in enumerate(plan.attribute_groups):
-            perm = stage_permutation(plan, "IS", 0, assignment[gi], 6)
+        for group, perm in reference_orders(plan, "IS").items():
             for name in group:
                 assert rows_of(out[name]) == [
                     rows_of(before[name])[src] for src in perm
@@ -147,13 +153,30 @@ class TestShuffleBatch:
         sigma = math.sqrt((1 / 9) * (8 / 9) / trials)
         assert abs(rate - 1 / 9) <= 3 * sigma
 
+    def test_two_groups_permutations_are_jointly_uniform(self):
+        # Both groups draw from one generator; their permutations of a
+        # 3-row batch must still be independent and uniform, so each of
+        # the 6 x 6 pairs occurs 1/36 of the time.
+        trials = 7_200
+        td = make_tied(3, attrs=2)
+        channels = [c.name for c in td.channels]
+        seen = Counter()
+        for i in range(trials):
+            orders = _group_orders(build_plan(3, 1, channels, 2, seed=i), "IS")
+            seen[tuple(tuple(order.tolist()) for order in orders.values())] += 1
+        assert len(seen) == 36
+        expected = trials / 36
+        chi_square = sum((k - expected) ** 2 / expected for k in seen.values())
+        # 99.9th percentile of the chi-square law with 35 degrees of freedom.
+        assert chi_square < 66.62
+
 
 class TestIterativeShuffle:
     def test_single_batch_equals_direct_batch_shuffle(self):
         td = make_tied(7, attrs=2)
         plan = build_plan(7, 1, [c.name for c in td.channels], 2, seed=13)
         whole = iterative_shuffle(td, plan)
-        direct = reference_stage(channel_columns(td), plan, "IS", 0)
+        direct = reference_columns(td, plan, "IS")
         assert same_columns(channel_columns(whole), direct)
 
     def test_batches_never_mix(self):
@@ -186,22 +209,6 @@ class TestIterativeShuffle:
         a = iterative_shuffle(td, plan)
         b = iterative_shuffle(td, plan)
         assert same_shuffle(a, b)
-
-    def test_matches_out_of_order_batch_reconstruction(self):
-        # Stage streams are pre-derived, so shuffling batches in reverse
-        # order must rebuild the identical output.
-        td = make_tied(11, attrs=2)
-        plan = build_plan(11, 3, [c.name for c in td.channels], 2, seed=17)
-        expected = iterative_shuffle(td, plan)
-        before = channel_columns(td)
-        rebuilt = {name: np.empty_like(col) for name, col in before.items()}
-        for stage in reversed(range(plan.num_batches)):
-            start, end = plan.bounds[stage]
-            piece = {name: col[start:end] for name, col in before.items()}
-            shuffled = reference_stage(piece, plan, "IS", stage)
-            for name in plan.channels:
-                rebuilt[name][start:end] = shuffled[name]
-        assert same_columns(rebuilt, channel_columns(expected))
 
     def test_plan_mismatch_rejected(self):
         td = make_tied(6, attrs=2)
@@ -240,16 +247,16 @@ class TestCumulativeShuffle:
         td = make_tied(6, attrs=2)
         plan = build_plan(6, 1, [c.name for c in td.channels], 2, seed=19)
         out = cumulative_iterative_shuffle(td, plan)
-        direct = reference_stage(channel_columns(td), plan, "CIS", 0)
+        direct = reference_columns(td, plan, "CIS")
         assert same_columns(channel_columns(out), direct)
 
     def test_many_batches_shuffle_all_rows_at_stage_0(self):
         # The paper's prefix chain ends in one uniform permutation of all
-        # n rows per group, so CIS draws just that: stage 0, size n.
+        # n rows per group, so CIS draws just that: one batch of size n.
         td = make_tied(9, attrs=3)
         plan = build_plan(9, 3, [c.name for c in td.channels], 2, seed=77)
         out = cumulative_iterative_shuffle(td, plan)
-        direct = reference_stage(channel_columns(td), plan, "CIS", 0)
+        direct = reference_columns(td, plan, "CIS")
         assert same_columns(channel_columns(out), direct)
 
     def test_output_does_not_depend_on_the_batch_count(self):
@@ -330,26 +337,13 @@ def shuffle_cases(draw):
     return td, plan, mode
 
 
-def stage_by_stage(td, plan, mode):
-    """The columns that ``reference_stage`` gives: one stage per batch for
-    IS, one stage over all n rows for CIS."""
-    if mode == "CIS":
-        return reference_stage(channel_columns(td), plan, mode, 0)
-    expected = channel_columns(td)
-    for stage, (start, end) in enumerate(plan.bounds):
-        piece = {name: col[start:end] for name, col in expected.items()}
-        for name, col in reference_stage(piece, plan, mode, stage).items():
-            expected[name][start:end] = col
-    return expected
-
-
 @settings(max_examples=150, deadline=None)
 @given(shuffle_cases())
 def test_shuffle_equals_the_stage_by_stage_composition(case):
     td, plan, mode = case
     shuffle = iterative_shuffle if mode == "IS" else cumulative_iterative_shuffle
     assert same_columns(
-        channel_columns(shuffle(td, plan)), stage_by_stage(td, plan, mode)
+        channel_columns(shuffle(td, plan)), reference_columns(td, plan, mode)
     )
 
 
