@@ -12,12 +12,13 @@ indices, and labels come back only when a table is exported.
 ``load_csv`` reads a file in chunks of lines and turns each chunk
 straight into a block of indices, so besides the row IDs loading holds
 the index array plus one chunk of cells, never a ``Row`` or a record per
-row.  A chunk free of quotes is split directly at newlines and commas;
-from the first quote on, ``csv.reader`` parses the rest of the file.
-Each column of a chunk is then converted in one pass over its cells: a
-CSV cell of a bucketed attribute is read as a number first and as a
-bucket label only when it does not parse; a string value given to
-``Dataset`` in a ``Row`` is tried as a label first.
+row.  numpy's C reader, ``np.loadtxt``, parses a chunk free of quotes in
+one call, reading every number of a bucketed attribute as a float and
+every ID and label as a string.  A chunk it rejects, and from the first
+quote on the rest of the file, goes through ``csv.reader``, which also
+words every fault.  A CSV cell of a bucketed attribute is read as a
+number first and as a bucket label only when it does not parse; a string
+value given to ``Dataset`` in a ``Row`` is tried as a label first.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import csv
 import gc
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -351,18 +352,19 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     the ID column.  The file is read in chunks of lines, and each chunk
     goes straight to a block of domain indices, so besides the IDs memory
     holds the codes and one chunk, never a ``Row`` per line; the blocks
-    are joined once at the end.  A chunk free of quotes is split directly
-    at newlines and commas; from the first chunk holding a quote on,
-    ``csv.reader`` parses the rest of the file, so quoted cells may hold
-    commas and newlines.  Each cell is converted once: a cell of a
-    bucketed attribute that parses as a number is read as a number first,
+    are joined once at the end.  A chunk free of quotes is parsed by
+    numpy's C reader, ``np.loadtxt``: numbers of bucketed attributes
+    straight to floats, IDs and labels to strings.  A chunk it cannot
+    read exactly, and from the first chunk holding a quote on the rest of
+    the file, goes through ``csv.reader``, so quoted cells may hold commas
+    and newlines and every fault is worded the same either way.  A cell
+    of a bucketed attribute that parses as a number is read as a number,
     and only otherwise as a bucket label.  Cells are read as if stripped
-    of surrounding whitespace.  Rows are numbered from 1 after the header,
-    not counting blank lines, which are skipped.  Each chunk is checked as
-    it is read, and IDs are checked for duplicates once the whole file is
-    in.
+    of surrounding whitespace.  Rows are numbered from 1 after the
+    header, not counting blank lines, which are skipped.  Each chunk is
+    checked as it is read, and IDs are checked for duplicates once the
+    whole file is in.
     """
-    width = schema.k + 1
     ids: list[str] = []
     blocks: list[np.ndarray] = []
     try:
@@ -379,22 +381,16 @@ def load_csv(path: str, schema: Schema) -> Dataset:
                     f"attributes {list(schema.names)!r}"
                 )
             # Every csv record is a GC-tracked list and none is in a cycle,
-            # so collections during the read find nothing but can cost a
-            # third of it.
+            # so collections during a csv.reader read find nothing but can
+            # cost a third of it.
             gc_enabled = gc.isenabled()
             gc.disable()
             try:
-                for cells, records in _chunks(fh, width):
-                    row_ids = None if cells is None else _stripped_ids(cells, width)
-                    if row_ids is None or "" in row_ids:  # blank, or a fault
-                        records = [r for r in records if any(map(str.strip, r))]
-                        _check_layout(records, width, len(ids))
-                        cells = list(chain.from_iterable(records))
-                        row_ids = _stripped_ids(cells, width)
-                    block = np.empty((len(row_ids), schema.k), dtype=np.int64)
-                    for j, attr in enumerate(schema.attributes):
-                        column = cells[j + 1 :: width]
-                        block[:, j] = _column_codes(attr, column, len(ids))
+                for lines, records in _chunks(fh):
+                    parsed = lines and _parse_chunk(lines, schema, len(ids))
+                    if parsed is None:  # for csv.reader to read or to word
+                        parsed = _parse_records(records, schema, len(ids))
+                    row_ids, block = parsed
                     ids.extend(row_ids)
                     blocks.append(block)
                 _check_unique(ids)
@@ -410,55 +406,93 @@ def load_csv(path: str, schema: Schema) -> Dataset:
 
 
 def _chunks(
-    fh: Iterable[str], width: int
+    fh: Iterable[str],
 ) -> Iterator[tuple[list[str] | None, Iterable[list[str]]]]:
-    """The cells and the ``csv.reader`` records of each chunk of ``fh``.
+    """The lines and the ``csv.reader`` records of each chunk of ``fh``.
 
-    The cells are the chunk's cells in one flat list, record after record,
-    when every record has ``width`` cells, and None otherwise.  A chunk is
-    ``_CHUNK_ROWS`` lines.  When it holds no quote, no NUL (which
-    ``csv.reader`` rejects before Python 3.11), no CR outside a CRLF line
-    end, and ``width - 1`` commas on every line, ``csv.reader`` would
-    split it exactly at line ends and commas, so ``str.split`` does that
-    and the records are parsed only if the caller reads them.  From the
-    first chunk holding a quote on, which may open a cell spanning lines,
+    A chunk is ``_CHUNK_ROWS`` lines.  The lines are given when the chunk
+    holds no quote, no NUL (which ``csv.reader`` rejects before Python
+    3.11) and no CR outside a CRLF line end: ``csv.reader`` would split
+    such a chunk exactly at line ends and commas, as ``np.loadtxt`` does,
+    and its records are parsed only if the caller reads them.  A chunk of
+    whitespace-only lines holds no rows and is skipped.  From the first
+    chunk holding a quote on, which may open a cell spanning lines,
     ``csv.reader`` reads the rest of the file, ``_CHUNK_ROWS`` records at
-    a time.
+    a time, and only records are given.
     """
-    commas = repeat(",")
     while lines := list(islice(fh, _CHUNK_ROWS)):
-        text = "".join(lines).replace("\r\n", "\n")
+        text = "".join(lines)
         if '"' in text:
             break
-        records = csv.reader(lines)
-        if (
-            "\r" in text
-            or "\0" in text
-            or set(map(str.count, lines, commas)) != {width - 1}
-        ):
-            yield None, records
+        if text.isspace():
             continue
-        cells = text.replace("\n", ",").split(",")
-        if text.endswith("\n"):
-            cells.pop()
-        yield cells, records
+        plain = "\0" not in text and (
+            "\r" not in text or text.count("\r") == text.count("\r\n")
+        )
+        yield (lines if plain else None), csv.reader(lines)
     else:
         return
     reader = csv.reader(chain(lines, fh))
     while records := list(islice(reader, _CHUNK_ROWS)):
-        if set(map(len, records)) == {width}:
-            yield list(chain.from_iterable(records)), records
-        else:
-            yield None, records
+        yield None, records
 
 
-def _stripped_ids(cells: list[str], width: int) -> list[str]:
-    """The stripped first cell of every record in flat ``cells``."""
-    return list(map(str.strip, cells[::width]))
+def _parse_chunk(
+    lines: list[str], schema: Schema, start: int
+) -> tuple[list[str], np.ndarray] | None:
+    """The stripped IDs and the codes of a quote-free chunk of lines.
+
+    ``np.loadtxt`` skips empty lines and reads a bucketed cell as a float
+    only where ``float`` reads the stripped cell as the same number.  IDs
+    and labels stay Python strings: a fixed-width field would cut them
+    short.  None when ``csv.reader`` must read the chunk or word its
+    fault: a line of the wrong width or of whitespace only, a cell numpy
+    does not read as a number, an empty ID or an unknown label.  A number
+    outside the buckets is raised here, its row counted after ``start``.
+    """
+    fields = [("id", object)]
+    for j, attr in enumerate(schema.attributes):
+        fields.append((f"c{j}", np.float64 if attr.is_numeric else object))
+    try:
+        table = np.loadtxt(
+            lines,
+            dtype=np.dtype(fields),
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    row_ids = list(map(str.strip, table["id"]))
+    if "" in row_ids:
+        return None
+    n = len(row_ids)
+    block = np.empty((n, schema.k), dtype=np.int64)
+    for j, attr in enumerate(schema.attributes):
+        cells = table[f"c{j}"]
+        if attr.is_numeric:
+            block[:, j] = _bucket_codes(attr, cells, range(start + 1, start + n + 1))
+            continue
+        # A label with surrounding whitespace never matches a stripped cell.
+        labels = {v: i for i, v in enumerate(attr.values) if v == v.strip()}
+        try:
+            block[:, j] = np.fromiter(map(labels.get, cells), np.int64, n)
+        except TypeError:
+            return None
+    return row_ids, block
 
 
-def _check_layout(records: list[list[str]], width: int, start: int) -> None:
-    """Raise for the first wrong width or empty ID among non-blank ``records``."""
+def _parse_records(
+    records: Iterable[list[str]], schema: Schema, start: int
+) -> tuple[list[str], np.ndarray]:
+    """The stripped IDs and the codes of a chunk of ``csv.reader`` records.
+
+    Blank records are skipped.  The first wrong width, empty ID or bad
+    cell is raised, with its row number counted after ``start``.
+    """
+    width = schema.k + 1
+    records = [r for r in records if any(map(str.strip, r))]
     for number, record in enumerate(records, start=start + 1):
         if len(record) != width:
             raise DatasetError(
@@ -466,6 +500,11 @@ def _check_layout(records: list[list[str]], width: int, start: int) -> None:
             )
         if not record[0].strip():
             raise DatasetError(f"row {number}: empty row ID")
+    block = np.empty((len(records), schema.k), dtype=np.int64)
+    for j, attr in enumerate(schema.attributes):
+        column = [record[j + 1] for record in records]
+        block[:, j] = _column_codes(attr, column, start)
+    return [record[0].strip() for record in records], block
 
 
 def _column_codes(attr: Attribute, cells: list[str], start: int) -> np.ndarray:

@@ -57,9 +57,9 @@ def rr_batch(n1: int, num_shufflers: int) -> float:
 
 def _log_ratio(ratio: float, num_batches: int, n1: int, num_shufflers: int) -> float:
     """ln(ratio), where ratio = t / (n1-1)^S; from the logs of its factors
-    only when the ratio underflowed to 0.0, so every finite budget keeps
-    the bits ``math.log(ratio)`` gives."""
-    if ratio:
+    only when the ratio underflowed to 0.0 or overflowed to inf, so every
+    finite budget keeps the bits ``math.log(ratio)`` gives."""
+    if 0.0 < ratio < math.inf:
         return math.log(ratio)
     return math.log(num_batches) - num_shufflers * math.log(n1 - 1)
 
@@ -69,7 +69,10 @@ def epsilon_is(num_batches: int, n1: int, num_shufflers: int) -> float:
     _check_scale(n1, num_shufflers)
     if num_batches < 1:
         raise ValueError(f"batch count must be at least 1, got {num_batches}")
-    ratio = num_batches / (n1 - 1) ** num_shufflers
+    try:
+        ratio = num_batches / (n1 - 1) ** num_shufflers
+    except OverflowError:
+        ratio = math.inf
     return _log_ratio(ratio, num_batches, n1, num_shufflers)
 
 
@@ -80,14 +83,12 @@ def epsilon_cis(n1: int, num_shufflers: int) -> float:
 
 @dataclass(frozen=True)
 class PrivacyAccount:
-    """Budget and per-stage ratios for one shuffle configuration."""
+    """Budget of one shuffle configuration."""
 
     mode: str
     num_batches: int
     n1: int
     num_shufflers: int
-    stage_ratios: tuple[float, ...]
-    total_ratio: float
     epsilon: float
 
     @property
@@ -125,20 +126,15 @@ def account(
             raise ValueError(
                 f"stage {i + 1} covers {size} row(s); ratios need at least 2"
             )
-    stage_ratios = tuple(rr_batch(size, num_shufflers) for size in scopes)
     if mode == "IS":
-        total_ratio = t / (n1 - 1) ** num_shufflers
         epsilon = epsilon_is(t, n1, num_shufflers)
     else:
-        total_ratio = rr_batch(n1, num_shufflers)
         epsilon = epsilon_cis(n1, num_shufflers)
     return PrivacyAccount(
         mode=mode,
         num_batches=t,
         n1=n1,
         num_shufflers=num_shufflers,
-        stage_ratios=stage_ratios,
-        total_ratio=total_ratio,
         epsilon=epsilon,
     )
 

@@ -49,6 +49,15 @@ class TestEpsilonCommand:
         assert abs(gap - payload["ln_t"]) <= 1e-12
         assert payload["ln_t"] == math.log(100)
 
+    def test_batch_count_past_the_float_range(self, capsys):
+        t = 10**400
+        assert main(
+            ["epsilon", "-t", str(t), "-S", "2", "--n1", "3", "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert math.isfinite(payload["epsilon_is"])
+        assert payload["epsilon_is"] == math.log(t) - 2 * math.log(2)
+
     def test_degenerate_batch_size_exits_nonzero(self, capsys):
         assert main(["epsilon", "-t", "2", "-S", "2", "--n1", "1"]) == 1
         assert "error:" in capsys.readouterr().err

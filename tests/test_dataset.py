@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -211,13 +212,13 @@ class TestLoadCsv:
         )
         good = str(data_dir / "people.csv")
         during = []
-        column_codes = dataset_module._column_codes
+        parse_chunk = dataset_module._parse_chunk
 
         def recording(*args):
             during.append(gc.isenabled())
-            return column_codes(*args)
+            return parse_chunk(*args)
 
-        monkeypatch.setattr(dataset_module, "_column_codes", recording)
+        monkeypatch.setattr(dataset_module, "_parse_chunk", recording)
         was_enabled = gc.isenabled()
         try:
             for enabled in (True, False):
@@ -401,16 +402,26 @@ BAD_CELLS = {
     "Score": ("100", "1e9", "nan", "high", "-inf"),
 }
 BLANK_LINES = ("", "   ", " , ,", ",,,", "\t")
-NUMBER_FORMATS = ("{:g}", "{:e}", "{:.2f}", "{!r}", "{:.0f}")
+# The last three are numbers that float() reads and numpy's parser
+# rejects, whatever number is drawn.
+NUMBER_FORMATS = (
+    "{:g}", "{:e}", "{:.2f}", "{!r}", "{:.0f}", "1_0", "\u0667", "\U0001d7d5"
+)
 
 
-# Padding that str.strip removes, with two of the line breaks that
-# str.splitlines splits at; float() ignores all of it but the ASCII unit
-# separator "\x1f".
+# Padding that str.strip removes, with five of the line breaks that
+# str.splitlines splits at; float() ignores all of it but the ASCII
+# separators "\x1c" to "\x1f".
 @st.composite
 def padded(draw, text):
-    lead = draw(st.sampled_from(("", " ", "  ", "\u00a0", "\u2003 ", " \x1f")))
-    end = draw(st.sampled_from(("", " ", "\x1f", " \u00a0", "\x0b", "\u2028 ")))
+    lead = draw(
+        st.sampled_from(("", " ", "  ", "\u00a0", "\u2003 ", " \x1f", "\x1c"))
+    )
+    end = draw(
+        st.sampled_from(
+            ("", " ", "\x1f", " \u00a0", "\x0b", "\u2028 ", "\x1d", "\x1e ")
+        )
+    )
     return lead + text + end
 
 
@@ -491,6 +502,24 @@ def test_load_csv_matches_the_row_by_row_loader(text, chunk_rows):
             assert load_or_error(load_csv, path, LOADER_SCHEMA) == expected
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "u1,1,1_0,7",
+        "u1,1,\u0667,7",
+        "u1,1,\U0001d7d5,7",
+        "u1,1,\x1c20\x1d,\x1e7",
+        "an-id-of-more-than-sixteen-characters,1,20,7",
+    ],
+)
+def test_quote_free_chunk_loads_as_the_row_by_row_loader(tmp_path, line):
+    path = str(tmp_path / "data.csv")
+    Path(path).write_text(f"{LOADER_HEADER}{line}\nu2,2.5,20,7\n", encoding="utf-8")
+    loaded = load_or_error(load_csv, path, LOADER_SCHEMA)
+    assert loaded == load_or_error(reference_load_csv, path, LOADER_SCHEMA)
+    assert loaded[0] == (line.split(",")[0], "u2")
+
+
 def test_csv_reads_bucketed_cells_as_numbers_first(tmp_path):
     # "7" is the label of bucket [10, 100) but the number 7 lies in [1, 10).
     path = tmp_path / "seven.csv"
@@ -565,6 +594,18 @@ class TestChunkBoundaries:
         with pytest.raises(DatasetError) as exc:
             load_csv(path, people_schema)
         assert str(exc.value) == f"{path} row 10: duplicate row ID 'r2'"
+
+    def test_chunk_of_empty_lines_loads_without_a_warning(
+        self, tmp_path, monkeypatch, people_schema
+    ):
+        lines = [*self.LINES[:3], "", "", "", *self.LINES[3:]]
+        path = self.write(tmp_path, lines)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunked = load_or_error(load_csv, path, people_schema)
+        assert chunked == load_or_error(reference_load_csv, path, people_schema)
+        assert len(chunked[0]) == 10
 
     def test_header_only_file(self, tmp_path, monkeypatch, people_schema):
         path = self.write(tmp_path, [])
