@@ -15,8 +15,8 @@ the index array plus one chunk of cells, never a ``Row`` or a record per
 row.  numpy's C reader, ``np.loadtxt``, parses a chunk free of quotes in
 one call, reading every number of a bucketed attribute as a float and
 every ID and label as a string.  A chunk it rejects, and from the first
-quote on the rest of the file, goes through ``csv.reader``, which also
-words every fault.  A CSV cell of a bucketed attribute is read as a
+quote on the rest of the file, goes through ``csv.reader``; both paths
+word every fault alike.  A CSV cell of a bucketed attribute is read as a
 number first and as a bucket label only when it does not parse; a string
 value given to ``Dataset`` in a ``Row`` is tried as a label first.
 """
@@ -445,10 +445,11 @@ def _parse_chunk(
     ``np.loadtxt`` skips empty lines and reads a bucketed cell as a float
     only where ``float`` reads the stripped cell as the same number.  IDs
     and labels stay Python strings: a fixed-width field would cut them
-    short.  None when ``csv.reader`` must read the chunk or word its
-    fault: a line of the wrong width or of whitespace only, a cell numpy
-    does not read as a number, an empty ID or an unknown label.  A number
-    outside the buckets is raised here, its row counted after ``start``.
+    short, and ``_column_codes`` reads the labels as it reads a
+    ``csv.reader`` column.  None when ``csv.reader`` must read the chunk
+    or word its fault: a line of the wrong width or of whitespace only, a
+    cell numpy does not read as a number, or an empty ID.  A bad cell
+    that numpy did read is raised here, its row counted after ``start``.
     """
     fields = [("id", object)]
     for j, attr in enumerate(schema.attributes):
@@ -473,13 +474,8 @@ def _parse_chunk(
         cells = table[f"c{j}"]
         if attr.is_numeric:
             block[:, j] = _bucket_codes(attr, cells, range(start + 1, start + n + 1))
-            continue
-        # A label with surrounding whitespace never matches a stripped cell.
-        labels = {v: i for i, v in enumerate(attr.values) if v == v.strip()}
-        try:
-            block[:, j] = np.fromiter(map(labels.get, cells), np.int64, n)
-        except TypeError:
-            return None
+        else:
+            block[:, j] = _column_codes(attr, cells, start)
     return row_ids, block
 
 
@@ -507,7 +503,7 @@ def _parse_records(
     return [record[0].strip() for record in records], block
 
 
-def _column_codes(attr: Attribute, cells: list[str], start: int) -> np.ndarray:
+def _column_codes(attr: Attribute, cells: Sequence[str], start: int) -> np.ndarray:
     """Domain index of every CSV cell of one attribute's column.
 
     A column converts in one pass over its raw cells: ``float`` on each

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -36,16 +37,6 @@ def plan_batches(n: int, t: int) -> tuple[int, ...]:
         raise PlanError(f"cannot split {n} rows into {t} non-empty batches")
     base, remainder = divmod(n, t)
     return tuple(base + 1 if i < remainder else base for i in range(t))
-
-
-def batch_bounds(sizes: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Half-open [start, end) slot ranges for each batch."""
-    bounds = []
-    start = 0
-    for size in sizes:
-        bounds.append((start, start + size))
-        start += size
-    return tuple(bounds)
 
 
 def group_attributes(
@@ -117,7 +108,9 @@ class ShufflePlan:
 
     @property
     def bounds(self) -> tuple[tuple[int, int], ...]:
-        return batch_bounds(self.batch_sizes)
+        """Half-open [start, end) slot ranges for each batch."""
+        ends = tuple(accumulate(self.batch_sizes))
+        return tuple(zip((0, *ends[:-1]), ends))
 
     def to_dict(self) -> dict:
         return {

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .dataset import Dataset, DatasetError, Schema, load_csv
 from .partition import build_plan, plan_batches
@@ -47,7 +47,11 @@ class PipelineRefused(RuntimeError):
 
 
 class RetriesExhausted(RuntimeError):
-    """Raised when no retry produced a bound-satisfying release."""
+    """Raised when no retry produced a bound-satisfying release.
+
+    ``attempts`` holds each attempt's c', loss and bound, which are
+    functions of the input count; the message names none of them.
+    """
 
     def __init__(self, message: str, attempts: tuple[AttemptRecord, ...]):
         super().__init__(message)
@@ -60,22 +64,6 @@ class AttemptRecord:
     c_prime: int
     loss: float
     loss_bound: float
-
-
-_CONFIG_KEYS = {
-    "seed",
-    "t",
-    "S",
-    "mode",
-    "lambda",
-    "max_retries",
-    "hypothesis_grid",
-    "trials",
-    "tied_attributes",
-    "time_attribute",
-    "schema",
-    "workload",
-}
 
 
 @dataclass(frozen=True)
@@ -117,12 +105,6 @@ def _check(value: object, kind: str, key: str):
     return value
 
 
-def _get(raw: dict, key: str, kind: str, default=None):
-    """``raw[key]`` checked to be a JSON value of ``kind``; null means unset."""
-    value = raw.get(key)
-    return default if value is None else _check(value, kind, key)
-
-
 def _float(value: int | float, key: str) -> float:
     """A JSON number as a float; an integer too large for one is rejected."""
     try:
@@ -133,25 +115,47 @@ def _float(value: int | float, key: str) -> float:
         ) from None
 
 
-def _strings(items: list | None, key: str) -> tuple[str, ...] | None:
-    if items is None:
-        return None
+def _same(value: object, key: str) -> object:
+    return value
+
+
+def _strings(items: list, key: str) -> tuple[str, ...]:
     return tuple(_check(item, "a string", key) for item in items)
 
 
-def _parse_grid(entries: list) -> tuple[Scheme, ...]:
+def _parse_grid(entries: list, key: str) -> tuple[Scheme, ...]:
     grid = []
     for entry in entries:
-        if isinstance(entry, dict):
+        if isinstance(entry, dict) and entry.keys() <= {"t", "S"}:
             entry = [entry.get("t"), entry.get("S")]
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError(
-                f"'hypothesis_grid' entries must be [t, S] or "
+                f"{key!r} entries must be [t, S] or "
                 f'{{"t": t, "S": S}}, got {entry!r}'
             )
-        t, s = (_check(v, "an integer", "hypothesis_grid") for v in entry)
+        t, s = (_check(v, "an integer", key) for v in entry)
         grid.append(Scheme(t, s))
     return tuple(grid)
+
+
+# Every config key, in the order load_config checks them: the JSON key,
+# then the PipelineConfig field it sets, the JSON kind it must have and
+# the conversion of a value of that kind.  A key that is absent or null
+# leaves the field at its PipelineConfig default.
+_CONFIG_KEYS = {
+    "seed": ("seed", "an integer", _same),
+    "t": ("t", "an integer", _same),
+    "S": ("S", "an integer", _same),
+    "mode": ("mode", "a string", _same),
+    "lambda": ("lam", "a number", _float),
+    "max_retries": ("max_retries", "an integer", _same),
+    "hypothesis_grid": ("hypothesis_grid", "a list", _parse_grid),
+    "trials": ("trials", "an integer", _same),
+    "tied_attributes": ("tied_attributes", "a list", _strings),
+    "time_attribute": ("time_attribute", "a string", _same),
+    "schema": ("schema_path", "a string", _same),
+    "workload": ("workload", "a list", _strings),
+}
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -163,46 +167,19 @@ def load_config(path: str) -> PipelineConfig:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = raw.keys() - _CONFIG_KEYS.keys()
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)!r}")
     if raw.get("seed") is None:
         raise ConfigError(f"{path}: config needs a 'seed'")
+    given = {}
     try:
-        return PipelineConfig(
-            seed=_get(raw, "seed", "an integer"),
-            t=_get(raw, "t", "an integer"),
-            S=_get(raw, "S", "an integer"),
-            mode=_get(raw, "mode", "a string", "IS"),
-            lam=_float(_get(raw, "lambda", "a number", 0.01), "lambda"),
-            max_retries=_get(raw, "max_retries", "an integer", 16),
-            hypothesis_grid=_parse_grid(_get(raw, "hypothesis_grid", "a list", [])),
-            trials=_get(raw, "trials", "an integer", 4),
-            tied_attributes=_strings(
-                _get(raw, "tied_attributes", "a list"), "tied_attributes"
-            ),
-            time_attribute=_get(raw, "time_attribute", "a string"),
-            schema_path=_get(raw, "schema", "a string"),
-            workload=_strings(_get(raw, "workload", "a list", []), "workload"),
-        )
+        for key, (name, kind, convert) in _CONFIG_KEYS.items():
+            if raw.get(key) is not None:
+                given[name] = convert(_check(raw[key], kind, key), key)
+        return PipelineConfig(**given)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-REPORT_FIELDS = (
-    "query",
-    "c_prime",
-    "epsilon_signed",
-    "epsilon_report",
-    "loss_bound",
-    "plan_digest",
-    "seed",
-    "retries_used",
-    "t",
-    "S",
-    "mode",
-    "bound_status",
-)
 
 
 @dataclass(frozen=True)
@@ -227,7 +204,7 @@ class DPReport:
     bound_status: str
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in REPORT_FIELDS}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -246,6 +223,9 @@ class DPReport:
             f"plan digest:    {self.plan_digest}",
         ]
         return "\n".join(lines) + "\n"
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(DPReport))
 
 
 def _resolve_scheme(
@@ -334,10 +314,8 @@ def run_on_dataset(
         attempts.append(
             AttemptRecord(attempt, c_prime, util.loss, util.loss_bound)
         )
-    last = attempts[-1]
     raise RetriesExhausted(
-        f"loss bound still violated after {config.max_retries} retries "
-        f"(last attempt: loss {last.loss} > bound {last.loss_bound:.6f}); "
+        f"loss bound still violated after {config.max_retries} retries; "
         f"no report released",
         attempts=tuple(attempts),
     )
@@ -419,21 +397,6 @@ class ReferenceRow:
     matches: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "n": self.n,
-            "t": self.t,
-            "n1": self.n1,
-            "S": self.S,
-            "reported": self.reported,
-            "epsilon_signed": self.epsilon_signed,
-            "epsilon_magnitude": self.epsilon_magnitude,
-            "delta": self.delta,
-            "matches": self.matches,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class ReferenceReport:
@@ -458,7 +421,7 @@ class ReferenceReport:
     def to_dict(self) -> dict:
         return {
             "note": self.note,
-            "rows": [row.to_dict() for row in self.rows],
+            "rows": [asdict(row) for row in self.rows],
             "matches": [row.index for row in self.matches],
             "discrepancies": [row.index for row in self.discrepancies],
         }

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby
 from typing import Mapping, Sequence
 
@@ -59,13 +59,6 @@ class ShuffledDataset(TiedDataset):
     ) -> None:
         super().__init__(tied.schema, tied.ids, codes, tied.channels, tied.tied_channel)
         self.provenance = provenance
-
-    def decoded_values(self, slot: int) -> tuple[str, ...]:
-        """Domain labels now attached to ``slot``, in schema order."""
-        return tuple(
-            attr.values[code]
-            for attr, code in zip(self.schema.attributes, self.codes[slot].tolist())
-        )
 
 
 def _gather(tied: TiedDataset, orders: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -167,16 +160,12 @@ def apply_channel_permutations(
 
 def export_csv(shuffled: ShuffledDataset, path: str) -> None:
     """Write slot IDs plus decoded labels, with a provenance sidecar."""
+    labels = [attr.values for attr in shuffled.schema.attributes]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("id", *shuffled.schema.names))
-        for slot, uid in enumerate(shuffled.ids):
-            writer.writerow((uid, *shuffled.decoded_values(slot)))
-    sidecar = {
-        "mode": shuffled.provenance.mode,
-        "seed": shuffled.provenance.seed,
-        "plan_digest": shuffled.provenance.plan_digest,
-    }
+        for uid, codes in zip(shuffled.ids, shuffled.codes.tolist()):
+            writer.writerow((uid, *(values[c] for values, c in zip(labels, codes))))
     with open(path + ".provenance.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump(asdict(shuffled.provenance), fh, indent=2, sort_keys=True)
         fh.write("\n")

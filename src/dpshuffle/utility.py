@@ -16,7 +16,7 @@ then fewer batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import fmean
 from typing import Sequence
 
@@ -191,18 +191,9 @@ class SchemeSelection:
 
     def to_dict(self) -> dict:
         return {
-            "best": {"t": self.best.t, "S": self.best.S},
+            "best": asdict(self.best),
             "table": [
-                {
-                    "t": row.scheme.t,
-                    "S": row.scheme.S,
-                    "n1": row.n1,
-                    "risk": row.result.risk,
-                    "bound": row.result.bound,
-                    "mean_loss": row.result.mean_loss,
-                    "penalty": row.result.penalty,
-                    "epsilon": row.result.epsilon,
-                }
+                {**asdict(row.scheme), "n1": row.n1, **asdict(row.result)}
                 for row in self.table
             ],
         }

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -186,6 +187,10 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert code == 3
         assert "after 2 retries" in captured.err
+        # An attempt's loss |c - c'| and bound c' * |e^eps - 1| are
+        # functions of the input count c: the only figure named is the
+        # retry count.
+        assert re.findall(r"\d+(?:\.\d+)?", captured.err) == ["2"]
 
     def test_missing_dataset_exits_1(self, capsys, people_paths, make_config):
         _, schema = people_paths

@@ -584,6 +584,19 @@ class TestChunkBoundaries:
             load_csv(path, people_schema)
         assert str(exc.value).startswith(f"{path} {message}")
 
+    def test_empty_id_is_reported_before_an_earlier_unknown_label(
+        self, tmp_path, monkeypatch, people_schema
+    ):
+        # csv.reader's order: every row's width and ID, then each column.
+        lines = list(self.LINES)
+        lines[7] = "r6,Ravi,17,6.02,64"
+        lines[8] = " ,Riya,1e1,4.8,59.5"  # same quote-free chunk as row 6
+        path = self.write(tmp_path, lines)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 3)
+        with pytest.raises(DatasetError) as exc:
+            load_csv(path, people_schema)
+        assert str(exc.value) == f"{path} row 7: empty row ID"
+
     def test_duplicate_of_a_first_chunk_id_is_reported(
         self, tmp_path, monkeypatch, people_schema
     ):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpshuffle import PlanError, ShufflePlan, build_plan
-from dpshuffle.partition import batch_bounds, group_attributes, plan_batches
+from dpshuffle.partition import group_attributes, plan_batches
 from dpshuffle.seeds import derive_rng
 
 
@@ -38,8 +38,10 @@ class TestPlanBatches:
         assert sizes[0] == max(sizes) == math.ceil(n / t)
 
     def test_bounds_cover_range(self):
-        sizes = plan_batches(10, 3)
-        assert batch_bounds(sizes) == ((0, 4), (4, 7), (7, 10))
+        plan = ShufflePlan(
+            seed=0, batch_sizes=plan_batches(10, 3), attribute_groups=(("a",), ("b",))
+        )
+        assert plan.bounds == ((0, 4), (4, 7), (7, 10))
 
 
 class TestGroupAttributes:

@@ -101,8 +101,10 @@ class TestLoadConfig:
         assert config.hypothesis_grid == ()
         assert config.workload == ()
         # Null means unset for every key but the seed.
-        nulls = dict.fromkeys(_CONFIG_KEYS - {"seed"})
+        nulls = dict.fromkeys(set(_CONFIG_KEYS) - {"seed"})
         assert load_config(write_json("nulls.json", {"seed": 5, **nulls})) == config
+        # Every default is PipelineConfig's own.
+        assert load_config(write_json("seed.json", {"seed": 1})) == PipelineConfig(seed=1)
 
     def test_rejects_unknown_keys(self, write_json):
         path = write_json("config.json", {"seed": 1, "shufflers": 3})
@@ -147,6 +149,8 @@ class TestLoadConfig:
             ({"seed": 1, "hypothesis_grid": [[10.5, 2]]}, "'hypothesis_grid' must be"),
             ({"seed": 1, "hypothesis_grid": [{"t": 10}]}, "'hypothesis_grid' must be"),
             ({"seed": 1, "hypothesis_grid": [[10, 2, 3]]}, "entries must be"),
+            ({"seed": 1, "hypothesis_grid": [{"t": 2, "S": 2, "lambda": 9}]}, "entries must be"),
+            ({"seed": 1, "hypothesis_grid": [{"t": 2, "s": 2}]}, "entries must be"),
             ({"seed": 1, "hypothesis_grid": "10,2"}, "'hypothesis_grid' must"),
             ({"seed": 1, "workload": "count where age < 3"}, "'workload' must be a"),
             ({"seed": 1, "workload": [EXAMPLE_QUERY, 3]}, "'workload' must be a string"),

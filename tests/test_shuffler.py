@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from collections import Counter
@@ -369,10 +370,13 @@ class TestInjectedPermutations:
         with pytest.raises(ShuffleError, match="channels"):
             apply_channel_permutations(td, {names[0]: [0, 1, 2]})
 
-    def test_fixture_realization_matches_expected_layout(self, people_dataset):
+    def test_fixture_realization_matches_expected_layout(self, people_dataset, tmp_path):
         td = tie_attributes(people_dataset, ("Height", "Weight"))
         out = apply_channel_permutations(td, AFTER_SHUFFLE_PERMS)
-        decoded = [out.decoded_values(slot) for slot in range(out.n)]
+        path = tmp_path / "realized.csv"
+        export_csv(out, str(path))
+        with open(path, newline="", encoding="utf-8") as fh:
+            decoded = [tuple(record[1:]) for record in csv.reader(fh)][1:]
         assert decoded == [
             ("Priya", "[0,40)", "5.3", "[0,60)"),
             ("Riya", "[0,40)", "4.8", "[0,60)"),
