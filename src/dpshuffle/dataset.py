@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import gc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +43,12 @@ def _format_number(x: float) -> str:
     if float(x).is_integer():
         return str(int(x))
     return repr(float(x))
+
+
+def fields_dict(record) -> dict:
+    """A flat dataclass instance's fields by name, values not copied
+    (``dataclasses.asdict`` deep-copies every leaf)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ def plan_batches(n: int, t: int) -> tuple[int, ...]:
     if t > n:
         raise PlanError(f"cannot split {n} rows into {t} non-empty batches")
     base, remainder = divmod(n, t)
-    return tuple(base + 1 if i < remainder else base for i in range(t))
+    return (base + 1,) * remainder + (base,) * (t - remainder)
 
 
 def group_attributes(

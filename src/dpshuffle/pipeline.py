@@ -3,10 +3,13 @@ and release.
 
 A run ties the query's attributes of a loaded dataset into one
 channel, shuffles under the configured scheme, and releases the count
-measured on the shuffled output together with its privacy budget.  If
-the released count violates its loss bound the run re-shuffles with a
-fresh derived seed, up to ``max_retries`` times.  CIS is refused unless
-n1 = 2, where epsilon and loss bound are 0: exact count or no release.
+measured on the shuffled output together with its privacy budget.  The
+query is evaluated once on the tied input rows; each attempt draws its
+shuffle's group orders and counts through them (``utility.count_through``)
+without building the shuffled table.  If the released count violates its
+loss bound the run re-shuffles with a fresh derived seed, up to
+``max_retries`` times.  CIS is refused unless n1 = 2, where epsilon and
+loss bound are 0: exact count or no release.
 
 The emitted report never contains the input count, raw rows, or the
 permutations; reruns with the same inputs produce byte-identical JSON.
@@ -16,19 +19,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
-from .dataset import Dataset, DatasetError, Schema, load_csv
+from .dataset import Dataset, DatasetError, Schema, fields_dict, load_csv
 from .partition import build_plan, plan_batches
 from .privacy import account, epsilon_is
 from .queryplan import QuerySpec, parse_query, relevant_attributes, tie_attributes, validate_query
 from .seeds import derive_seed
-from .shuffler import cumulative_iterative_shuffle, iterative_shuffle
+from .shuffler import group_orders
 from .utility import (
     RiskConfig,
     Scheme,
     SchemeSelection,
-    count_query,
+    channel_hits,
+    count_hits,
+    count_through,
     measure_utility,
     select_scheme,
 )
@@ -127,7 +132,13 @@ def _parse_grid(entries: list, key: str) -> tuple[Scheme, ...]:
     grid = []
     for entry in entries:
         if isinstance(entry, dict) and entry.keys() <= {"t", "S"}:
-            entry = [entry.get("t"), entry.get("S")]
+            missing = [name for name in ("t", "S") if name not in entry]
+            if missing:
+                raise ConfigError(
+                    f'{key!r} must be [t, S] or {{"t": t, "S": S}}; entry '
+                    f"{entry!r} lacks {' and '.join(map(repr, missing))}"
+                )
+            entry = [entry["t"], entry["S"]]
         if not isinstance(entry, list) or len(entry) != 2:
             raise ConfigError(
                 f"{key!r} entries must be [t, S] or "
@@ -204,7 +215,7 @@ class DPReport:
     bound_status: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return fields_dict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -280,7 +291,8 @@ def run_on_dataset(
             epsilon=acct.epsilon,
         )
 
-    c = count_query(tied_db, query)
+    hits = channel_hits(tied_db, query)
+    c = count_hits(hits)
     attempts: list[AttemptRecord] = []
     for attempt in range(config.max_retries + 1):
         plan = build_plan(
@@ -290,11 +302,7 @@ def run_on_dataset(
             scheme.S,
             derive_seed(config.seed, "attempt", attempt),
         )
-        if config.mode == "IS":
-            shuffled = iterative_shuffle(tied_db, plan)
-        else:
-            shuffled = cumulative_iterative_shuffle(tied_db, plan)
-        c_prime = count_query(shuffled, query)
+        c_prime = count_through(group_orders(tied_db, plan, config.mode), hits)
         util = measure_utility(c, c_prime, acct.epsilon)
         if util.bound_satisfied:
             return DPReport(
@@ -303,7 +311,7 @@ def run_on_dataset(
                 epsilon_signed=acct.epsilon,
                 epsilon_report=acct.epsilon_report,
                 loss_bound=util.loss_bound,
-                plan_digest=shuffled.provenance.plan_digest,
+                plan_digest=plan.digest(),
                 seed=config.seed,
                 retries_used=attempt,
                 t=scheme.t,
@@ -421,7 +429,7 @@ class ReferenceReport:
     def to_dict(self) -> dict:
         return {
             "note": self.note,
-            "rows": [asdict(row) for row in self.rows],
+            "rows": [fields_dict(row) for row in self.rows],
             "matches": [row.index for row in self.matches],
             "discrepancies": [row.index for row in self.discrepancies],
         }

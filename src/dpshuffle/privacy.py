@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .seeds import derive_rng
@@ -114,18 +115,12 @@ def account(
     n1 = batch_sizes[0]
     if max(batch_sizes) != n1:
         raise ValueError("batch sizes must be ordered largest first")
-    if mode == "IS":
-        scopes = list(batch_sizes)
-    else:
-        scopes, total = [], 0
-        for size in batch_sizes:
-            total += size
-            scopes.append(total)
-    for i, size in enumerate(scopes):
-        if size < 2:
-            raise ValueError(
-                f"stage {i + 1} covers {size} row(s); ratios need at least 2"
-            )
+    scopes = batch_sizes if mode == "IS" else tuple(accumulate(batch_sizes))
+    if min(scopes) < 2:
+        stage, size = next((i, s) for i, s in enumerate(scopes, 1) if s < 2)
+        raise ValueError(
+            f"stage {stage} covers {size} row(s); ratios need at least 2"
+        )
     if mode == "IS":
         epsilon = epsilon_is(t, n1, num_shufflers)
     else:

@@ -11,8 +11,11 @@ A shuffle moves the domain indices in a channel's member columns of the
 ``(n, k)`` code array, a slot's indices standing for the paper's one-hot
 encodings of its values; moving the indices moves exactly what moving
 the encodings would.  Each attribute group's stage permutations fill one
-index array over all n slots, and the output codes are gathered once,
-each channel's member columns through its group's array.
+index array over all n slots, the group's order (``group_orders``).
+``iterative_shuffle`` and ``cumulative_iterative_shuffle`` gather the
+output codes once, each channel's member columns through its group's
+order.  A release attempt or risk trial counts through the orders
+instead and never builds the shuffled table (``utility.count_through``).
 
 A shuffle's randomness is one generator, ``derive_rng(plan.seed,
 "shuffle", mode)``.  Each non-empty attribute group, in plan order,
@@ -26,12 +29,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataset import fields_dict
 from .partition import ShufflePlan
 from .queryplan import TiedDataset
 from .seeds import derive_rng
@@ -74,15 +78,28 @@ def _gather(tied: TiedDataset, orders: Mapping[str, np.ndarray]) -> np.ndarray:
     return codes
 
 
-def _group_orders(plan: ShufflePlan, mode: str) -> dict[tuple[str, ...], np.ndarray]:
+def group_orders(
+    tied: TiedDataset, plan: ShufflePlan, mode: str
+) -> dict[tuple[str, ...], np.ndarray]:
     """Each non-empty attribute group's composed order over all n slots.
 
     ``orders[group][i]`` is the input slot whose values end in output
     slot i of the group's channels.  Every stage permutes its own
     disjoint slice of it: a batch for IS, all n rows for CIS.  Each run
     of equal batch sizes is drawn by one ``permuted`` call, which equals
-    ``rng.shuffle`` on each batch in turn, draw for draw.
+    ``rng.shuffle`` on each batch in turn, draw for draw.  Raises
+    ``ShuffleError`` when the plan does not fit the dataset.
     """
+    names = tuple(ch.name for ch in tied.channels)
+    if set(names) != set(plan.channels):
+        raise ShuffleError(
+            f"plan channels {sorted(plan.channels)!r} do not match dataset "
+            f"channels {sorted(names)!r}"
+        )
+    if plan.n != tied.n:
+        raise ShuffleError(
+            f"plan covers {plan.n} rows but the dataset has {tied.n}"
+        )
     if mode == "IS":
         runs = [(size, len(list(run))) for size, run in groupby(plan.batch_sizes)]
     else:
@@ -104,17 +121,7 @@ def _group_orders(plan: ShufflePlan, mode: str) -> dict[tuple[str, ...], np.ndar
 
 def _shuffle(tied: TiedDataset, plan: ShufflePlan, mode: str) -> ShuffledDataset:
     """Compose each group's stage permutations, then gather the codes once."""
-    names = tuple(ch.name for ch in tied.channels)
-    if set(names) != set(plan.channels):
-        raise ShuffleError(
-            f"plan channels {sorted(plan.channels)!r} do not match dataset "
-            f"channels {sorted(names)!r}"
-        )
-    if plan.n != tied.n:
-        raise ShuffleError(
-            f"plan covers {plan.n} rows but the dataset has {tied.n}"
-        )
-    orders = _group_orders(plan, mode)
+    orders = group_orders(tied, plan, mode)
     codes = _gather(
         tied, {name: order for group, order in orders.items() for name in group}
     )
@@ -167,5 +174,5 @@ def export_csv(shuffled: ShuffledDataset, path: str) -> None:
         for uid, codes in zip(shuffled.ids, shuffled.codes.tolist()):
             writer.writerow((uid, *(values[c] for values, c in zip(labels, codes))))
     with open(path + ".provenance.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(shuffled.provenance), fh, indent=2, sort_keys=True)
+        json.dump(fields_dict(shuffled.provenance), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -6,6 +6,15 @@ whole rows, a query whose attributes all sit inside the tied channel is
 answered exactly; queries that span channels can drift, and the drift
 is bounded by loss <= c' * |e^eps - 1|.
 
+A release attempt or risk trial never builds that output database.  Each
+condition of a query is evaluated once, on the tied input rows, into one
+boolean hit vector per touched channel (``channel_hits``).  Slot i of a
+group's channels holds the values of input row ``order[i]`` of the
+group's order (``shuffler.group_orders``), so the released count is the
+number of slots whose rows, gathered through each touched group's order,
+hit in every group (``count_through``): exactly ``count_query`` of the
+shuffled table.
+
 Scheme selection searches a finite grid of (t, S) candidates by
 regularized empirical risk: seeded shuffle trials measure the workload's
 mean loss, a complexity penalty lambda * G(scheme) discourages heavier
@@ -16,17 +25,19 @@ then fewer batches.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import reduce
 from statistics import fmean
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, fields_dict
 from .partition import build_plan, plan_batches
 from .privacy import epsilon_is
 from .queryplan import (
     QuerySpec,
+    TiedDataset,
     bucket_mask,
     horizon_mask,
     parse_query,
@@ -35,28 +46,79 @@ from .queryplan import (
     validate_query,
 )
 from .seeds import derive_seed
-from .shuffler import iterative_shuffle
+from .shuffler import group_orders
 
 
 class RiskError(ValueError):
     """Raised for invalid risk configurations or broken risk guarantees."""
 
 
+def query_hits(db: Dataset, query: QuerySpec) -> dict[str, np.ndarray]:
+    """Each attribute the query touches -> which rows of ``db`` meet
+    every condition on it.
+
+    A condition looks up a column of ``db``'s codes in a mask of the
+    matching domain indices; conditions on one attribute are AND-ed.
+    """
+    query = validate_query(query, db.schema)
+    conditions = [
+        (pred.attribute, bucket_mask(db.schema.attribute(pred.attribute), pred))
+        for pred in query.predicates
+    ]
+    if query.time_horizon is not None:
+        name = query.time_horizon.attribute
+        conditions.append((name, horizon_mask(db.schema.attribute(name), query.time_horizon)))
+    hits: dict[str, np.ndarray] = {}
+    for name, mask in conditions:
+        hit = np.asarray(mask)[db.column(name)]
+        hits[name] = hits[name] & hit if name in hits else hit
+    return hits
+
+
+def count_hits(hits: Mapping[str, np.ndarray]) -> int:
+    """Rows set in every hit vector."""
+    return int(np.count_nonzero(reduce(np.logical_and, hits.values())))
+
+
 def count_query(db: Dataset, query: QuerySpec) -> int:
     """Rows of ``db`` satisfying every predicate and the time window.
 
-    ``db`` may be tied or shuffled: each condition looks up a column of
-    its codes in a mask of the matching domain indices.
+    ``db`` may be tied or shuffled.  A release attempt or risk trial
+    does not build the shuffled table: it counts through the shuffle's
+    group orders (``count_through``), with the same result.
     """
-    query = validate_query(query, db.schema)
-    hits = np.ones(db.n, dtype=bool)
-    for pred in query.predicates:
-        attr = db.schema.attribute(pred.attribute)
-        hits &= np.asarray(bucket_mask(attr, pred))[db.column(attr.name)]
-    if query.time_horizon is not None:
-        attr = db.schema.attribute(query.time_horizon.attribute)
-        hits &= np.asarray(horizon_mask(attr, query.time_horizon))[db.column(attr.name)]
-    return int(np.count_nonzero(hits))
+    return count_hits(query_hits(db, query))
+
+
+def channel_hits(tied: TiedDataset, query: QuerySpec) -> dict[str, np.ndarray]:
+    """Each channel the query touches -> which input rows meet every
+    condition on the channel's members."""
+    hits = query_hits(tied, query)
+    return {
+        ch.name: reduce(np.logical_and, (hits[m] for m in ch.members if m in hits))
+        for ch in tied.channels
+        if any(m in hits for m in ch.members)
+    }
+
+
+def count_through(
+    orders: Mapping[tuple[str, ...], np.ndarray], hits: Mapping[str, np.ndarray]
+) -> int:
+    """``count_query`` of the shuffled table the group orders describe,
+    from the input rows' ``channel_hits``, without building that table.
+
+    Slot i of group g's channels holds the values of input row
+    ``orders[g][i]``, so slot i meets the query when, for every group,
+    that row meets every condition on the group's channels: one gather
+    of one boolean vector per touched group.
+    """
+    released = None
+    for group, order in orders.items():
+        touched = [hits[name] for name in group if name in hits]
+        if touched:
+            moved = reduce(np.logical_and, touched)[order]
+            released = moved if released is None else np.logical_and(released, moved, out=released)
+    return int(np.count_nonzero(released))
 
 
 def loss(c: float, c_prime: float) -> float:
@@ -191,9 +253,9 @@ class SchemeSelection:
 
     def to_dict(self) -> dict:
         return {
-            "best": asdict(self.best),
+            "best": fields_dict(self.best),
             "table": [
-                {**asdict(row.scheme), "n1": row.n1, **asdict(row.result)}
+                {**fields_dict(row.scheme), "n1": row.n1, **fields_dict(row.result)}
                 for row in self.table
             ],
         }
@@ -225,8 +287,10 @@ def select_scheme(
 
     Each candidate runs ``trials_per_scheme`` seeded shuffles of the
     whole workload; candidate trials draw from independent derived
-    streams, so the table does not depend on evaluation order.  Ties
-    break toward smaller S, then smaller t.
+    streams, so the table does not depend on evaluation order.  The
+    workload's queries are evaluated once, and each trial counts them
+    through its shuffle's group orders.  Ties break toward smaller S,
+    then smaller t.
     """
     if not config.hypothesis_grid:
         raise RiskError("hypothesis grid is empty")
@@ -239,7 +303,8 @@ def select_scheme(
     queries, tied = _resolve_workload(config, dataset.schema)
     tied_db = tie_attributes(dataset, tied)
     channels = tuple(ch.name for ch in tied_db.channels)
-    input_counts = [count_query(tied_db, q) for q in queries]
+    workload_hits = [channel_hits(tied_db, q) for q in queries]
+    input_counts = [count_hits(hits) for hits in workload_hits]
 
     rows = []
     for scheme in config.hypothesis_grid:
@@ -262,9 +327,9 @@ def select_scheme(
                 scheme.S,
                 derive_seed(seed, "risk", scheme.t, scheme.S, trial),
             )
-            shuffled = iterative_shuffle(tied_db, plan)
-            for query, c in zip(queries, input_counts):
-                c_prime = count_query(shuffled, query)
+            orders = group_orders(tied_db, plan, "IS")
+            for hits, c in zip(workload_hits, input_counts):
+                c_prime = count_through(orders, hits)
                 losses.append(loss(c, c_prime))
                 released.append(c_prime)
         result = empirical_risk(losses, released, epsilon, config.lam, scheme)

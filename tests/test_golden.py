@@ -1,4 +1,4 @@
-"""Golden outputs: released reports, a risk table and an exported table,
+"""Golden outputs: released reports, risk tables and exported tables,
 compared byte for byte against files recorded under tests/data/golden.
 
 The input is a seeded 300-row table with categorical, bucketed and
@@ -114,17 +114,45 @@ def run_cases(seed: int) -> dict[str, tuple[dict, str]]:
     }
 
 
-SWEEP_CONFIG = {
-    "seed": 1,
-    "lambda": 0.05,
-    "trials": 3,
-    "hypothesis_grid": [[10, 2], [25, 2], [25, 3], [60, 2]],
-    "tied_attributes": ["Age", "Weight"],
-    "workload": [
-        "count where age < 30 and weight > 60",
-        "count where region = west and sex = F",
-        "count where income >= 50000 during 2..9",
-    ],
+# Risk-sweep config per table seed.  Seeds 2 and 3 put a window query
+# on an untied Time channel and grid candidates with more shufflers than
+# channels (5 channels here), so some attribute groups are empty.
+SWEEP_CONFIGS = {
+    1: {
+        "seed": 1,
+        "lambda": 0.05,
+        "trials": 3,
+        "hypothesis_grid": [[10, 2], [25, 2], [25, 3], [60, 2]],
+        "tied_attributes": ["Age", "Weight"],
+        "workload": [
+            "count where age < 30 and weight > 60",
+            "count where region = west and sex = F",
+            "count where income >= 50000 during 2..9",
+        ],
+    },
+    2: {
+        "seed": 2,
+        "lambda": 0.02,
+        "trials": 3,
+        "hypothesis_grid": [[10, 2], [20, 4], [30, 6], [15, 7]],
+        "tied_attributes": ["Age", "Weight"],
+        "workload": [
+            "count where sex = M and income < 50000 during 1..6",
+            "count where age >= 30 and weight <= 70 during 4..11",
+            "count where region = east",
+        ],
+    },
+    3: {
+        "seed": 3,
+        "lambda": 0.01,
+        "trials": 4,
+        "hypothesis_grid": [[15, 3], [15, 6], [40, 2], [50, 8]],
+        "tied_attributes": ["Region", "Sex"],
+        "workload": [
+            "count where region = north and weight <= 70 during 0..5",
+            "count where age < 45 and sex = F",
+        ],
+    },
 }
 
 
@@ -161,11 +189,11 @@ def golden_outputs(workdir: Path) -> dict[str, bytes]:
             outputs[f"run-{case}-seed{seed}.json"] = _cli(
                 ["run", "--config", str(config_path), "--query", query, *common]
             )
+        config_path.write_text(json.dumps(SWEEP_CONFIGS[seed]), encoding="utf-8")
+        outputs[f"risk-sweep-seed{seed}.json"] = _cli(
+            ["risk-sweep", "--config", str(config_path), *common]
+        )
         if seed == 1:
-            config_path.write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
-            outputs["risk-sweep-seed1.json"] = _cli(
-                ["risk-sweep", "--config", str(config_path), *common]
-            )
             for mode in ("IS", "CIS"):
                 name = f"export-{mode.lower()}-seed1.csv"
                 target = workdir / name
@@ -197,8 +225,13 @@ def test_cases_cover_what_they_claim(outputs):
         assert json.loads(outputs[f"run-cis-seed{seed}.json"])["mode"] == "CIS"
         grid = json.loads(outputs[f"run-grid-seed{seed}.json"])
         assert (grid["t"], grid["S"]) in {(10, 2), (20, 2), (20, 3)}
-    table = json.loads(outputs["risk-sweep-seed1.json"])["table"]
-    assert len(table) == 4 and any(row["mean_loss"] > 0 for row in table)
+    for seed in SEEDS:
+        table = json.loads(outputs[f"risk-sweep-seed{seed}.json"])["table"]
+        assert len(table) == 4 and any(row["mean_loss"] > 0 for row in table)
+    for seed in (2, 3):
+        config = SWEEP_CONFIGS[seed]
+        assert any("during" in query for query in config["workload"])
+        assert max(s for _, s in config["hypothesis_grid"]) > 5
 
 
 if __name__ == "__main__":

@@ -148,6 +148,8 @@ class TestLoadConfig:
             ({"seed": 1, "lambda": "0.5"}, "'lambda' must be a number"),
             ({"seed": 1, "hypothesis_grid": [[10.5, 2]]}, "'hypothesis_grid' must be"),
             ({"seed": 1, "hypothesis_grid": [{"t": 10}]}, "'hypothesis_grid' must be"),
+            ({"seed": 1, "hypothesis_grid": [{"t": 10}]}, r"entry \{'t': 10\} lacks 'S'$"),
+            ({"seed": 1, "hypothesis_grid": [{}]}, r"'hypothesis_grid' must be .*entry \{\} lacks 't' and 'S'$"),
             ({"seed": 1, "hypothesis_grid": [[10, 2, 3]]}, "entries must be"),
             ({"seed": 1, "hypothesis_grid": [{"t": 2, "S": 2, "lambda": 9}]}, "entries must be"),
             ({"seed": 1, "hypothesis_grid": [{"t": 2, "s": 2}]}, "entries must be"),

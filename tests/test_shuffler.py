@@ -23,7 +23,7 @@ from dpshuffle import (
     tie_attributes,
 )
 from dpshuffle.seeds import derive_rng
-from dpshuffle.shuffler import _group_orders, apply_channel_permutations
+from dpshuffle.shuffler import apply_channel_permutations, group_orders
 from conftest import AFTER_SHUFFLE_PERMS, channel_columns
 
 
@@ -147,7 +147,7 @@ class TestShuffleBatch:
         td = make_tied(n1, attrs=2)  # two channels, one per shuffler group
         channels = [c.name for c in td.channels]
         for i in range(trials):
-            orders = _group_orders(build_plan(n1, 1, channels, 2, seed=i), "IS")
+            orders = group_orders(td, build_plan(n1, 1, channels, 2, seed=i), "IS")
             assert len(orders) == 2
             hits += all(order[0] == 0 for order in orders.values())
         rate = hits / trials
@@ -163,7 +163,7 @@ class TestShuffleBatch:
         channels = [c.name for c in td.channels]
         seen = Counter()
         for i in range(trials):
-            orders = _group_orders(build_plan(3, 1, channels, 2, seed=i), "IS")
+            orders = group_orders(td, build_plan(3, 1, channels, 2, seed=i), "IS")
             seen[tuple(tuple(order.tolist()) for order in orders.values())] += 1
         assert len(seen) == 36
         expected = trials / 36

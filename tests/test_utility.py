@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpshuffle import (
     Attribute,
@@ -11,16 +13,40 @@ from dpshuffle import (
     Row,
     Scheme,
     Schema,
+    build_plan,
     count_query,
+    cumulative_iterative_shuffle,
+    iterative_shuffle,
     measure_utility,
     parse_query,
     select_scheme,
     tie_attributes,
 )
-from dpshuffle.queryplan import bucket_mask
-from dpshuffle.shuffler import apply_channel_permutations
-from dpshuffle.utility import default_regularizer, empirical_risk, loss, loss_bound
-from conftest import AFTER_SHUFFLE_PERMS, EXAMPLE_QUERY, random_tied_case
+from dpshuffle.queryplan import (
+    OPERATORS,
+    Predicate,
+    QuerySpec,
+    TimeHorizon,
+    bucket_mask,
+    validate_query,
+)
+from dpshuffle.shuffler import apply_channel_permutations, group_orders
+from dpshuffle.utility import (
+    channel_hits,
+    count_hits,
+    count_through,
+    default_regularizer,
+    empirical_risk,
+    loss,
+    loss_bound,
+)
+from conftest import (
+    AFTER_SHUFFLE_PERMS,
+    EXAMPLE_QUERY,
+    random_dataset,
+    random_schema,
+    random_tied_case,
+)
 
 
 @pytest.fixture()
@@ -91,6 +117,57 @@ class TestCountQuery:
             assert count_query(dataset, query) == expected
             for tied in (case["tied"], dataset.schema.names[-1:]):
                 assert count_query(tie_attributes(dataset, tied), query) == expected
+
+
+def _condition(data, attr) -> Predicate:
+    if not attr.is_numeric:
+        return Predicate(attr.name, "=", data.draw(st.sampled_from(attr.values)))
+    lo, hi = attr.bin_edges[0] - 5, attr.bin_edges[-1] + 5
+    return Predicate(
+        attr.name, data.draw(st.sampled_from(OPERATORS)), data.draw(st.floats(lo, hi))
+    )
+
+
+class TestCountThrough:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_count_query_on_the_shuffled_table(self, data):
+        # Random tables, tie sets, queries on one or several channels
+        # (several conditions may share an attribute), optional windows,
+        # both modes, and up to two shufflers more than channels, so
+        # some attribute groups are empty.
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table"))
+        schema = random_schema(rnd)
+        dataset = random_dataset(rnd, schema, max_rows=60)
+        attributes = st.sampled_from(schema.attributes)
+        names = st.sampled_from(schema.names)
+        tied = data.draw(st.lists(names, min_size=1, unique=True), label="tied")
+        conditions = data.draw(st.lists(attributes, max_size=4), label="conditions")
+        predicates = tuple(_condition(data, attr) for attr in conditions)
+        horizon = None
+        numeric = [attr for attr in schema.attributes if attr.is_numeric]
+        if numeric and (not predicates or data.draw(st.booleans(), label="window")):
+            window = _condition(data, data.draw(st.sampled_from(numeric)))
+            width = data.draw(st.floats(0, 30), label="width")
+            horizon = TimeHorizon(window.attribute, window.value, window.value + width)
+        if not predicates and horizon is None:
+            predicates = (_condition(data, schema.attributes[0]),)
+        query = validate_query(QuerySpec(predicates, horizon), schema)
+
+        tied_db = tie_attributes(dataset, tied)
+        channels = [ch.name for ch in tied_db.channels]
+        mode = data.draw(st.sampled_from(("IS", "CIS")), label="mode")
+        t = data.draw(st.integers(1, dataset.n), label="t")
+        shufflers = data.draw(st.integers(2, len(channels) + 2), label="S")
+        seed = data.draw(st.integers(0, 2**63 - 1), label="seed")
+        plan = build_plan(dataset.n, t, channels, shufflers, seed)
+        shuffle = iterative_shuffle if mode == "IS" else cumulative_iterative_shuffle
+
+        hits = channel_hits(tied_db, query)
+        assert count_hits(hits) == count_query(tied_db, query)
+        assert count_through(group_orders(tied_db, plan, mode), hits) == count_query(
+            shuffle(tied_db, plan), query
+        )
 
 
 class TestLoss:
