@@ -13,12 +13,14 @@ indices, and labels come back only when a table is exported.
 straight into a block of indices, so besides the row IDs loading holds
 the index array plus one chunk of cells, never a ``Row`` or a record per
 row.  numpy's C reader, ``np.loadtxt``, parses a chunk free of quotes in
-one call, reading every number of a bucketed attribute as a float and
-every ID and label as a string.  A chunk it rejects, and from the first
-quote on the rest of the file, goes through ``csv.reader``; both paths
-word every fault alike.  A CSV cell of a bucketed attribute is read as a
-number first and as a bucket label only when it does not parse; a string
-value given to ``Dataset`` in a ``Row`` is tried as a label first.
+one call, reading every number of a bucketed attribute as a float,
+every ID as a string, and labels as fixed-width strings that numpy
+looks up in the domain, or as strings where a cell is padded.  A chunk
+it rejects, and from the first quote on the rest of the file, goes
+through ``csv.reader``; both paths word every fault alike.  A CSV cell
+of a bucketed attribute is read as a number first and as a bucket label
+only when it does not parse; a string value given to ``Dataset`` in a
+``Row`` is tried as a label first.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def _bucket_codes(attr: Attribute, x: np.ndarray, rows: Sequence[int]) -> np.nda
     The first number outside the buckets, NaN included, is an error.
     """
     edges = np.array(attr.bin_edges)
-    outside = ~((edges[0] <= x) & (x < edges[-1]))  # NaN is outside too
+    codes = np.searchsorted(edges, x, side="right") - 1
+    outside = (codes < 0) | (codes >= attr.size)  # NaN sorts after every edge
     if outside.any():
         i = int(np.argmax(outside))
         value = float(x[i])
@@ -123,7 +126,7 @@ def _bucket_codes(attr: Attribute, x: np.ndarray, rows: Sequence[int]) -> np.nda
                 f"[{_format_number(edges[0])}, {_format_number(edges[-1])})"
             )
         raise DatasetError(f"row {rows[i]}, attribute {attr.name!r}: {problem}")
-    return np.searchsorted(edges, x, side="right") - 1
+    return codes
 
 
 def _value_codes(
@@ -360,13 +363,15 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     holds the codes and one chunk, never a ``Row`` per line; the blocks
     are joined once at the end.  A chunk free of quotes is parsed by
     numpy's C reader, ``np.loadtxt``: numbers of bucketed attributes
-    straight to floats, IDs and labels to strings.  A chunk it cannot
-    read exactly, and from the first chunk holding a quote on the rest of
-    the file, goes through ``csv.reader``, so quoted cells may hold commas
-    and newlines and every fault is worded the same either way.  A cell
-    of a bucketed attribute that parses as a number is read as a number,
-    and only otherwise as a bucket label.  Cells are read as if stripped
-    of surrounding whitespace.  Rows are numbered from 1 after the
+    straight to floats, IDs to strings, and labels to fixed-width strings
+    looked up in numpy, or to strings where a cell is padded or not a
+    label.  A chunk it cannot read exactly, and from the first chunk
+    holding a quote on the rest of the file, goes through
+    ``csv.reader``, so quoted cells may hold commas and newlines and
+    every fault is worded the same either way.  A cell of a bucketed
+    attribute that parses as a number is read as a number, and only
+    otherwise as a bucket label.  Cells are read as if stripped of
+    surrounding whitespace.  Rows are numbered from 1 after the
     header, not counting blank lines, which are skipped.  Each chunk is
     checked as it is read, and IDs are checked for duplicates once the
     whole file is in.
@@ -443,6 +448,15 @@ def _chunks(
         yield None, records
 
 
+# Widest label field ``np.loadtxt`` fills.  A domain's longer labels are
+# never matched in numpy: a cell holding one sends its column to
+# ``_column_codes``, and a chunk's fields stay at most 256 bytes a cell.
+_LABEL_FIELD_CHARS = 64
+
+# How ``_parse_chunk`` splits a quote-free chunk, as ``csv.reader`` would.
+_LOADTXT_OPTIONS = dict(delimiter=",", comments=None, quotechar=None, ndmin=1)
+
+
 def _parse_chunk(
     lines: list[str], schema: Schema, start: int
 ) -> tuple[list[str], np.ndarray] | None:
@@ -450,39 +464,92 @@ def _parse_chunk(
 
     ``np.loadtxt`` skips empty lines and reads a bucketed cell as a float
     only where ``float`` reads the stripped cell as the same number.  IDs
-    and labels stay Python strings: a fixed-width field would cut them
-    short, and ``_column_codes`` reads the labels as it reads a
-    ``csv.reader`` column.  None when ``csv.reader`` must read the chunk
-    or word its fault: a line of the wrong width or of whitespace only, a
-    cell numpy does not read as a number, or an empty ID.  A bad cell
-    that numpy did read is raised here, its row counted after ``start``.
+    stay Python strings, since a fixed-width field would cut them short.
+    A label column whose cell on the first line is in its
+    ``_label_table`` goes to a fixed-width field decoded in numpy, and is
+    read again as strings if another cell of it is not (padded or
+    unknown).  Any other label column, as in a file written with ", "
+    separators, is read as strings at once.  ``_column_codes`` reads a column of strings
+    as it reads a ``csv.reader`` column.  None when ``csv.reader`` must
+    read the chunk or word its fault: a line of the wrong width or of
+    whitespace only, a cell numpy does not read as a number, or an empty
+    ID.  A bad cell that numpy did read is raised here, its row counted
+    after ``start``.
     """
+    first = lines[0].rstrip("\r\n").split(",")[1:]
+    tables = {}
+    for j, attr in enumerate(schema.attributes):
+        if not attr.is_numeric and j < len(first):
+            labels, codes = _label_table(attr)
+            if (labels == first[j]).any():
+                tables[j] = labels, codes
     fields = [("id", object)]
     for j, attr in enumerate(schema.attributes):
-        fields.append((f"c{j}", np.float64 if attr.is_numeric else object))
+        if j in tables:
+            fields.append((f"c{j}", tables[j][0].dtype))
+        else:
+            fields.append((f"c{j}", np.float64 if attr.is_numeric else object))
     try:
-        table = np.loadtxt(
-            lines,
-            dtype=np.dtype(fields),
-            delimiter=",",
-            comments=None,
-            quotechar=None,
-            ndmin=1,
-        )
+        table = np.loadtxt(lines, dtype=np.dtype(fields), **_LOADTXT_OPTIONS)
     except ValueError:
         return None
     row_ids = list(map(str.strip, table["id"]))
     if "" in row_ids:
         return None
-    n = len(row_ids)
-    block = np.empty((n, schema.k), dtype=np.int64)
+    labels = {j: _label_codes(table[f"c{j}"], *tables[j]) for j in tables}
+    redo = [j for j, codes in labels.items() if codes is None]
+    if redo:  # one more pass reads every such column as strings
+        strings = np.loadtxt(
+            lines,
+            dtype=[(f"c{j}", object) for j in redo],
+            usecols=[j + 1 for j in redo],
+            **_LOADTXT_OPTIONS,
+        )
+    rows = range(start + 1, start + len(row_ids) + 1)
+    block = np.empty((len(row_ids), schema.k), dtype=np.int64)
     for j, attr in enumerate(schema.attributes):
-        cells = table[f"c{j}"]
         if attr.is_numeric:
-            block[:, j] = _bucket_codes(attr, cells, range(start + 1, start + n + 1))
-        else:
+            block[:, j] = _bucket_codes(attr, table[f"c{j}"], rows)
+        elif labels.get(j) is not None:
+            block[:, j] = labels[j]
+        else:  # read as strings, by the first pass or the second
+            cells = strings[f"c{j}"] if j in redo else table[f"c{j}"]
             block[:, j] = _column_codes(attr, cells, start)
     return row_ids, block
+
+
+def _label_table(attr: Attribute) -> tuple[np.ndarray, np.ndarray]:
+    """The labels ``_parse_chunk`` matches in numpy, sorted, and their codes.
+
+    These are the plain labels, equal to their stripped form and free of
+    NUL (numpy drops NULs from the end of a string), shorter than the
+    field width: one more than the longest plain label, at most
+    ``_LABEL_FIELD_CHARS``.  ``np.loadtxt`` cuts a longer cell to the
+    width and strips nothing, so a cell is one of these labels exactly
+    when its field equals it.
+    """
+    plain = [
+        (label, code)
+        for code, label in enumerate(attr.values)
+        if label == label.strip() and "\0" not in label
+    ]
+    longest = max((len(label) for label, _ in plain), default=0)
+    width = min(1 + longest, _LABEL_FIELD_CHARS)
+    kept = [(label, code) for label, code in plain if len(label) < width]
+    labels = np.array([label for label, _ in kept], dtype=f"U{width}")
+    codes = np.array([code for _, code in kept], dtype=np.int64)
+    order = np.argsort(labels)
+    return labels[order], codes[order]
+
+
+def _label_codes(
+    cells: np.ndarray, labels: np.ndarray, codes: np.ndarray
+) -> np.ndarray | None:
+    """The code of each cell from a non-empty ``_label_table``; None if a
+    cell is none of its labels."""
+    at = np.searchsorted(labels, cells)
+    np.minimum(at, len(labels) - 1, out=at)
+    return codes[at] if (labels[at] == cells).all() else None
 
 
 def _parse_records(

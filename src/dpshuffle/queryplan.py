@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,6 +66,10 @@ class TimeHorizon:
 class QuerySpec:
     predicates: tuple[Predicate, ...]
     time_horizon: TimeHorizon | None = None
+
+    # The schema ``validate_query`` checked this query against, where it
+    # built it; not a field, so equality, copies and exports ignore it.
+    _checked_for: ClassVar[Schema | None] = None
 
     def text(self) -> str:
         head = "count where " + " and ".join(p.text() for p in self.predicates)
@@ -136,7 +141,14 @@ def parse_query(
 
 
 def validate_query(query: QuerySpec, schema: Schema) -> QuerySpec:
-    """Check a query against the schema, canonicalising names and values."""
+    """Check a query against the schema, canonicalising names and values.
+
+    A query this returned is returned as it is when checked against the
+    same schema again, so each function taking a query checks it and a
+    query is checked once however many of them it passes through.
+    """
+    if query._checked_for is schema:
+        return query
     if not query.predicates and query.time_horizon is None:
         raise QueryError("query must have at least one predicate or a time window")
     predicates = []
@@ -180,7 +192,9 @@ def validate_query(query: QuerySpec, schema: Schema) -> QuerySpec:
         if start > end:
             raise QueryError(f"time window start {start} exceeds end {end}")
         horizon = TimeHorizon(attr.name, start, end)
-    return QuerySpec(tuple(predicates), horizon)
+    checked = QuerySpec(tuple(predicates), horizon)
+    object.__setattr__(checked, "_checked_for", schema)  # frozen, not a field
+    return checked
 
 
 def _match_label(labels: tuple[str, ...], value: str, attr_name: str) -> str:

@@ -510,6 +510,7 @@ def test_load_csv_matches_the_row_by_row_loader(text, chunk_rows):
         "u1,1,\U0001d7d5,7",
         "u1,1,\x1c20\x1d,\x1e7",
         "an-id-of-more-than-sixteen-characters,1,20,7",
+        "u1, 1e3\u00a0,20,7",
     ],
 )
 def test_quote_free_chunk_loads_as_the_row_by_row_loader(tmp_path, line):
@@ -518,6 +519,85 @@ def test_quote_free_chunk_loads_as_the_row_by_row_loader(tmp_path, line):
     loaded = load_or_error(load_csv, path, LOADER_SCHEMA)
     assert loaded == load_or_error(reference_load_csv, path, LOADER_SCHEMA)
     assert loaded[0] == (line.split(",")[0], "u2")
+
+
+@pytest.mark.parametrize(
+    "domain, cells, expected",
+    [
+        # a label followed by more characters than any label has, which
+        # numpy cuts to the width of its field
+        (("north", "south"), ["south", "northeastern"], "value 'northeastern' is not"),
+        (("north", "south"), ["northeastern", "south"], "value 'northeastern' is not"),
+        # padded labels: on the first line, or after one numpy can match
+        (("north", "south"), [" north\t", "south "], [0, 1]),
+        (("north", "south"), ["north", " south"], [0, 1]),
+        (("north", "south"), ["south", "west"], "row 2, attribute 'Region': value 'west'"),
+        # no label is matched in numpy, so every cell is read as a string
+        ((" a", "b "), ["a"], "value 'a' is not in the domain"),
+        ((" a", "b "), [" a", "b "], "value 'a' is not in the domain"),
+        # numpy strings drop trailing NULs: "x\0" is never the cell "x"
+        (("x\0", "y"), ["y", "x"], "row 2, attribute 'Region': value 'x' is not"),
+        (("x", "x\0"), ["x"], [0]),
+        # labels longer than the widest numpy field are read as strings
+        (("n" * 70, "s"), ["s", "n" * 70], [1, 0]),
+        (("n" * 70, "s"), ["s", "n" * 64 + "e" * 6], "is not in the domain"),
+    ],
+)
+def test_quote_free_labels_load_as_the_row_by_row_loader(
+    tmp_path, monkeypatch, domain, cells, expected
+):
+    # Every Sex cell is padded, so numpy reads Sex as strings.
+    path = str(tmp_path / "labels.csv")
+    lines = "".join(f"u{i},{cell},30, M\n" for i, cell in enumerate(cells))
+    Path(path).write_text("id,Region,Age,Sex\n" + lines, encoding="utf-8")
+    schema = labels_schema(domain)
+    reference = load_or_error(reference_load_csv, path, schema)
+    # No csv.reader: numpy reads the chunk, and strings the column it can't match.
+    monkeypatch.setattr(dataset_module, "_parse_records", None)
+    loaded = load_or_error(load_csv, path, schema)
+    assert loaded == reference
+    if isinstance(expected, str):
+        assert expected in loaded
+    else:
+        assert loaded[1] == [[code, 0, 1] for code in expected]
+
+
+def labels_schema(domain: tuple[str, ...]) -> Schema:
+    return Schema(
+        (
+            Attribute("Region", domain),
+            Attribute("Age", ("young", "old"), (0.0, 40.0, 99.0)),
+            Attribute("Sex", ("F", "M")),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "lines, passes",
+    [
+        (["u0,north,30,M", "u1,south,30,F"], 1),
+        # ", " separators: the first line shows every label column padded
+        (["u0, north, 30, M", "u1, south, 30, F"], 1),
+        # a padded cell below a plain one costs a second pass, once a chunk
+        (["u0,north,30,M", "u1, south,30,F"], 2),
+    ],
+)
+def test_a_label_column_is_read_twice_only_below_a_plain_first_line(
+    tmp_path, monkeypatch, lines, passes
+):
+    path = tmp_path / "passes.csv"
+    path.write_text("id,Region,Age,Sex\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("usecols"))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    loaded = load_csv(str(path), labels_schema(("north", "south")))
+    assert loaded.codes.tolist() == [[0, 0, 1], [1, 0, 0]]
+    assert len(calls) == passes
 
 
 def test_csv_reads_bucketed_cells_as_numbers_first(tmp_path):

@@ -26,6 +26,7 @@ from dpshuffle.pipeline import (
     run_on_dataset,
 )
 from dpshuffle.privacy import epsilon_cis
+from dpshuffle.queryplan import Predicate, QuerySpec
 from conftest import EXAMPLE_QUERY
 
 DRIFTY_QUERY = "count where name = Riya and weight > 60"
@@ -355,6 +356,69 @@ class TestRiskSweep:
                 str(data_dir / "people.csv"),
                 str(data_dir / "people_schema.json"),
             )
+
+
+class TestEachQueryIsValidatedOnce:
+    GRID = (Scheme(3, 2), Scheme(2, 2))
+
+    @pytest.fixture()
+    def validated(self, monkeypatch):
+        """The queries checked, through any module's binding: a call that
+        returns its query as it is found it checked already."""
+        from dpshuffle import pipeline, queryplan, utility
+
+        calls = []
+        original = queryplan.validate_query
+
+        def counting(query, schema):
+            checked = original(query, schema)
+            if checked is not query:
+                calls.append(query.text())
+            return checked
+
+        for module in (queryplan, pipeline, utility):
+            monkeypatch.setattr(module, "validate_query", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (PipelineConfig(seed=9, t=2, S=2), 1),
+            (PipelineConfig(seed=9, hypothesis_grid=GRID), 1),
+            (PipelineConfig(seed=9, hypothesis_grid=GRID, workload=(DRIFTY_QUERY,)), 2),
+        ],
+    )
+    def test_release_from_files(self, data_dir, validated, config, expected):
+        run_pipeline(
+            config,
+            str(data_dir / "people.csv"),
+            EXAMPLE_QUERY,
+            str(data_dir / "people_schema.json"),
+        )
+        assert len(validated) == expected
+
+    @pytest.mark.parametrize(
+        "config",
+        [PipelineConfig(seed=9, t=2, S=2), PipelineConfig(seed=9, hypothesis_grid=GRID)],
+    )
+    def test_release_of_a_query_spec(self, people_dataset, validated, config):
+        # Lower-case names: checking the query canonicalises them.
+        query = QuerySpec((Predicate("name", "=", "riya"), Predicate("age", "<", 40)))
+        report = run_on_dataset(config, people_dataset, query)
+        assert validated == [query.text()]
+        parsed = parse_query("count where Name = Riya and Age < 40", people_dataset.schema)
+        again = run_on_dataset(config, people_dataset, parsed)
+        assert report.to_dict() == again.to_dict()
+        assert validated == [query.text(), parsed.text()]
+
+    def test_risk_sweep(self, data_dir, validated):
+        config = PipelineConfig(
+            seed=5, hypothesis_grid=self.GRID, workload=(EXAMPLE_QUERY, DRIFTY_QUERY)
+        )
+        risk_sweep(
+            config, str(data_dir / "people.csv"), str(data_dir / "people_schema.json")
+        )
+        assert len(validated) == 2
 
 
 class TestReferenceTable:

@@ -109,6 +109,19 @@ class TestParse:
         with pytest.raises(QueryError, match="at least one predicate"):
             validate_query(QuerySpec(()), people_schema)
 
+    def test_a_checked_query_is_checked_again_only_against_another_schema(
+        self, people_schema
+    ):
+        raw = QuerySpec((Predicate("weight", ">", "60"),))
+        checked = validate_query(raw, people_schema)
+        assert checked == QuerySpec((Predicate("Weight", ">", 60.0),))
+        assert validate_query(checked, people_schema) is checked
+        # An equal query that validate_query did not build is checked.
+        assert validate_query(QuerySpec(checked.predicates), people_schema) == checked
+        other = Schema((Attribute("Weight", ("light", "heavy")),))
+        with pytest.raises(QueryError, match="only supports '='"):
+            validate_query(checked, other)
+
 
 class TestRelevantAttributes:
     def test_name_and_age(self, people_schema):
@@ -117,6 +130,10 @@ class TestRelevantAttributes:
 
     def test_weight_and_age_in_schema_order(self, people_schema):
         q = parse_query("count where weight > 60 and age < 40", people_schema)
+        assert relevant_attributes(q, people_schema) == ("Age", "Weight")
+
+    def test_names_of_an_unchecked_query_are_canonicalised(self, people_schema):
+        q = QuerySpec((Predicate("weight", ">", 60.0), Predicate("AGE", "<", 40.0)))
         assert relevant_attributes(q, people_schema) == ("Age", "Weight")
 
     def test_single_predicate(self, people_schema):
