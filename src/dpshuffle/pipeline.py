@@ -4,12 +4,13 @@ and release.
 A run ties the query's attributes of a loaded dataset into one
 channel, shuffles under the configured scheme, and releases the count
 measured on the shuffled output together with its privacy budget.  The
-query is evaluated once on the tied input rows; each attempt draws its
-shuffle's group orders and counts through them (``utility.count_through``)
-without building the shuffled table.  If the released count violates its
-loss bound the run re-shuffles with a fresh derived seed, up to
-``max_retries`` times.  CIS is refused unless n1 = 2, where epsilon and
-loss bound are 0: exact count or no release.
+tie and the query's one evaluation on the tied input rows are
+``utility._tie_workload``, the setup a risk sweep shares.  Each attempt
+draws its shuffle's group orders and counts through them
+(``utility.count_through``) without building the shuffled table.  If
+the released count violates its loss bound the run re-shuffles with a
+fresh derived seed, up to ``max_retries`` times.  CIS is refused unless
+n1 = 2, where epsilon and loss bound are 0: exact count or no release.
 
 The emitted report never contains the input count, raw rows, or the
 permutations; reruns with the same inputs produce byte-identical JSON.
@@ -24,14 +25,14 @@ from dataclasses import dataclass, field, fields
 from .dataset import Dataset, DatasetError, Schema, fields_dict, load_csv
 from .partition import build_plan, plan_batches
 from .privacy import account, epsilon_is
-from .queryplan import QuerySpec, parse_query, relevant_attributes, tie_attributes, validate_query
+from .queryplan import QuerySpec, parse_query, validate_query
 from .seeds import derive_seed
 from .shuffler import group_orders
 from .utility import (
     RiskConfig,
     Scheme,
     SchemeSelection,
-    channel_hits,
+    _tie_workload,
     count_hits,
     count_through,
     measure_utility,
@@ -239,19 +240,6 @@ class DPReport:
 REPORT_FIELDS = tuple(f.name for f in fields(DPReport))
 
 
-def _resolve_scheme(
-    config: PipelineConfig, dataset: Dataset, query: QuerySpec
-) -> tuple[Scheme, SchemeSelection | None]:
-    if config.t is not None and config.S is not None:
-        return Scheme(config.t, config.S), None
-    if not config.hypothesis_grid:
-        raise ConfigError(
-            "configure t and S, or provide a hypothesis_grid to search"
-        )
-    selection = _select(config, dataset, config.workload or (query,))
-    return selection.best, selection
-
-
 def _select(
     config: PipelineConfig, dataset: Dataset, workload: tuple[QuerySpec | str, ...]
 ) -> SchemeSelection:
@@ -272,12 +260,16 @@ def run_on_dataset(
 ) -> DPReport:
     """Run the full release flow on an in-memory dataset."""
     query = validate_query(query, dataset.schema)
-    scheme, _ = _resolve_scheme(config, dataset, query)
+    if config.t is not None:
+        scheme = Scheme(config.t, config.S)
+    elif config.hypothesis_grid:
+        scheme = _select(config, dataset, config.workload or (query,)).best
+    else:
+        raise ConfigError(
+            "configure t and S, or provide a hypothesis_grid to search"
+        )
 
-    tied_names = config.tied_attributes
-    if tied_names is None:
-        tied_names = relevant_attributes(query, dataset.schema)
-    tied_db = tie_attributes(dataset, tied_names)
+    tied_db, (hits,) = _tie_workload(dataset, (query,), config.tied_attributes)
     channels = tuple(ch.name for ch in tied_db.channels)
 
     sizes = plan_batches(tied_db.n, scheme.t)
@@ -291,7 +283,6 @@ def run_on_dataset(
             epsilon=acct.epsilon,
         )
 
-    hits = channel_hits(tied_db, query)
     c = count_hits(hits)
     attempts: list[AttemptRecord] = []
     for attempt in range(config.max_retries + 1):

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from dpshuffle.cli import main
+from dpshuffle.pipeline import REPORT_FIELDS
 from conftest import EXAMPLE_QUERY
 
 DRIFTY_QUERY = "count where name = Riya and weight > 60"
@@ -296,6 +297,60 @@ class TestRunCommand:
         )
         assert code == 1
         assert "clashes" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def lone_row_paths(tmp_path):
+    """300 rows in which only row 0 has A = x and B = p."""
+    schema = tmp_path / "lone_schema.json"
+    schema.write_text(json.dumps({"attributes": [
+        {"name": "A", "domain": ["x", "y"]},
+        {"name": "B", "domain": ["p", "q"]},
+        {"name": "C", "domain": ["u", "v"]},
+    ]}), encoding="utf-8")
+    table = tmp_path / "lone.csv"
+    rows = ["id,A,B,C", "r0,x,p,u"] + [f"r{i},y,q,u" for i in range(1, 300)]
+    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(table), str(schema)
+
+
+LONE_QUERY = "count where A = x and B = p"
+
+
+class TestSweepPastItsCeiling:
+    # A sweep trial is one shuffle with no retry; here it releases 0
+    # where the input count is 1, past the trial's loss bound.  That is
+    # no error, and no message may carry the risk, a function of the
+    # input count.
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_grid_run_releases(self, capsys, lone_row_paths, make_config, seed):
+        dataset, schema = lone_row_paths
+        config = make_config("c.json", {
+            "seed": seed, "hypothesis_grid": [[100, 2]], "trials": 1,
+            "tied_attributes": ["A"],
+        })
+        code = main(["run", "--config", config, "--dataset", dataset,
+                     "--schema", schema, "--query", LONE_QUERY, "--json"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert err == ""
+        payload = json.loads(out)
+        assert sorted(payload) == sorted(REPORT_FIELDS)
+        # One row has A = x, and c' = 0 would break its bound of 0.
+        assert payload["c_prime"] == 1
+
+    def test_risk_sweep_reports_the_bound(self, capsys, lone_row_paths, make_config):
+        dataset, schema = lone_row_paths
+        config = make_config("c.json", {
+            "seed": 2, "hypothesis_grid": [[100, 2]], "trials": 1,
+            "tied_attributes": ["A"], "workload": [LONE_QUERY],
+        })
+        code = main(["risk-sweep", "--config", config, "--dataset", dataset,
+                     "--schema", schema, "--json"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        (row,) = json.loads(out)["table"]
+        assert row["risk"] > row["bound"] and row["epsilon"] > 0
 
 
 class TestRiskSweepCommand:

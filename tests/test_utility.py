@@ -22,6 +22,8 @@ from dpshuffle import (
     select_scheme,
     tie_attributes,
 )
+from dpshuffle.partition import PlanError, plan_batches
+from dpshuffle.privacy import account
 from dpshuffle.queryplan import (
     OPERATORS,
     Predicate,
@@ -266,9 +268,12 @@ class TestEmpiricalRisk:
             with pytest.raises(RiskError, match="non-negative"):
                 empirical_risk([1], [1], 0.0, lam, Scheme(1, 2))
 
-    def test_violated_ceiling_is_an_error_under_nonnegative_budget(self):
-        with pytest.raises(RiskError, match="exceeds its ceiling"):
-            empirical_risk([5], [0], 0.0, 0.0, Scheme(1, 2))
+    def test_ceiling_is_reported_not_checked(self):
+        # A sweep trial is one shuffle with no retry, so its loss may
+        # exceed its bound even at a non-negative budget.
+        result = empirical_risk([5], [0], 0.0, 0.0, Scheme(1, 2))
+        assert result.risk == 5.0
+        assert result.bound == 0.0
 
     def test_negative_budget_waives_the_ceiling_check(self):
         result = empirical_risk([5], [0], -0.1, 0.0, Scheme(1, 2))
@@ -373,15 +378,49 @@ class TestSelectScheme:
                 shapes_dataset,
                 seed=0,
             )
-        with pytest.raises(RiskError, match="single row"):
-            select_scheme(
-                RiskConfig(hypothesis_grid=(Scheme(300, 2),), workload=workload),
-                shapes_dataset,
-                seed=0,
-            )
+        # 300 rows in 300 batches, or in 200 batches of 2 and 1 rows.
+        for scheme in (Scheme(300, 2), Scheme(200, 2)):
+            with pytest.raises(RiskError, match="single row"):
+                select_scheme(
+                    RiskConfig(hypothesis_grid=(scheme,), workload=workload),
+                    shapes_dataset,
+                    seed=0,
+                )
         with pytest.raises(RiskError, match="at least 2 shufflers"):
             select_scheme(
                 RiskConfig(hypothesis_grid=(Scheme(10, 1),), workload=workload),
                 shapes_dataset,
                 seed=0,
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_ranked_scheme_is_releasable(self, data):
+        # The sweep ranks only schemes whose every batch a release can
+        # account for.
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table"))
+        schema = random_schema(rnd)
+        dataset = random_dataset(rnd, schema, max_rows=40)
+        n = dataset.n
+        names = st.sampled_from(schema.names)
+        tied = data.draw(st.lists(names, min_size=1, unique=True), label="tied")
+        grid = data.draw(
+            st.lists(st.builds(Scheme, st.integers(1, n), st.integers(2, 4)), min_size=1),
+            label="grid",
+        )
+        conditions = data.draw(
+            st.lists(st.sampled_from(schema.attributes), min_size=1, max_size=3),
+            label="conditions",
+        )
+        query = QuerySpec(tuple(_condition(data, attr) for attr in conditions))
+        config = RiskConfig(
+            hypothesis_grid=tuple(grid),
+            workload=(query,),
+            trials_per_scheme=1,
+            tied_attributes=tuple(tied),
+        )
+        try:
+            best = select_scheme(config, dataset, seed=0).best
+        except (RiskError, PlanError):
+            return
+        account("IS", plan_batches(n, best.t), best.S)
