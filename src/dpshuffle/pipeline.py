@@ -5,8 +5,9 @@ A run ties the query's attributes of a loaded dataset into one
 channel, shuffles under the configured scheme, and releases the count
 measured on the shuffled output together with its privacy budget.  The
 tie and the query's one evaluation on the tied input rows are
-``utility._tie_workload``, the setup a risk sweep shares.  Each attempt
-draws its shuffle's group orders and counts through them
+``utility._tie_workload``, the setup a risk sweep shares: a grid run
+ties its query and workload in one call and ranks on that table, in IS
+mode only.  Each attempt counts through its shuffle's group orders
 (``utility.count_through``) without building the shuffled table.  If
 the released count violates its loss bound the run re-shuffles with a
 fresh derived seed, up to ``max_retries`` times.  CIS is refused unless
@@ -32,6 +33,7 @@ from .utility import (
     RiskConfig,
     Scheme,
     SchemeSelection,
+    _rank,
     _tie_workload,
     count_hits,
     count_through,
@@ -240,37 +242,41 @@ class DPReport:
 REPORT_FIELDS = tuple(f.name for f in fields(DPReport))
 
 
-def _select(
-    config: PipelineConfig, dataset: Dataset, workload: tuple[QuerySpec | str, ...]
-) -> SchemeSelection:
-    """Rank the configured hypothesis grid on ``workload``."""
-    risk_config = RiskConfig(
+def _risk_config(config: PipelineConfig) -> RiskConfig:
+    """The sweep inputs of ``config``, whose grid is about to be ranked."""
+    if config.mode != "IS":
+        raise ConfigError(
+            f"a hypothesis_grid is ranked by IS trials, not {config.mode!r}; configure t and S"
+        )
+    return RiskConfig(
         hypothesis_grid=config.hypothesis_grid,
-        workload=workload,
+        workload=config.workload,
         lam=config.lam,
         trials_per_scheme=config.trials,
         tied_attributes=config.tied_attributes,
         time_attribute=config.time_attribute,
     )
-    return select_scheme(risk_config, dataset, derive_seed(config.seed, "select"))
 
 
 def run_on_dataset(
     config: PipelineConfig, dataset: Dataset, query: QuerySpec
 ) -> DPReport:
-    """Run the full release flow on an in-memory dataset."""
+    """Run the full release flow on an in-memory dataset; a grid is ranked
+    on the workload, or else the query, in the table the release shuffles."""
     query = validate_query(query, dataset.schema)
-    if config.t is not None:
-        scheme = Scheme(config.t, config.S)
-    elif config.hypothesis_grid:
-        scheme = _select(config, dataset, config.workload or (query,)).best
-    else:
-        raise ConfigError(
-            "configure t and S, or provide a hypothesis_grid to search"
-        )
-
-    tied_db, (hits,) = _tie_workload(dataset, (query,), config.tied_attributes)
+    if config.t is None and not config.hypothesis_grid:
+        raise ConfigError("configure t and S, or provide a hypothesis_grid to search")
+    risk = None if config.t is not None else _risk_config(config)
+    workload = risk.workload if risk else ()
+    tied_db, (hits, *workload_hits) = _tie_workload(
+        dataset, (query, *workload), config.tied_attributes, config.time_attribute
+    )
     channels = tuple(ch.name for ch in tied_db.channels)
+    if risk is None:
+        scheme = Scheme(config.t, config.S)
+    else:
+        seed = derive_seed(config.seed, "select")
+        scheme = _rank(risk, tied_db, workload_hits or [hits], seed).best
 
     sizes = plan_batches(tied_db.n, scheme.t)
     acct = account(config.mode, sizes, scheme.S)
@@ -357,7 +363,7 @@ def risk_sweep(
     dataset = _load_inputs(config, dataset_path, schema_path)
     if not config.workload:
         raise ConfigError("a risk sweep needs a non-empty 'workload' in the config")
-    return _select(config, dataset, config.workload)
+    return select_scheme(_risk_config(config), dataset, derive_seed(config.seed, "select"))
 
 
 # Reference configurations: rows, batches, largest batch as stated,

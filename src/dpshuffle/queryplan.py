@@ -224,10 +224,6 @@ class Channel:
     name: str
     members: tuple[str, ...]
 
-    @property
-    def width(self) -> int:
-        return len(self.members)
-
 
 class TiedDataset(Dataset):
     """A dataset whose attributes are grouped into shuffling channels.

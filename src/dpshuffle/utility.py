@@ -18,12 +18,13 @@ shuffled table.
 A release (``pipeline.run_on_dataset``) and a risk sweep
 (``select_scheme``) share one setup, ``_tie_workload``: it ties the
 configured attributes, or by default every attribute the queries touch,
-and evaluates each query's ``channel_hits``.
+and evaluates each query's ``channel_hits``; a grid ``run`` ranks
+(``_rank``) and releases on one such table.
 
 Scheme selection searches a finite grid of (t, S) candidates by
 regularized empirical risk: each candidate's n1 and budget come from
-``privacy.account``, as a release's do, seeded shuffle trials measure
-the workload's mean loss, a complexity penalty lambda * G(scheme)
+``privacy.account``, as an IS release's do, seeded IS shuffle trials
+measure the workload's mean loss, a complexity penalty lambda * G(scheme)
 discourages heavier schemes, and the argmin wins with ties broken
 toward fewer shufflers, then fewer batches.
 """
@@ -109,15 +110,20 @@ def channel_hits(tied: TiedDataset, query: QuerySpec) -> dict[str, np.ndarray]:
 
 def _tie_workload(
     dataset: Dataset,
-    queries: Sequence[QuerySpec],
+    queries: Sequence[QuerySpec | str],
     tied_attributes: Sequence[str] | None,
+    time_attribute: str | None,
 ) -> tuple[TiedDataset, list[dict[str, np.ndarray]]]:
     """Tie ``tied_attributes``, or by default every attribute the
     queries touch, in schema order; with each query's ``channel_hits``.
 
-    The one setup of a release and of a risk sweep.
+    The one setup of a release and of a risk sweep; a string is parsed.
     """
     schema = dataset.schema
+    queries = [
+        parse_query(q, schema, time_attribute) if isinstance(q, str) else validate_query(q, schema)
+        for q in queries
+    ]
     if tied_attributes is None:
         touched = {name for q in queries for name in relevant_attributes(q, schema)}
         tied_attributes = tuple(name for name in schema.names if name in touched)
@@ -280,33 +286,32 @@ class SchemeSelection:
         }
 
 
-def select_scheme(
-    config: RiskConfig, dataset: Dataset, seed: int
-) -> SchemeSelection:
-    """Pick the grid candidate with the lowest regularized empirical risk.
+def select_scheme(config: RiskConfig, dataset: Dataset, seed: int) -> SchemeSelection:
+    """Pick the grid candidate with the lowest regularized empirical risk."""
+    if not config.workload:
+        raise RiskError("workload is empty")
+    tied_db, workload_hits = _tie_workload(
+        dataset, config.workload, config.tied_attributes, config.time_attribute
+    )
+    return _rank(config, tied_db, workload_hits, seed)
 
-    Each candidate runs ``trials_per_scheme`` seeded shuffles of the
-    whole workload; candidate trials draw from independent derived
-    streams, so the table does not depend on evaluation order.  The
-    workload's queries are evaluated once, and each trial counts them
-    through its shuffle's group orders.  Ties break toward smaller S,
-    then smaller t.
+
+def _rank(
+    config: RiskConfig, tied_db: TiedDataset, workload_hits: Sequence[Mapping], seed: int
+) -> SchemeSelection:
+    """Rank ``config``'s grid on the workload's hits in ``tied_db``.
+
+    Each candidate runs ``trials_per_scheme`` seeded IS shuffles from its
+    own derived streams, so the table does not depend on evaluation order,
+    and counts the workload through each shuffle's group orders.  Ties
+    break toward smaller S, then smaller t.
     """
     if not config.hypothesis_grid:
         raise RiskError("hypothesis grid is empty")
-    if not config.workload:
-        raise RiskError("workload is empty")
     if config.trials_per_scheme < 1:
         raise RiskError(
             f"need at least one trial per scheme, got {config.trials_per_scheme}"
         )
-    queries = [
-        parse_query(entry, dataset.schema, config.time_attribute)
-        if isinstance(entry, str)
-        else validate_query(entry, dataset.schema)
-        for entry in config.workload
-    ]
-    tied_db, workload_hits = _tie_workload(dataset, queries, config.tied_attributes)
     channels = tuple(ch.name for ch in tied_db.channels)
     input_counts = [count_hits(hits) for hits in workload_hits]
 

@@ -353,6 +353,46 @@ class TestSweepPastItsCeiling:
         assert row["risk"] > row["bound"] and row["epsilon"] > 0
 
 
+class TestGridInCumulativeMode:
+    # The sweep's trials and budgets are IS, so a CIS grid is refused
+    # before any trial rather than ranked on IS shapes.  On six rows the
+    # sweep would pick t=2, whose CIS budget is negative, over t=3.
+    @pytest.fixture()
+    def trials(self, monkeypatch):
+        from dpshuffle import pipeline, utility
+
+        calls = []
+        for module in (pipeline, utility):
+            original = module.group_orders
+
+            def counting(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "group_orders", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["run", "risk-sweep"])
+    def test_exits_1_before_any_trial(
+        self, capsys, people_paths, make_config, trials, command
+    ):
+        dataset, schema = people_paths
+        config = make_config("c.json", {
+            "seed": 1, "mode": "CIS", "hypothesis_grid": [[2, 2], [3, 2]],
+            "workload": [EXAMPLE_QUERY],
+        })
+        argv = [command, "--config", config, "--dataset", dataset, "--schema", schema]
+        if command == "run":
+            argv += ["--query", EXAMPLE_QUERY]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "'CIS'" in err
+        assert not re.search(r"[0-9]", err)
+        assert trials == []
+
+
 class TestRiskSweepCommand:
     def test_text_table_and_selection(
         self, capsys, people_paths, make_config

@@ -66,6 +66,19 @@ class TestAttribute:
             with pytest.raises(DatasetError, match="not a number"):
                 value_index(attr, value)
 
+    def test_categorical_attribute_has_no_bucket_range(self):
+        with pytest.raises(DatasetError, match="no bucketing rule"):
+            Attribute("flag", ("yes", "no")).bucket_range(0)
+
+    @pytest.mark.parametrize("value", [None, True])
+    @pytest.mark.parametrize(
+        "attr",
+        [Attribute("flag", ("yes", "no")), Attribute("age", ("young", "old"), (0, 40, 130))],
+    )
+    def test_unsupported_value_rejected(self, attr, value):
+        with pytest.raises(DatasetError, match="unsupported value"):
+            value_index(attr, value)
+
     def test_number_for_label_only_attribute_rejected(self):
         attr = Attribute("name", ("Riya", "Sonal"))
         with pytest.raises(DatasetError, match="no bucketing rule"):
@@ -77,6 +90,8 @@ class TestAttribute:
             value_index(attr, "blue")
 
     def test_domain_validation(self):
+        with pytest.raises(DatasetError, match="name must be non-empty"):
+            Attribute("", ("x",))
         with pytest.raises(DatasetError, match="duplicate"):
             Attribute("a", ("x", "x"))
         with pytest.raises(DatasetError, match="empty"):
@@ -124,6 +139,7 @@ class TestSchema:
         malformed = [
             ({"attributes": 5}, "'attributes' list"),
             ([], "'attributes' list"),
+            ({"attributes": []}, "at least one attribute"),
             ({"attributes": [1]}, "must be an object"),
             ({"attributes": [{"name": 3, "domain": ["x"]}]}, "'name' string"),
             ({"attributes": [{"name": "a", "domain": "xyz"}]}, "'domain' must be"),
@@ -160,6 +176,12 @@ class TestLoadCsv:
             encoding="utf-8",
         )
         with pytest.raises(DatasetError, match="Riya"):
+            load_csv(str(path), people_schema)
+
+    def test_empty_file(self, tmp_path, people_schema):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(DatasetError, match="file is empty"):
             load_csv(str(path), people_schema)
 
     def test_header_mismatch(self, tmp_path, people_schema):
@@ -267,6 +289,11 @@ class TestEncoding:
                 Schema((Attribute("name", ("Riya", "Sonal")),)),
                 (Row("u1", (3.5,)),),
             )
+
+    def test_dataset_rejects_a_row_of_the_wrong_width(self):
+        schema = Schema((Attribute("flag", ("yes", "no")),))
+        with pytest.raises(DatasetError, match=r"row 2 \('b'\) has 2 values, expected 1"):
+            Dataset(schema, (Row("a", ("yes",)), Row("b", ("no", "yes"))))
 
     def test_dataset_rejects_duplicate_ids(self, people_schema):
         schema = Schema((Attribute("flag", ("yes", "no")),))

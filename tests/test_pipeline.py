@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -386,6 +387,8 @@ class TestEachQueryIsValidatedOnce:
             (PipelineConfig(seed=9, t=2, S=2), 1),
             (PipelineConfig(seed=9, hypothesis_grid=GRID), 1),
             (PipelineConfig(seed=9, hypothesis_grid=GRID, workload=(DRIFTY_QUERY,)), 2),
+            # The query in its own workload: parsed once as each.
+            (PipelineConfig(seed=9, hypothesis_grid=GRID, workload=(EXAMPLE_QUERY,)), 2),
         ],
     )
     def test_release_from_files(self, data_dir, validated, config, expected):
@@ -419,6 +422,73 @@ class TestEachQueryIsValidatedOnce:
             config, str(data_dir / "people.csv"), str(data_dir / "people_schema.json")
         )
         assert len(validated) == 2
+
+
+class TestOneTiePerGridRun:
+    # The sweep ranks on the table the release shuffles: with no
+    # tied_attributes, one tie of every attribute the query and the
+    # workload touch.
+    CONFIG = PipelineConfig(
+        seed=1, hypothesis_grid=(Scheme(2, 2), Scheme(3, 2)), workload=(EXAMPLE_QUERY,)
+    )
+
+    @pytest.fixture()
+    def spied(self, monkeypatch):
+        """Each tie's attributes, and the channels each module plans."""
+        from dpshuffle import pipeline, utility
+
+        ties, channels = [], {}
+        original_tie = utility.tie_attributes
+
+        def tie(dataset, relevant):
+            ties.append(tuple(relevant))
+            return original_tie(dataset, relevant)
+
+        monkeypatch.setattr(utility, "tie_attributes", tie)
+        for module in (utility, pipeline):
+            original = module.build_plan
+
+            def plan(n, t, chans, s, seed, _name=module.__name__, _original=original):
+                channels.setdefault(_name, set()).add(chans)
+                return _original(n, t, chans, s, seed)
+
+            monkeypatch.setattr(module, "build_plan", plan)
+        return ties, channels
+
+    def test_sweep_and_release_share_one_tie(self, people_dataset, spied):
+        ties, channels = spied
+        query = parse_query("count where age < 40", people_dataset.schema)
+        report = run_on_dataset(self.CONFIG, people_dataset, query)
+        assert ties == [("Age", "Weight")]
+        assert channels == {
+            "dpshuffle.utility": {("Name", "Age:Weight", "Height")},
+            "dpshuffle.pipeline": {("Name", "Age:Weight", "Height")},
+        }
+        # Every field but the digest is as when the release tied Age
+        # alone (digest 75d42d1c...): Age is tied either way, so c' is
+        # exact, and the sweep is data-blind.
+        assert report.to_dict() == {
+            "query": "count where Age < 40",
+            "c_prime": 5,
+            "epsilon_signed": -math.log(2),
+            "epsilon_report": math.log(2),
+            "loss_bound": 2.5,
+            "plan_digest": "4f40161d1f976916baa44ebfad576e1fc2ad19bbf82b1af253893906b6e7c41e",
+            "seed": 1,
+            "retries_used": 0,
+            "t": 2,
+            "S": 2,
+            "mode": "IS",
+            "bound_status": "satisfied",
+        }
+
+    def test_configured_tie_set_is_tied_once(self, people_dataset, spied):
+        ties, channels = spied
+        config = replace(self.CONFIG, tied_attributes=("Name",))
+        query = parse_query(EXAMPLE_QUERY, people_dataset.schema)
+        run_on_dataset(config, people_dataset, query)
+        assert ties == [("Name",)]
+        assert channels["dpshuffle.utility"] == channels["dpshuffle.pipeline"]
 
 
 class TestReferenceTable:

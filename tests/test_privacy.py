@@ -171,6 +171,11 @@ class TestOracle:
         assert chunked == whole
         assert whole.deviation_in_se <= 4.0
 
+    def test_degenerate_estimate_is_refused(self):
+        # Slot 0 stays put under all three shufflers with odds 1e-9.
+        with pytest.raises(ValueError, match="degenerate estimate"):
+            mc_rr_estimate(1000, 3, 10_000, seed=0)
+
     def test_rejects_thin_trials(self):
         with pytest.raises(ValueError, match="at least 10000 trials"):
             mc_rr_estimate(3, 2, 9_999, seed=0)

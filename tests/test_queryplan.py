@@ -105,6 +105,18 @@ class TestParse:
                 QuerySpec((), TimeHorizon("time", 0.0, math.nan)), schema
             )
 
+    @pytest.mark.parametrize(
+        "query,message",
+        [
+            (QuerySpec((Predicate("age", "!=", 40.0),)), "unknown operator '!='"),
+            (QuerySpec((), TimeHorizon("salary", 0.0, 1.0)), "'salary' is not in the schema"),
+            (QuerySpec((), TimeHorizon("name", 0.0, 1.0)), "'Name' must have numeric buckets"),
+        ],
+    )
+    def test_rejects_bad_query_specs(self, people_schema, query, message):
+        with pytest.raises(QueryError, match=message):
+            validate_query(query, people_schema)
+
     def test_empty_query_rejected(self, people_schema):
         with pytest.raises(QueryError, match="at least one predicate"):
             validate_query(QuerySpec(()), people_schema)
@@ -166,7 +178,7 @@ class TestTie:
     def test_all_attributes_travel_together(self, people_dataset):
         td = tie_attributes(people_dataset, ("Name", "Age", "Height", "Weight"))
         assert td.g == 1
-        assert td.channels[0].width == 4
+        assert len(td.channels[0].members) == 4
 
     def test_g_plus_m_is_k_plus_one(self, people_dataset):
         k = people_dataset.schema.k

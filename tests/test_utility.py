@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,8 @@ from conftest import (
     random_schema,
     random_tied_case,
 )
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -353,6 +356,48 @@ class TestSelectScheme:
         )
         selection = select_scheme(config, shapes_dataset, seed=2)
         assert selection.table[0].result.mean_loss > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_default_tie_set_ranks_on_the_penalty_alone(self, data):
+        # The README's claim, checked on random tables and workloads.
+        claim = (
+            "Under the default tie set every ranked query lies in the tied "
+            "channel, so each `mean_loss` is 0 and ranking is on λ(S + ln t) alone."
+        )
+        assert claim in " ".join(README.read_text(encoding="utf-8").split())
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table"))
+        schema = random_schema(rnd)
+        dataset = random_dataset(rnd, schema, max_rows=40)
+        attributes = st.sampled_from(schema.attributes)
+        workload = data.draw(
+            st.lists(st.lists(attributes, min_size=1, max_size=3), min_size=1, max_size=3),
+            label="workload",
+        )
+        t = st.integers(1, max(1, dataset.n // 2))
+        grid = data.draw(
+            st.lists(st.builds(Scheme, t, st.integers(2, 4)), min_size=1, max_size=4),
+            label="grid",
+        )
+        config = RiskConfig(
+            hypothesis_grid=tuple(grid),
+            workload=tuple(
+                QuerySpec(tuple(_condition(data, attr) for attr in query))
+                for query in workload
+            ),
+            trials_per_scheme=2,
+        )
+        try:
+            table = select_scheme(config, dataset, seed=0).table
+        except RiskError:
+            return
+        for row in table:
+            assert row.result.mean_loss == 0.0
+            assert row.result.risk == row.result.penalty
+        by_penalty = sorted(
+            table, key=lambda row: (row.result.penalty, row.scheme.S, row.scheme.t)
+        )
+        assert list(table) == by_penalty
 
     def test_rejects_unusable_configurations(self, shapes_dataset):
         workload = ("count where color = c1",)
