@@ -31,66 +31,72 @@ from .pipeline import (
 from .privacy import epsilon_cis, epsilon_is, mc_rr_estimate, rr_batch
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dpshuffle",
-        description="Differentially private count reporting via batched "
-        "iterative shuffling",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="release one count-query answer")
+def _run_arguments(run: argparse.ArgumentParser) -> None:
     run.add_argument("--config", required=True, help="JSON config file")
     run.add_argument("--dataset", required=True, help="CSV dataset, first column is the row ID")
     run.add_argument("--query", required=True, help="e.g. \"count where age < 40 and weight > 60\"")
     run.add_argument("--schema", help="JSON schema file (overrides the config)")
     run.add_argument("--json", action="store_true", help="emit the report as JSON")
     run.add_argument("--out", help="also write the JSON report to this file")
-    run.set_defaults(func=_cmd_run)
 
-    eps = sub.add_parser("epsilon", help="recompute privacy budgets")
+
+def _epsilon_arguments(eps: argparse.ArgumentParser) -> None:
     eps.add_argument("--batches", "-t", type=int, required=True, help="batch count t")
     eps.add_argument("--shufflers", "-S", type=int, required=True, help="shuffler count S")
     size = eps.add_mutually_exclusive_group(required=True)
     size.add_argument("--n", type=int, help="row count; the largest batch is derived")
     size.add_argument("--n1", type=int, help="largest batch size, given directly")
     eps.add_argument("--json", action="store_true")
-    eps.set_defaults(func=_cmd_epsilon)
 
-    sweep = sub.add_parser("risk-sweep", help="rank candidate (t, S) schemes")
+
+def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--dataset", required=True)
     sweep.add_argument("--schema")
     sweep.add_argument("--json", action="store_true")
-    sweep.set_defaults(func=_cmd_risk_sweep)
 
-    table = sub.add_parser(
-        "table3", help="recompute the bundled reference configurations"
-    )
+
+def _table3_arguments(table: argparse.ArgumentParser) -> None:
     table.add_argument("--json", action="store_true")
     table.add_argument("--out", help="write the JSON diff to this file")
-    table.set_defaults(func=_cmd_table3)
 
-    oracle = sub.add_parser(
-        "oracle-rr", help="Monte-Carlo check of the single-batch ratio"
-    )
+
+def _oracle_arguments(oracle: argparse.ArgumentParser) -> None:
     oracle.add_argument("--n1", type=int, required=True, help="batch size")
     oracle.add_argument("--shufflers", "-S", type=int, required=True)
     oracle.add_argument("--trials", type=int, default=1_000_000)
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--json", action="store_true")
-    oracle.set_defaults(func=_cmd_oracle)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a subcommand's name, only that subcommand
+    is built.  Its usage, help and error texts are the full parser's."""
+    parser = argparse.ArgumentParser(
+        prog="dpshuffle",
+        description="Differentially private count reporting via batched "
+        "iterative shuffling",
+    )
+    # The top-level usage, which an unrecognized argument's error prints,
+    # names every subcommand however many are built.
+    choices = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        if command in (None, name):
+            subparser = sub.add_parser(name, help=help_text)
+            add_arguments(subparser)
+            subparser.set_defaults(func=handler)
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     report = run_pipeline(config, args.dataset, args.query, args.schema)
+    as_json = report.to_json() if args.json or args.out else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
+            fh.write(as_json)
+    sys.stdout.write(as_json if args.json else report.to_text())
     return 0
 
 
@@ -198,9 +204,27 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+# Subcommand name -> (help, argument adder, handler), in help order.
+_COMMANDS = {
+    "run": ("release one count-query answer", _run_arguments, _cmd_run),
+    "epsilon": ("recompute privacy budgets", _epsilon_arguments, _cmd_epsilon),
+    "risk-sweep": ("rank candidate (t, S) schemes", _sweep_arguments, _cmd_risk_sweep),
+    "table3": (
+        "recompute the bundled reference configurations", _table3_arguments, _cmd_table3
+    ),
+    "oracle-rr": (
+        "Monte-Carlo check of the single-batch ratio", _oracle_arguments, _cmd_oracle
+    ),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named subcommand's parser is built; help, an unknown name
+    # or no arguments at all get the full parser and its texts.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except PipelineRefused as exc:

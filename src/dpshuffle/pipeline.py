@@ -8,7 +8,9 @@ tie and the query's one evaluation on the tied input rows are
 ``utility._tie_workload``, the setup a risk sweep shares: a grid run
 ties its query and workload in one call and ranks on that table, in IS
 mode only.  Each attempt counts through its shuffle's group orders
-(``utility.count_through``) without building the shuffled table.  If
+(``utility.count_through``) without building the shuffled table, and
+draws none when the query's channels lie in one group of its plan, whose
+count is then c (``utility._released_counts``).  If
 the released count violates its loss bound the run re-shuffles with a
 fresh derived seed, up to ``max_retries`` times.  CIS is refused unless
 n1 = 2, where epsilon and loss bound are 0: exact count or no release.
@@ -28,15 +30,14 @@ from .partition import build_plan, plan_batches
 from .privacy import account, epsilon_is
 from .queryplan import QuerySpec, parse_query, validate_query
 from .seeds import derive_seed
-from .shuffler import group_orders
 from .utility import (
     RiskConfig,
     Scheme,
     SchemeSelection,
     _rank,
+    _released_counts,
     _tie_workload,
     count_hits,
-    count_through,
     measure_utility,
     select_scheme,
 )
@@ -299,7 +300,7 @@ def run_on_dataset(
             scheme.S,
             derive_seed(config.seed, "attempt", attempt),
         )
-        c_prime = count_through(group_orders(tied_db, plan, config.mode), hits)
+        (c_prime,) = _released_counts(tied_db, plan, config.mode, [hits], [c])
         util = measure_utility(c, c_prime, acct.epsilon)
         if util.bound_satisfied:
             return DPReport(

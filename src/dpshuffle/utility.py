@@ -13,7 +13,9 @@ group's channels holds the values of input row ``order[i]`` of the
 group's order (``shuffler.group_orders``), so the released count is the
 number of slots whose rows, gathered through each touched group's order,
 hit in every group (``count_through``): exactly ``count_query`` of the
-shuffled table.
+shuffled table.  A query whose channels all lie in one group is counted
+through one permutation of the rows, so it is released as c, and no
+orders are drawn for it (``_released_counts``).
 
 A release (``pipeline.run_on_dataset``) and a risk sweep
 (``select_scheme``) share one setup, ``_tie_workload``: it ties the
@@ -34,13 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from statistics import fmean
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import Dataset, fields_dict
-from .partition import build_plan, plan_batches
+from .partition import ShufflePlan, build_plan, plan_batches
 from .privacy import account
 from .queryplan import (
     QuerySpec,
@@ -151,6 +152,37 @@ def count_through(
     return int(np.count_nonzero(released))
 
 
+def _in_one_group(plan: ShufflePlan, hits: Mapping[str, np.ndarray]) -> bool:
+    """Whether every channel ``hits`` touches lies in one attribute group."""
+    return any(hits.keys() <= set(group) for group in plan.attribute_groups)
+
+
+def _released_counts(
+    tied: TiedDataset,
+    plan: ShufflePlan,
+    mode: str,
+    queries_hits: Sequence[Mapping[str, np.ndarray]],
+    counts: Sequence[int],
+) -> list[int]:
+    """Each query's released count under ``plan``, given its input count.
+
+    A query inside one group is counted through that group's order alone,
+    a permutation of the rows, so its count is its input count.  The
+    orders are drawn, once, only for a query that spans groups; no other
+    draw reads their stream.  Which branch runs depends only on the query
+    and the plan, never on the rows.
+    """
+    orders = None
+    released = []
+    for hits, c in zip(queries_hits, counts):
+        if not _in_one_group(plan, hits):
+            if orders is None:
+                orders = group_orders(tied, plan, mode)
+            c = count_through(orders, hits)
+        released.append(c)
+    return released
+
+
 def loss(c: float, c_prime: float) -> float:
     """Absolute count drift |c - c'|."""
     return abs(c - c_prime)
@@ -254,9 +286,11 @@ def empirical_risk(
             f"regularization strength must be finite and non-negative, got {lam}"
         )
     penalty = lam * default_regularizer(scheme)
-    mean_loss = fmean(per_run_losses)
+    # math.fsum(xs) / len(xs) is statistics.fmean(xs), without importing
+    # statistics at every CLI start.
+    mean_loss = math.fsum(per_run_losses) / len(per_run_losses)
     risk = mean_loss + penalty
-    bound = fmean(math.exp(epsilon) * c for c in c_primes) + penalty
+    bound = math.fsum(math.exp(epsilon) * c for c in c_primes) / len(c_primes) + penalty
     return RiskResult(
         risk=risk, bound=bound, mean_loss=mean_loss, penalty=penalty, epsilon=epsilon
     )
@@ -303,7 +337,8 @@ def _rank(
 
     Each candidate runs ``trials_per_scheme`` seeded IS shuffles from its
     own derived streams, so the table does not depend on evaluation order,
-    and counts the workload through each shuffle's group orders.  Ties
+    and counts the workload through each shuffle (``_released_counts``):
+    a trial whose queries each lie in one group draws no orders.  Ties
     break toward smaller S, then smaller t.
     """
     if not config.hypothesis_grid:
@@ -336,9 +371,8 @@ def _rank(
                 scheme.S,
                 derive_seed(seed, "risk", scheme.t, scheme.S, trial),
             )
-            orders = group_orders(tied_db, plan, "IS")
-            for hits, c in zip(workload_hits, input_counts):
-                c_prime = count_through(orders, hits)
+            counts = _released_counts(tied_db, plan, "IS", workload_hits, input_counts)
+            for c, c_prime in zip(input_counts, counts):
                 losses.append(loss(c, c_prime))
                 released.append(c_prime)
         result = empirical_risk(losses, released, acct.epsilon, config.lam, scheme)

@@ -58,6 +58,24 @@ def people_dataset(people_schema) -> Dataset:
     return load_csv(str(DATA_DIR / "people.csv"), people_schema)
 
 
+def refuse_group_orders(monkeypatch) -> None:
+    """Makes drawing a shuffle's group orders fail."""
+    from dpshuffle import utility
+
+    def refuse(*args):
+        raise AssertionError("group orders were drawn")
+
+    monkeypatch.setattr(utility, "group_orders", refuse)
+
+
+def draw_every_group(monkeypatch) -> None:
+    """Turns off the one-group short-cut: every count goes through the
+    drawn group orders."""
+    from dpshuffle import utility
+
+    monkeypatch.setattr(utility, "_in_one_group", lambda plan, hits: False)
+
+
 @pytest.fixture
 def write_json(tmp_path):
     """Factory writing a payload to a JSON file under tmp_path."""

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,7 +6,7 @@ import re
 
 import pytest
 
-from dpshuffle.cli import main
+from dpshuffle.cli import build_parser, main
 from dpshuffle.pipeline import REPORT_FIELDS
 from conftest import EXAMPLE_QUERY
 
@@ -356,20 +357,22 @@ class TestSweepPastItsCeiling:
 class TestGridInCumulativeMode:
     # The sweep's trials and budgets are IS, so a CIS grid is refused
     # before any trial rather than ranked on IS shapes.  On six rows the
-    # sweep would pick t=2, whose CIS budget is negative, over t=3.
+    # sweep would pick t=2, whose CIS budget is negative, over t=3.  Every
+    # trial and release attempt builds a plan, even one that draws no
+    # group orders.
     @pytest.fixture()
     def trials(self, monkeypatch):
         from dpshuffle import pipeline, utility
 
         calls = []
         for module in (pipeline, utility):
-            original = module.group_orders
+            original = module.build_plan
 
             def counting(*args, _original=original):
                 calls.append(args)
                 return _original(*args)
 
-            monkeypatch.setattr(module, "group_orders", counting)
+            monkeypatch.setattr(module, "build_plan", counting)
         return calls
 
     @pytest.mark.parametrize("command", ["run", "risk-sweep"])
@@ -440,6 +443,21 @@ class TestRiskSweepCommand:
         assert "workload" in capsys.readouterr().err
 
 
+COMMANDS = ("run", "epsilon", "risk-sweep", "table3", "oracle-rr")
+
+
+def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def _usage_error(parse, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    assert info.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestParser:
     def test_no_arguments_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -450,3 +468,33 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["-h"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(COMMANDS) + "}" in out
+        for name in COMMANDS:
+            assert re.search(rf"^ +{name} +\S", out, re.M), name
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_one_subcommand_build_has_the_full_texts(self, name):
+        full, alone = build_parser(), build_parser(name)
+        assert alone.format_usage() == full.format_usage()
+        assert _subparser(alone, name).format_help() == _subparser(full, name).format_help()
+        assert _subparser(alone, name).format_usage() == _subparser(full, name).format_usage()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "c.json", "--dataset", "d.csv"],
+            ["epsilon", "-t", "2", "-S", "2", "--n", "4", "--n1", "3"],
+            ["oracle-rr", "--n1", "x"],
+            ["table3", "--json", "stray"],
+        ],
+    )
+    def test_usage_errors_match_the_full_parser(self, capsys, argv):
+        err = _usage_error(main, argv, capsys)
+        assert err == _usage_error(build_parser().parse_args, argv, capsys)
+        assert err.startswith("usage: dpshuffle ")

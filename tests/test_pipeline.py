@@ -28,7 +28,7 @@ from dpshuffle.pipeline import (
 )
 from dpshuffle.privacy import epsilon_cis
 from dpshuffle.queryplan import Predicate, QuerySpec
-from conftest import EXAMPLE_QUERY
+from conftest import EXAMPLE_QUERY, draw_every_group, refuse_group_orders
 
 DRIFTY_QUERY = "count where name = Riya and weight > 60"
 
@@ -191,6 +191,33 @@ class TestRunOnDataset:
             assert report.epsilon_report == -math.log(2 / 4)
             assert len(report.plan_digest) == 64
 
+    # A query inside one attribute group is released as c with no group
+    # orders drawn, exactly as when they are drawn.  Name and Age share a
+    # group of (Name, Age), (Height, Weight) with Weight tied.
+    @pytest.mark.parametrize(
+        "config, text",
+        [
+            (PipelineConfig(seed=5, t=3, S=2), EXAMPLE_QUERY),
+            (drifty_config(seed=5), "count where name = Riya and age < 40"),
+            (PipelineConfig(seed=4, t=4, S=2, mode="CIS"), "count where kind = k0"),
+        ],
+    )
+    def test_one_group_release_draws_no_orders(self, monkeypatch, people_dataset, config, text):
+        dataset = wide_dataset(8) if config.mode == "CIS" else people_dataset
+        query = parse_query(text, dataset.schema)
+        with monkeypatch.context() as m:
+            refuse_group_orders(m)
+            report = run_on_dataset(config, dataset, query)
+        with monkeypatch.context() as m:
+            draw_every_group(m)
+            assert run_on_dataset(config, dataset, query).to_json() == report.to_json()
+
+    def test_spanning_release_draws_its_orders(self, monkeypatch, people_dataset):
+        query = parse_query(DRIFTY_QUERY, people_dataset.schema)
+        refuse_group_orders(monkeypatch)
+        with pytest.raises(AssertionError, match="group orders were drawn"):
+            run_on_dataset(drifty_config(seed=1), people_dataset, query)
+
     def test_balanced_thousand_batches_cost_nothing(self):
         dataset = wide_dataset(11_000)
         query = parse_query("count where kind = k0", dataset.schema)
@@ -255,7 +282,10 @@ class TestRunOnDataset:
         assert report.epsilon_signed == 0.0
         assert report.c_prime == sum(1 for i in range(8) if i % 3 == 0)
 
-    def test_grid_resolution_picks_lightest_tied_scheme(self, people_dataset):
+    def test_grid_resolution_picks_lightest_tied_scheme(self, monkeypatch, people_dataset):
+        # Under the default tie set neither the sweep nor the release
+        # draws group orders.
+        refuse_group_orders(monkeypatch)
         query = parse_query(EXAMPLE_QUERY, people_dataset.schema)
         config = PipelineConfig(
             seed=6, hypothesis_grid=(Scheme(3, 2), Scheme(2, 2))

@@ -46,9 +46,11 @@ from dpshuffle.utility import (
 from conftest import (
     AFTER_SHUFFLE_PERMS,
     EXAMPLE_QUERY,
+    draw_every_group,
     random_dataset,
     random_schema,
     random_tied_case,
+    refuse_group_orders,
 )
 
 README = Path(__file__).parent.parent / "README.md"
@@ -346,7 +348,7 @@ class TestSelectScheme:
         )
         assert first.to_dict() == again.to_dict() == reordered.to_dict()
 
-    def test_cross_channel_workload_can_drift(self, shapes_dataset):
+    def test_cross_channel_workload_can_drift(self, monkeypatch, shapes_dataset):
         # color is tied but shape is a free channel, so the conjunction
         # can come apart under shuffling.
         config = RiskConfig(
@@ -356,6 +358,30 @@ class TestSelectScheme:
         )
         selection = select_scheme(config, shapes_dataset, seed=2)
         assert selection.table[0].result.mean_loss > 0.0
+        refuse_group_orders(monkeypatch)
+        with pytest.raises(AssertionError, match="group orders were drawn"):
+            select_scheme(config, shapes_dataset, seed=2)
+
+    # Each query inside one attribute group: the trials draw no orders,
+    # and rank exactly as when they are drawn.  Under the default tie set
+    # every query lies in the tied channel; with ``shape`` tied, each
+    # query touches one channel.
+    @pytest.mark.parametrize("tied", [None, ("shape",)])
+    def test_one_group_workload_draws_no_orders(self, monkeypatch, shapes_dataset, tied):
+        workload = ("count where size = z1",)
+        if tied is None:
+            workload += ("count where color = c1 and shape = s0",)
+        config = RiskConfig(
+            hypothesis_grid=(Scheme(50, 2), Scheme(100, 3)),
+            workload=workload + ("count where color = c2",),
+            tied_attributes=tied,
+        )
+        with monkeypatch.context() as m:
+            refuse_group_orders(m)
+            selection = select_scheme(config, shapes_dataset, seed=4)
+        with monkeypatch.context() as m:
+            draw_every_group(m)
+            assert select_scheme(config, shapes_dataset, seed=4).to_dict() == selection.to_dict()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
