@@ -19,6 +19,7 @@ import json
 import math
 import sys
 
+from .dataset import fields_dict
 from .partition import plan_batches
 from .pipeline import (
     PipelineRefused,
@@ -31,42 +32,8 @@ from .pipeline import (
 from .privacy import epsilon_cis, epsilon_is, mc_rr_estimate, rr_batch
 
 
-def _run_arguments(run: argparse.ArgumentParser) -> None:
-    run.add_argument("--config", required=True, help="JSON config file")
-    run.add_argument("--dataset", required=True, help="CSV dataset, first column is the row ID")
-    run.add_argument("--query", required=True, help="e.g. \"count where age < 40 and weight > 60\"")
-    run.add_argument("--schema", help="JSON schema file (overrides the config)")
-    run.add_argument("--json", action="store_true", help="emit the report as JSON")
-    run.add_argument("--out", help="also write the JSON report to this file")
-
-
-def _epsilon_arguments(eps: argparse.ArgumentParser) -> None:
-    eps.add_argument("--batches", "-t", type=int, required=True, help="batch count t")
-    eps.add_argument("--shufflers", "-S", type=int, required=True, help="shuffler count S")
-    size = eps.add_mutually_exclusive_group(required=True)
-    size.add_argument("--n", type=int, help="row count; the largest batch is derived")
-    size.add_argument("--n1", type=int, help="largest batch size, given directly")
-    eps.add_argument("--json", action="store_true")
-
-
-def _sweep_arguments(sweep: argparse.ArgumentParser) -> None:
-    sweep.add_argument("--config", required=True)
-    sweep.add_argument("--dataset", required=True)
-    sweep.add_argument("--schema")
-    sweep.add_argument("--json", action="store_true")
-
-
-def _table3_arguments(table: argparse.ArgumentParser) -> None:
-    table.add_argument("--json", action="store_true")
-    table.add_argument("--out", help="write the JSON diff to this file")
-
-
-def _oracle_arguments(oracle: argparse.ArgumentParser) -> None:
-    oracle.add_argument("--n1", type=int, required=True, help="batch size")
-    oracle.add_argument("--shufflers", "-S", type=int, required=True)
-    oracle.add_argument("--trials", type=int, default=1_000_000)
-    oracle.add_argument("--seed", type=int, default=0)
-    oracle.add_argument("--json", action="store_true")
+# The subcommands, in help order.
+_COMMANDS = ("run", "epsilon", "risk-sweep", "table3", "oracle-rr")
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -81,23 +48,50 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # names every subcommand however many are built.
     choices = "{" + ",".join(_COMMANDS) + "}" if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        if command in (None, name):
-            subparser = sub.add_parser(name, help=help_text)
-            add_arguments(subparser)
-            subparser.set_defaults(func=handler)
+
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser | None:
+        if command not in (None, name):
+            return None
+        subparser = sub.add_parser(name, help=help_text)
+        subparser.set_defaults(func=handler)
+        return subparser
+
+    if run := add("run", "release one count-query answer", _cmd_run):
+        run.add_argument("--config", required=True, help="JSON config file")
+        run.add_argument("--dataset", required=True, help="CSV dataset, first column is the row ID")
+        run.add_argument(
+            "--query", required=True, help='e.g. "count where age < 40 and weight > 60"'
+        )
+        run.add_argument("--schema", help="JSON schema file (overrides the config)")
+        run.add_argument("--json", action="store_true", help="emit the report as JSON")
+        run.add_argument("--out", help="also write the JSON report to this file")
+    if eps := add("epsilon", "recompute privacy budgets", _cmd_epsilon):
+        eps.add_argument("--batches", "-t", type=int, required=True, help="batch count t")
+        eps.add_argument("--shufflers", "-S", type=int, required=True, help="shuffler count S")
+        size = eps.add_mutually_exclusive_group(required=True)
+        size.add_argument("--n", type=int, help="row count; the largest batch is derived")
+        size.add_argument("--n1", type=int, help="largest batch size, given directly")
+        eps.add_argument("--json", action="store_true")
+    if sweep := add("risk-sweep", "rank candidate (t, S) schemes", _cmd_risk_sweep):
+        sweep.add_argument("--config", required=True)
+        sweep.add_argument("--dataset", required=True)
+        sweep.add_argument("--schema")
+        sweep.add_argument("--json", action="store_true")
+    if table := add("table3", "recompute the bundled reference configurations", _cmd_table3):
+        table.add_argument("--json", action="store_true")
+        table.add_argument("--out", help="write the JSON diff to this file")
+    if oracle := add("oracle-rr", "Monte-Carlo check of the single-batch ratio", _cmd_oracle):
+        oracle.add_argument("--n1", type=int, required=True, help="batch size")
+        oracle.add_argument("--shufflers", "-S", type=int, required=True)
+        oracle.add_argument("--trials", type=int, default=1_000_000)
+        oracle.add_argument("--seed", type=int, default=0)
+        oracle.add_argument("--json", action="store_true")
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    report = run_pipeline(config, args.dataset, args.query, args.schema)
-    as_json = report.to_json() if args.json or args.out else None
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(as_json)
-    sys.stdout.write(as_json if args.json else report.to_text())
-    return 0
+    return _write_report(args, run_pipeline(config, args.dataset, args.query, args.schema))
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> int:
@@ -155,30 +149,15 @@ def _cmd_risk_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
-    report = reproduce_table3(args.out)
-    if args.json:
-        _emit_json(report.to_dict())
-    else:
-        sys.stdout.write(report.to_text())
-    return 0
+    return _write_report(args, reproduce_table3())
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     estimate = mc_rr_estimate(args.n1, args.shufflers, args.trials, args.seed)
     if args.json:
-        _emit_json(
-            {
-                "n1": estimate.n1,
-                "S": estimate.num_shufflers,
-                "trials": estimate.trials,
-                "fixed_runs": estimate.fixed_runs,
-                "displaced_runs": estimate.displaced_runs,
-                "ratio": estimate.ratio,
-                "std_error": estimate.std_error,
-                "analytic_ratio": estimate.analytic_ratio,
-                "deviation_in_se": estimate.deviation_in_se,
-            }
-        )
+        payload = fields_dict(estimate)
+        payload["S"] = payload.pop("num_shufflers")
+        _emit_json({**payload, "deviation_in_se": estimate.deviation_in_se})
     else:
         print(
             f"n1={estimate.n1}, S={estimate.num_shufflers}, "
@@ -199,23 +178,23 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_report(args: argparse.Namespace, report) -> int:
+    """Print the report's text, or its JSON with ``--json``; ``--out``
+    also writes the JSON to that file."""
+    as_json = _json_text(report.to_dict()) if args.json or args.out else None
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(as_json)
+    sys.stdout.write(as_json if args.json else report.to_text())
+    return 0
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _emit_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-# Subcommand name -> (help, argument adder, handler), in help order.
-_COMMANDS = {
-    "run": ("release one count-query answer", _run_arguments, _cmd_run),
-    "epsilon": ("recompute privacy budgets", _epsilon_arguments, _cmd_epsilon),
-    "risk-sweep": ("rank candidate (t, S) schemes", _sweep_arguments, _cmd_risk_sweep),
-    "table3": (
-        "recompute the bundled reference configurations", _table3_arguments, _cmd_table3
-    ),
-    "oracle-rr": (
-        "Monte-Carlo check of the single-batch ratio", _oracle_arguments, _cmd_oracle
-    ),
-}
+    sys.stdout.write(_json_text(payload))
 
 
 def main(argv: list[str] | None = None) -> int:

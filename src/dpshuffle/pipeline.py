@@ -455,7 +455,7 @@ class ReferenceReport:
         return "\n".join(lines) + "\n"
 
 
-def reproduce_table3(output_path: str | None = None) -> ReferenceReport:
+def reproduce_table3() -> ReferenceReport:
     """Recompute every reference configuration's budget and diff it."""
     rows = []
     for index, (n, t, n1, s, reported) in enumerate(REFERENCE_EPSILONS, start=1):
@@ -489,9 +489,4 @@ def reproduce_table3(output_path: str | None = None) -> ReferenceReport:
                 note="; ".join(notes),
             )
         )
-    report = ReferenceReport(rows=tuple(rows))
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return report
+    return ReferenceReport(rows=tuple(rows))

@@ -30,7 +30,8 @@ from typing import Sequence
 from .seeds import derive_rng
 
 MIN_ORACLE_TRIALS = 10_000
-# Uniform keys drawn per chunk of trials (8 bytes each), whatever n1 is.
+# Uniform keys (8 bytes each) drawn per chunk of trials: at most this
+# many, but a chunk holds at least one trial of S * n1 keys.
 _ORACLE_KEYS = 1 << 21
 
 

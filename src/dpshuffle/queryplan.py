@@ -302,25 +302,20 @@ def bucket_mask(attr, pred: Predicate) -> tuple[bool, ...]:
     if not attr.is_numeric:
         target = attr.values.index(pred.value)
         return tuple(i == target for i in range(attr.size))
-    value = float(pred.value)
-    mask = []
-    for i in range(attr.size):
-        lo, hi = attr.bucket_range(i)
-        if pred.op == "<":
-            mask.append(lo < value)
-        elif pred.op == "<=":
-            mask.append(lo <= value)
-        elif pred.op in (">", ">="):
-            mask.append(value < hi)
-        else:
-            mask.append(lo <= value < hi)
-    return tuple(mask)
+    edges = np.array(attr.bin_edges)
+    lo, hi, value = edges[:-1], edges[1:], float(pred.value)
+    if pred.op == "<":
+        mask = lo < value
+    elif pred.op == "<=":
+        mask = lo <= value
+    elif pred.op in (">", ">="):
+        mask = value < hi
+    else:
+        mask = (lo <= value) & (value < hi)
+    return tuple(mask.tolist())
 
 
 def horizon_mask(attr, horizon: TimeHorizon) -> tuple[bool, ...]:
     """Which buckets overlap the inclusive window [start, end]."""
-    mask = []
-    for i in range(attr.size):
-        lo, hi = attr.bucket_range(i)
-        mask.append(lo <= horizon.end and horizon.start < hi)
-    return tuple(mask)
+    edges = np.array(attr.bin_edges)
+    return tuple(((edges[:-1] <= horizon.end) & (horizon.start < edges[1:])).tolist())

@@ -65,22 +65,20 @@ def query_hits(db: Dataset, query: QuerySpec) -> dict[str, np.ndarray]:
     """Each attribute the query touches -> which rows of ``db`` meet
     every condition on it.
 
-    A condition looks up a column of ``db``'s codes in a mask of the
-    matching domain indices; conditions on one attribute are AND-ed.
+    A condition is a mask of the matching domain indices; one
+    attribute's masks are AND-ed, then looked up once by its column of
+    ``db``'s codes.
     """
     query = validate_query(query, db.schema)
-    conditions = [
-        (pred.attribute, bucket_mask(db.schema.attribute(pred.attribute), pred))
-        for pred in query.predicates
-    ]
+    masks: dict[str, np.ndarray] = {}
+    for pred in query.predicates:
+        mask = np.asarray(bucket_mask(db.schema.attribute(pred.attribute), pred))
+        masks[pred.attribute] = masks.get(pred.attribute, True) & mask
     if query.time_horizon is not None:
         name = query.time_horizon.attribute
-        conditions.append((name, horizon_mask(db.schema.attribute(name), query.time_horizon)))
-    hits: dict[str, np.ndarray] = {}
-    for name, mask in conditions:
-        hit = np.asarray(mask)[db.column(name)]
-        hits[name] = hits[name] & hit if name in hits else hit
-    return hits
+        mask = np.asarray(horizon_mask(db.schema.attribute(name), query.time_horizon))
+        masks[name] = masks.get(name, True) & mask
+    return {name: mask[db.column(name)] for name, mask in masks.items()}
 
 
 def count_hits(hits: Mapping[str, np.ndarray]) -> int:

@@ -443,6 +443,64 @@ class TestRiskSweepCommand:
         assert "workload" in capsys.readouterr().err
 
 
+class TestNeighbouringTables:
+    """``run`` on the fixture and on each neighbour of it that gives one
+    row another row's values under its own ID: the first row's, which
+    DRIFTY_QUERY names, or for the first row the second's.  Whatever
+    the table, a run exits 0-3 without a traceback and prints only
+    report fields, and a refusal or an exhaustion reads the same for
+    both tables: it names no figure that depends on the rows."""
+
+    # Config name -> (config, the exit codes its runs give).
+    CONFIGS = {
+        "is": ({"seed": 7, "t": 2, "S": 2}, {0}),
+        "cis": ({"seed": 7, "t": 3, "S": 2, "mode": "CIS"}, {0}),
+        "cis-refused": ({"seed": 7, "t": 2, "S": 2, "mode": "CIS"}, {2}),
+        "exhausted": (
+            {"seed": 13, "t": 2, "S": 2, "tied_attributes": ["Weight"], "max_retries": 2},
+            {0, 3},
+        ),
+        "grid": (
+            {"seed": 1, "hypothesis_grid": [[2, 2], [3, 2]], "tied_attributes": ["Age"],
+             "workload": [EXAMPLE_QUERY]},
+            {0},
+        ),
+    }
+    QUERIES = (EXAMPLE_QUERY, DRIFTY_QUERY, "count where age < 40")
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_neighbours_fail_alike(self, name, tmp_path, capsys, data_dir, make_config):
+        schema = str(data_dir / "people_schema.json")
+        payload, expected_codes = self.CONFIGS[name]
+        config = make_config("c.json", payload)
+        header, *rows = (data_dir / "people.csv").read_text(encoding="utf-8").splitlines()
+        table = tmp_path / "table.csv"
+
+        def run(rows: list[str], query: str) -> tuple[int, str]:
+            table.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+            code = main(["run", "--config", config, "--dataset", str(table),
+                         "--schema", schema, "--query", query, "--json"])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2, 3) and "Traceback" not in err
+            if code == 0:
+                assert sorted(json.loads(out)) == sorted(REPORT_FIELDS)
+            return code, err
+
+        codes, compared = set(), 0
+        for query in self.QUERIES:
+            first = run(rows, query)
+            for i, row in enumerate(rows):
+                donor = rows[1 if i == 0 else 0]
+                neighbour = [*rows[:i], row.split(",")[0] + donor[donor.index(","):], *rows[i + 1:]]
+                second = run(neighbour, query)
+                codes |= {first[0], second[0]}
+                if first[0] == second[0] in (2, 3):
+                    assert first[1] == second[1], (query, i)
+                    compared += 1
+        assert codes == expected_codes
+        assert compared or codes == {0}
+
+
 COMMANDS = ("run", "epsilon", "risk-sweep", "table3", "oracle-rr")
 
 

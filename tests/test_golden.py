@@ -6,6 +6,8 @@ open-top attributes, written to CSV inside the test.  Some numeric cells
 are decimals or bucket labels, so every cell form the loader accepts is
 exercised.  The ``run`` and ``risk-sweep`` cases go through the CLI
 entry point only, so they pin what a user sees whatever the internals.
+The ``cli-*`` cases pin the data-free subcommands the same way, and
+``cli-table3-out.json`` is the file ``table3 --json --out`` writes.
 
 To re-record after a deliberate change of the random streams, run
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
@@ -156,6 +158,19 @@ SWEEP_CONFIGS = {
 }
 
 
+# File name -> argv of each data-free CLI golden.
+CLI_CASES = {
+    "cli-table3.txt": ["table3"],
+    "cli-table3.json": ["table3", "--json"],
+    "cli-epsilon.txt": ["epsilon", "-t", "100", "-S", "2", "--n1", "10"],
+    "cli-epsilon.json": ["epsilon", "-t", "3", "-S", "2", "--n", "11", "--json"],
+    "cli-oracle-rr.txt": ["oracle-rr", "--n1", "3", "-S", "2", "--trials", "20000", "--seed", "1"],
+    "cli-oracle-rr.json": [
+        "oracle-rr", "--n1", "3", "-S", "2", "--trials", "20000", "--seed", "1", "--json"
+    ],
+}
+
+
 def _cli(argv: list[str]) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -202,6 +217,11 @@ def golden_outputs(workdir: Path) -> dict[str, bytes]:
                 outputs[name + ".provenance.json"] = Path(
                     str(target) + ".provenance.json"
                 ).read_bytes()
+    for name, argv in CLI_CASES.items():
+        outputs[name] = _cli(argv)
+    table3_out = workdir / "table3.json"
+    _cli(["table3", "--json", "--out", str(table3_out)])
+    outputs["cli-table3-out.json"] = table3_out.read_bytes()
     return outputs
 
 

@@ -554,10 +554,3 @@ class TestReferenceTable:
         assert "DISCREPANCY" in text
         assert "matches: [2, 3, 6, 7, 9, 10]" in text
         assert "discrepancy section:" in text
-
-    def test_json_file_output(self, tmp_path):
-        out = tmp_path / "table.json"
-        report = reproduce_table3(str(out))
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload == report.to_dict()
-        assert payload["discrepancies"] == [1, 4, 5, 8]
