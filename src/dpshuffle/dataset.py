@@ -13,11 +13,13 @@ indices, and labels come back only when a table is exported.
 straight into a block of indices, so besides the row IDs loading holds
 the index array plus one chunk of cells, never a ``Row`` or a record per
 row.  numpy's C reader, ``np.loadtxt``, parses a chunk free of quotes in
-one call, reading every number of a bucketed attribute as a float,
-every ID as a string, and labels as fixed-width strings that numpy
-looks up in the domain, or as strings where a cell is padded.  A chunk
-it rejects, and from the first quote on the rest of the file, goes
-through ``csv.reader``; both paths word every fault alike.  A CSV cell
+one call.  It reads every ID as a string, and the numbers of a bucketed
+attribute as integers, bucketed through a lookup table, where the
+chunk's first line holds an integer there, and as floats otherwise.
+Labels are read as fixed-width strings that numpy looks up in the
+domain, or as strings where a cell is padded.  A chunk it rejects, and
+from the first quote on the rest of the file, goes through
+``csv.reader``; both paths word every fault alike.  A CSV cell
 of a bucketed attribute is read as a number first and as a bucket label
 only when it does not parse; a string value given to ``Dataset`` in a
 ``Row`` is tried as a label first.
@@ -28,6 +30,8 @@ from __future__ import annotations
 import csv
 import gc
 import math
+import re
+import warnings
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -110,10 +114,20 @@ class Attribute:
 def _bucket_codes(attr: Attribute, x: np.ndarray, rows: Sequence[int]) -> np.ndarray:
     """Bucket index of every number in ``x``; ``rows`` are their row numbers.
 
-    The first number outside the buckets, NaN included, is an error.
+    Integers spanning fewer values than there are of them are looked up
+    in a table of each value's bucket, built by one search; other numbers
+    are searched one by one.  The first number outside the buckets, NaN
+    included, is an error, worded from its float value.
     """
     edges = np.array(attr.bin_edges)
-    codes = np.searchsorted(edges, x, side="right") - 1
+    codes = None
+    if x.dtype.kind == "i" and len(x):
+        lo, hi = int(x.min()), int(x.max())
+        if hi - lo < len(x):
+            span = np.arange(hi - lo + 1) + lo
+            codes = (np.searchsorted(edges, span, side="right") - 1)[x - lo]
+    if codes is None:
+        codes = np.searchsorted(edges, x, side="right") - 1
     outside = (codes < 0) | (codes >= attr.size)  # NaN sorts after every edge
     if outside.any():
         i = int(np.argmax(outside))
@@ -172,7 +186,7 @@ def _value_codes(
                 number = None
             if number is None:
                 raise error(slot, f"value {cell!r} is not in the domain")
-        elif isinstance(cell, (int, float)) and not isinstance(cell, bool):
+        elif _is_number(cell):
             if not attr.is_numeric:
                 raise error(slot, f"no bucketing rule for numeric value {cell!r}")
             number = float(cell)
@@ -196,6 +210,11 @@ def _auto_labels(edges: tuple[float, ...]) -> tuple[str, ...]:
         else:
             labels.append(f"[{_format_number(lo)},{_format_number(hi)})")
     return tuple(labels)
+
+
+def _is_number(value: object) -> bool:
+    """Whether a JSON value is a number (``bool`` is an ``int`` subclass)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _spec_list(spec: dict, key: str, name: str) -> list:
@@ -253,8 +272,10 @@ class Schema:
             if "bins" in spec:
                 bins = _spec_list(spec, "bins", name)
                 try:
+                    if not all(e is None or _is_number(e) for e in bins):
+                        raise TypeError
                     edges = tuple(math.inf if e is None else float(e) for e in bins)
-                except (TypeError, ValueError):
+                except (TypeError, OverflowError):
                     raise DatasetError(
                         f"attribute {name!r}: bin edges must be numbers or null"
                     ) from None
@@ -266,6 +287,12 @@ class Schema:
                 attrs.append(Attribute(name, values, edges))
             elif "domain" in spec:
                 domain = _spec_list(spec, "domain", name)
+                for v in domain:
+                    if not (isinstance(v, str) or _is_number(v)):
+                        raise DatasetError(
+                            f"attribute {name!r}: domain labels must be strings "
+                            f"or numbers, got {v!r}"
+                        )
                 attrs.append(Attribute(name, tuple(str(v) for v in domain)))
             else:
                 raise DatasetError(
@@ -363,9 +390,9 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     holds the codes and one chunk, never a ``Row`` per line; the blocks
     are joined once at the end.  A chunk free of quotes is parsed by
     numpy's C reader, ``np.loadtxt``: numbers of bucketed attributes
-    straight to floats, IDs to strings, and labels to fixed-width strings
-    looked up in numpy, or to strings where a cell is padded or not a
-    label.  A chunk it cannot read exactly, and from the first chunk
+    straight to integers or floats, IDs to strings, and labels to
+    fixed-width strings looked up in numpy, or to strings where a cell
+    is padded or not a label.  A chunk it cannot read exactly, and from the first chunk
     holding a quote on the rest of the file, goes through
     ``csv.reader``, so quoted cells may hold commas and newlines and
     every fault is worded the same either way.  A cell of a bucketed
@@ -456,42 +483,79 @@ _LABEL_FIELD_CHARS = 64
 # How ``_parse_chunk`` splits a quote-free chunk, as ``csv.reader`` would.
 _LOADTXT_OPTIONS = dict(delimiter=",", comments=None, quotechar=None, ndmin=1)
 
+# A first-line cell that sends its column to an int64 field: a sign and
+# ASCII digits, unpadded.
+_PLAIN_INT = re.compile(r"[+-]?[0-9]+")
+
 
 def _parse_chunk(
     lines: list[str], schema: Schema, start: int
 ) -> tuple[list[str], np.ndarray] | None:
     """The stripped IDs and the codes of a quote-free chunk of lines.
 
-    ``np.loadtxt`` skips empty lines and reads a bucketed cell as a float
-    only where ``float`` reads the stripped cell as the same number.  IDs
+    ``np.loadtxt`` skips empty lines and reads a bucketed cell as a number
+    only where ``float`` reads the stripped cell as the same number.  A
+    bucketed column whose cell on the first line is a plain integer goes
+    to an int64 field, which numpy fills only with integers that convert
+    to the floats ``float`` reads; any other goes to a float field.  If
+    the int read fails, or finds a bad cell, the chunk is read again with
+    every bucketed field a float, which words the fault as before.  IDs
     stay Python strings, since a fixed-width field would cut them short.
     A label column whose cell on the first line is in its
     ``_label_table`` goes to a fixed-width field decoded in numpy, and is
     read again as strings if another cell of it is not (padded or
     unknown).  Any other label column, as in a file written with ", "
-    separators, is read as strings at once.  ``_column_codes`` reads a column of strings
-    as it reads a ``csv.reader`` column.  None when ``csv.reader`` must
-    read the chunk or word its fault: a line of the wrong width or of
-    whitespace only, a cell numpy does not read as a number, or an empty
-    ID.  A bad cell that numpy did read is raised here, its row counted
-    after ``start``.
+    separators, is read as strings at once.  ``_column_codes`` reads a
+    column of strings as it reads a ``csv.reader`` column.  None when
+    ``csv.reader`` must read the chunk or word its fault: a line of the
+    wrong width or of whitespace only, a cell numpy does not read as a
+    number, or an empty ID.  A bad cell that numpy did read is raised
+    here, its row counted after ``start``.
     """
     first = lines[0].rstrip("\r\n").split(",")[1:]
     tables = {}
-    for j, attr in enumerate(schema.attributes):
-        if not attr.is_numeric and j < len(first):
+    ints = set()
+    for j, (attr, cell) in enumerate(zip(schema.attributes, first)):
+        if not attr.is_numeric:
             labels, codes = _label_table(attr)
-            if (labels == first[j]).any():
+            if (labels == cell).any():
                 tables[j] = labels, codes
+        elif _PLAIN_INT.fullmatch(cell):
+            ints.add(j)
+    if ints:
+        try:
+            parsed = _read_chunk(lines, schema, start, tables, ints)
+        except DatasetError:
+            parsed = None  # the floats word it: a "-0" cell is -0.0, not 0
+        if parsed is not None:
+            return parsed
+    return _read_chunk(lines, schema, start, tables, set())
+
+
+def _read_chunk(
+    lines: list[str],
+    schema: Schema,
+    start: int,
+    tables: dict[int, tuple[np.ndarray, np.ndarray]],
+    ints: set[int],
+) -> tuple[list[str], np.ndarray] | None:
+    """One ``np.loadtxt`` read of a chunk for ``_parse_chunk``: ``tables``
+    maps a label column to its ``_label_table``, and ``ints`` holds the
+    bucketed columns read as int64."""
     fields = [("id", object)]
     for j, attr in enumerate(schema.attributes):
         if j in tables:
             fields.append((f"c{j}", tables[j][0].dtype))
+        elif attr.is_numeric:
+            fields.append((f"c{j}", np.int64 if j in ints else np.float64))
         else:
-            fields.append((f"c{j}", np.float64 if attr.is_numeric else object))
+            fields.append((f"c{j}", object))
     try:
-        table = np.loadtxt(lines, dtype=np.dtype(fields), **_LOADTXT_OPTIONS)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy < 2 reads "2.1" into an int field as 2 after this warning.
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, dtype=np.dtype(fields), **_LOADTXT_OPTIONS)
+    except (ValueError, DeprecationWarning):
         return None
     row_ids = list(map(str.strip, table["id"]))
     if "" in row_ids:

@@ -40,14 +40,14 @@ def plan_batches(n: int, t: int) -> tuple[int, ...]:
 
 
 def group_attributes(
-    channels: Sequence[str], num_shufflers: int, rng: np.random.Generator
+    channels: Sequence[str], num_shufflers: int, rng: np.random.Generator | None
 ) -> tuple[tuple[str, ...], ...]:
     """Split channels into ``num_shufflers`` groups of near-equal size.
 
     Groups are filled in channel order; when the split is uneven the
     groups that take an extra channel are drawn uniformly without
-    replacement from ``rng``.  Groups may be empty when there are fewer
-    channels than shufflers.
+    replacement from ``rng``, which an even split never reads.  Groups
+    may be empty when there are fewer channels than shufflers.
     """
     if num_shufflers < 2:
         raise PlanError(f"need at least 2 shufflers, got {num_shufflers}")
@@ -139,7 +139,8 @@ def build_plan(
 ) -> ShufflePlan:
     """Derive a complete plan from the root seed."""
     sizes = plan_batches(n, num_batches)
-    groups = group_attributes(
-        channels, num_shufflers, derive_rng(seed, "plan", "group-extras")
-    )
+    # No other draw reads this stream, so an even split derives none.
+    uneven = num_shufflers > 1 and len(channels) % num_shufflers
+    rng = derive_rng(seed, "plan", "group-extras") if uneven else None
+    groups = group_attributes(channels, num_shufflers, rng)
     return ShufflePlan(seed=seed, batch_sizes=sizes, attribute_groups=groups)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpshuffle import PlanError, ShufflePlan, build_plan
+from dpshuffle import PlanError, ShufflePlan, build_plan, partition
 from dpshuffle.partition import group_attributes, plan_batches
 from dpshuffle.seeds import derive_rng
 
@@ -122,6 +122,29 @@ class TestBuildPlan:
     def test_contradictory_plan_rejected(self, sizes, groups, message):
         with pytest.raises(PlanError, match=message):
             ShufflePlan(seed=5, batch_sizes=sizes, attribute_groups=groups)
+
+    @pytest.mark.parametrize(
+        "channels, shufflers, derived", [(6, 2, 0), (6, 3, 0), (7, 2, 1), (2, 3, 1)]
+    )
+    def test_only_an_uneven_split_derives_its_generator(
+        self, monkeypatch, channels, shufflers, derived
+    ):
+        names = [f"c{i}" for i in range(channels)]
+        expected = build_plan(20, 4, names, shufflers, seed=9)
+        paths = []
+
+        def recording(root, *path):
+            paths.append(path)
+            return derive_rng(root, *path)
+
+        monkeypatch.setattr(partition, "derive_rng", recording)
+        assert build_plan(20, 4, names, shufflers, seed=9) == expected
+        assert paths == [("plan", "group-extras")] * derived
+
+    @pytest.mark.parametrize("shufflers", [1, 0, -1])
+    def test_too_few_shufflers_rejected(self, shufflers):
+        with pytest.raises(PlanError, match="at least 2 shufflers"):
+            build_plan(10, 2, ["x", "y"], shufflers, seed=0)
 
     def test_largest_batch_first(self):
         plan = build_plan(10, 3, ["x"], 2, seed=0)
