@@ -9,17 +9,20 @@ bit in the paper's one-hot encoding, so it carries exactly the same
 information; the shuffling stages downstream only ever move rows of
 indices, and labels come back only when a table is exported.
 
-``load_csv`` reads a file in chunks of lines and turns each chunk
-straight into a block of indices, so besides the row IDs loading holds
-the index array plus one chunk of cells, never a ``Row`` or a record per
-row.  numpy's C reader, ``np.loadtxt``, parses a chunk free of quotes in
-one call.  It reads every ID as a string, and the numbers of a bucketed
-attribute as integers, bucketed through a lookup table, where the
-chunk's first line holds an integer there, and as floats otherwise.
-Labels are read as fixed-width strings that numpy looks up in the
-domain, or as strings where a cell is padded.  A chunk it rejects, and
-from the first quote on the rest of the file, goes through
-``csv.reader``; both paths word every fault alike.  A CSV cell
+``load_csv`` reads a file in blocks of text, splits each once into
+lines and turns each chunk of lines straight into a block of indices, so
+besides the row IDs loading holds the index array plus a block and one
+chunk of cells, never a ``Row`` or a record per row.  numpy's C reader,
+``np.loadtxt``, parses a chunk free of quotes in one call.  It reads
+every ID as a string, and the numbers of a bucketed attribute as
+integers, bucketed through a lookup table, where the chunk's first line
+that is not blank holds an integer there, and as floats otherwise.
+Labels are read as fixed-width fields that numpy looks up in the
+domain: in an ASCII chunk, labels of at most 7 ASCII characters as
+8-byte fields compared as integers.  A column is read as strings where a
+cell is padded.  A chunk numpy rejects goes through ``csv.reader``, and
+so does the rest of the file from the first block holding a quote; both
+paths word every fault alike.  A CSV cell
 of a bucketed attribute is read as a number first and as a bucket label
 only when it does not parse; a string value given to ``Dataset`` in a
 ``Row`` is tried as a label first.
@@ -29,12 +32,13 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import math
 import re
 import warnings
 from dataclasses import dataclass, fields
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -226,6 +230,13 @@ def _spec_list(spec: dict, key: str, name: str) -> list:
     return value
 
 
+# The keys a schema attribute may hold, by the key giving its domain.
+_SPEC_KEYS = {
+    "domain": frozenset({"name", "domain"}),
+    "bins": frozenset({"name", "bins", "labels"}),
+}
+
+
 @dataclass(frozen=True)
 class Schema:
     """Ordered collection of attributes."""
@@ -259,9 +270,16 @@ class Schema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> Schema:
+        """The schema a JSON payload declares: an object holding only an
+        ``attributes`` list.  Each attribute holds a ``name`` and either a
+        ``domain`` or ``bins`` with optional ``labels``, and nothing
+        else."""
         specs = payload.get("attributes") if isinstance(payload, dict) else None
         if not isinstance(specs, list):
             raise DatasetError("schema payload must have an 'attributes' list")
+        for key in payload:
+            if key != "attributes":
+                raise DatasetError(f"schema payload has an unknown key {key!r}")
         attrs = []
         for spec in specs:
             if not isinstance(spec, dict):
@@ -269,6 +287,22 @@ class Schema:
             name = spec.get("name")
             if not isinstance(name, str):
                 raise DatasetError("every schema attribute needs a 'name' string")
+            kinds = [kind for kind in _SPEC_KEYS if kind in spec]
+            if not kinds:
+                raise DatasetError(
+                    f"attribute {name!r} needs either 'domain' or 'bins'"
+                )
+            if len(kinds) > 1:
+                raise DatasetError(
+                    f"attribute {name!r}: give 'domain' or 'bins', not both"
+                )
+            allowed = _SPEC_KEYS[kinds[0]]
+            for key in spec:
+                if key not in allowed:
+                    raise DatasetError(
+                        f"attribute {name!r}: key {key!r} is not one of "
+                        f"{sorted(allowed)}"
+                    )
             if "bins" in spec:
                 bins = _spec_list(spec, "bins", name)
                 try:
@@ -279,13 +313,18 @@ class Schema:
                     raise DatasetError(
                         f"attribute {name!r}: bin edges must be numbers or null"
                     ) from None
-                values = (
-                    tuple(_spec_list(spec, "labels", name))
-                    if spec.get("labels")
-                    else _auto_labels(edges)
-                )
+                labels = []
+                if spec.get("labels") is not None:
+                    labels = _spec_list(spec, "labels", name)
+                for v in labels:
+                    if not isinstance(v, str):
+                        raise DatasetError(
+                            f"attribute {name!r}: 'labels' entries must be "
+                            f"strings, got {v!r}"
+                        )
+                values = tuple(labels) if labels else _auto_labels(edges)
                 attrs.append(Attribute(name, values, edges))
-            elif "domain" in spec:
+            else:
                 domain = _spec_list(spec, "domain", name)
                 for v in domain:
                     if not (isinstance(v, str) or _is_number(v)):
@@ -294,10 +333,6 @@ class Schema:
                             f"or numbers, got {v!r}"
                         )
                 attrs.append(Attribute(name, tuple(str(v) for v in domain)))
-            else:
-                raise DatasetError(
-                    f"attribute {name!r} needs either 'domain' or 'bins'"
-                )
         return cls(tuple(attrs))
 
     def to_dict(self) -> dict:
@@ -380,28 +415,34 @@ class Dataset:
 # is amortised, small enough that a chunk's cells stay a few MB.
 _CHUNK_ROWS = 1 << 14
 
+# Characters read a block for each line of a chunk: a block of a table
+# with lines this long or shorter holds at least one chunk.
+_LINE_CHARS = 64
+
 
 def load_csv(path: str, schema: Schema) -> Dataset:
     """Load rows from a CSV file whose first column is the unique row ID.
 
     The header must name every schema attribute, in schema order, after
-    the ID column.  The file is read in chunks of lines, and each chunk
-    goes straight to a block of domain indices, so besides the IDs memory
-    holds the codes and one chunk, never a ``Row`` per line; the blocks
-    are joined once at the end.  A chunk free of quotes is parsed by
-    numpy's C reader, ``np.loadtxt``: numbers of bucketed attributes
-    straight to integers or floats, IDs to strings, and labels to
-    fixed-width strings looked up in numpy, or to strings where a cell
-    is padded or not a label.  A chunk it cannot read exactly, and from the first chunk
-    holding a quote on the rest of the file, goes through
-    ``csv.reader``, so quoted cells may hold commas and newlines and
-    every fault is worded the same either way.  A cell of a bucketed
-    attribute that parses as a number is read as a number, and only
-    otherwise as a bucket label.  Cells are read as if stripped of
-    surrounding whitespace.  Rows are numbered from 1 after the
-    header, not counting blank lines, which are skipped.  Each chunk is
-    checked as it is read, and IDs are checked for duplicates once the
-    whole file is in.
+    the ID column.  The file is read in blocks of text split once into
+    lines, and each chunk of lines goes straight to a block of domain
+    indices, so besides the IDs memory holds the codes, one block of text
+    and one chunk, never a ``Row`` per line; the blocks of indices are
+    joined once at the end.  A chunk free of quotes is parsed by numpy's
+    C reader, ``np.loadtxt``: numbers of bucketed attributes straight to
+    integers or floats, IDs to strings, and labels to fixed-width fields
+    looked up in numpy (short ASCII labels as 8-byte integer keys), or to
+    strings where a cell is padded or not a label.  A chunk it cannot
+    read exactly, and from the first block holding a quote on the rest
+    of the file, goes through ``csv.reader``, so quoted cells may hold
+    commas and newlines and every fault is worded the same either way.
+    A cell of a bucketed attribute that parses as a number is read as a
+    number, and only otherwise as a bucket label.  Cells are read as if
+    stripped of surrounding whitespace.  Rows are numbered from 1 after
+    the header, not counting blank lines, which are skipped.  Each chunk
+    is checked as it is read, and IDs are checked for duplicates once the
+    whole file is in.  ``_chunks`` says how the text is read, and
+    ``_parse_chunk`` how numpy reads a chunk.
     """
     ids: list[str] = []
     blocks: list[np.ndarray] = []
@@ -424,8 +465,8 @@ def load_csv(path: str, schema: Schema) -> Dataset:
             gc_enabled = gc.isenabled()
             gc.disable()
             try:
-                for lines, records in _chunks(fh):
-                    parsed = lines and _parse_chunk(lines, schema, len(ids))
+                for lines, is_ascii, records in _chunks(fh):
+                    parsed = lines and _parse_chunk(lines, schema, len(ids), is_ascii)
                     if parsed is None:  # for csv.reader to read or to word
                         parsed = _parse_records(records, schema, len(ids))
                     row_ids, block = parsed
@@ -444,35 +485,58 @@ def load_csv(path: str, schema: Schema) -> Dataset:
 
 
 def _chunks(
-    fh: Iterable[str],
-) -> Iterator[tuple[list[str] | None, Iterable[list[str]]]]:
-    """The lines and the ``csv.reader`` records of each chunk of ``fh``.
+    fh: TextIO,
+) -> Iterator[tuple[list[str] | None, bool, Iterable[list[str]]]]:
+    """The lines, whether they are ASCII, and the ``csv.reader`` records
+    of each chunk of ``fh``.
 
-    A chunk is ``_CHUNK_ROWS`` lines.  The lines are given when the chunk
-    holds no quote, no NUL (which ``csv.reader`` rejects before Python
-    3.11) and no CR outside a CRLF line end: ``csv.reader`` would split
-    such a chunk exactly at line ends and commas, as ``np.loadtxt`` does,
-    and its records are parsed only if the caller reads them.  A chunk of
-    whitespace-only lines holds no rows and is skipped.  From the first
-    chunk holding a quote on, which may open a cell spanning lines,
-    ``csv.reader`` reads the rest of the file, ``_CHUNK_ROWS`` records at
-    a time, and only records are given.
+    The text is read in blocks of about ``_LINE_CHARS`` characters a
+    chunk line, each finished at a line end by ``readline`` and split
+    once at every LF; a line keeps the CR of a CRLF end.  A chunk is
+    ``_CHUNK_ROWS`` such lines, taken across blocks.  The lines are given
+    while the blocks hold no quote, no NUL (which ``csv.reader`` rejects
+    before Python 3.11) and no CR outside a CRLF line end: ``csv.reader``
+    would split such a chunk exactly at line ends and commas, as
+    ``np.loadtxt`` does, and its records are parsed only if the caller
+    reads them.  A chunk of whitespace-only lines holds no rows and is
+    skipped.  From the first block holding any of those on, which may
+    open a quoted cell spanning lines, ``csv.reader`` reads the rest of
+    the file from the first line not yet given, ``_CHUNK_ROWS`` records
+    at a time, and only records are given.
     """
-    while lines := list(islice(fh, _CHUNK_ROWS)):
-        text = "".join(lines)
-        if '"' in text:
+    rows = _CHUNK_ROWS
+    lines: list[str] = []  # split from the blocks read, not yet given
+    lines_ascii = True  # whether ``lines`` are ASCII
+    while True:
+        text = fh.read(_LINE_CHARS * rows)
+        if text and not text.endswith("\n"):
+            text += fh.readline()
+        if '"' in text or "\0" in text:
             break
-        if text.isspace():
-            continue
-        plain = "\0" not in text and (
-            "\r" not in text or text.count("\r") == text.count("\r\n")
-        )
-        yield (lines if plain else None), csv.reader(lines)
-    else:
-        return
-    reader = csv.reader(chain(lines, fh))
-    while records := list(islice(reader, _CHUNK_ROWS)):
-        yield None, records
+        if "\r" in text and text.count("\r") != text.count("\r\n"):
+            break
+        block = text.split("\n")
+        if not block[-1]:  # the text after the last LF
+            block.pop()
+        start = len(lines)  # this block's first line
+        block[:0] = lines  # shifts the block's lines rather than copying them
+        lines = block
+        end = len(lines) - len(lines) % rows if text else len(lines)
+        block_ascii = text.isascii()
+        for i in range(0, end, rows):
+            # The lines of a table shorter than a chunk are given uncopied.
+            chunk = lines if len(lines) <= rows else lines[i : i + rows]
+            if any(map(str.strip, chunk)):
+                is_ascii = block_ascii and (lines_ascii or i >= start)
+                yield chunk, is_ascii, csv.reader(chunk)
+        if not text:
+            return
+        lines = lines[end:]
+        lines_ascii = block_ascii and (lines_ascii or end >= start)
+    head = "".join(f"{line}\n" for line in lines)
+    reader = csv.reader(chain(io.StringIO(head + text, newline=""), fh))
+    while records := list(islice(reader, rows)):
+        yield None, False, records
 
 
 # Widest label field ``np.loadtxt`` fills.  A domain's longer labels are
@@ -489,37 +553,38 @@ _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_chunk(
-    lines: list[str], schema: Schema, start: int
+    lines: list[str], schema: Schema, start: int, is_ascii: bool
 ) -> tuple[list[str], np.ndarray] | None:
     """The stripped IDs and the codes of a quote-free chunk of lines.
 
     ``np.loadtxt`` skips empty lines and reads a bucketed cell as a number
     only where ``float`` reads the stripped cell as the same number.  A
-    bucketed column whose cell on the first line is a plain integer goes
-    to an int64 field, which numpy fills only with integers that convert
-    to the floats ``float`` reads; any other goes to a float field.  If
-    the int read fails, or finds a bad cell, the chunk is read again with
-    every bucketed field a float, which words the fault as before.  IDs
-    stay Python strings, since a fixed-width field would cut them short.
-    A label column whose cell on the first line is in its
-    ``_label_table`` goes to a fixed-width field decoded in numpy, and is
-    read again as strings if another cell of it is not (padded or
-    unknown).  Any other label column, as in a file written with ", "
-    separators, is read as strings at once.  ``_column_codes`` reads a
-    column of strings as it reads a ``csv.reader`` column.  None when
-    ``csv.reader`` must read the chunk or word its fault: a line of the
-    wrong width or of whitespace only, a cell numpy does not read as a
-    number, or an empty ID.  A bad cell that numpy did read is raised
-    here, its row counted after ``start``.
+    chunk's fields are chosen from its first line that is not blank.  A
+    bucketed column whose cell there is a plain integer goes to an int64
+    field, which numpy fills only with integers that convert to the
+    floats ``float`` reads; any other goes to a float field.  If the int
+    read fails, or finds a bad cell, the chunk is read again with every
+    bucketed field a float, which words the fault as before.  IDs stay
+    Python strings, since a fixed-width field would cut them short.  A
+    label column whose cell there is in its ``_label_table`` goes to that
+    table's fixed-width field, ``S8`` in an ASCII chunk when every label
+    fits, decoded in numpy, and is read again as strings if another cell
+    of it is not a label (padded or unknown).  Any other label column, as
+    in a file written with ", " separators, is read as strings at once.
+    ``_column_codes`` reads a column of strings as it reads a
+    ``csv.reader`` column.  None when ``csv.reader`` must read the chunk
+    or word its fault: a line of the wrong width or of whitespace only, a
+    cell numpy does not read as a number, or an empty ID.  A bad cell
+    that numpy did read is raised here, its row counted after ``start``.
     """
-    first = lines[0].rstrip("\r\n").split(",")[1:]
+    first = next(filter(str.strip, lines)).rstrip("\r").split(",")[1:]
     tables = {}
     ints = set()
     for j, (attr, cell) in enumerate(zip(schema.attributes, first)):
         if not attr.is_numeric:
-            labels, codes = _label_table(attr)
-            if (labels == cell).any():
-                tables[j] = labels, codes
+            field, keys, codes = _label_table(attr, is_ascii)
+            if (keys == _keys([cell], field)).any():
+                tables[j] = field, keys, codes
         elif _PLAIN_INT.fullmatch(cell):
             ints.add(j)
     if ints:
@@ -536,7 +601,7 @@ def _read_chunk(
     lines: list[str],
     schema: Schema,
     start: int,
-    tables: dict[int, tuple[np.ndarray, np.ndarray]],
+    tables: dict[int, tuple[str, np.ndarray, np.ndarray]],
     ints: set[int],
 ) -> tuple[list[str], np.ndarray] | None:
     """One ``np.loadtxt`` read of a chunk for ``_parse_chunk``: ``tables``
@@ -545,7 +610,7 @@ def _read_chunk(
     fields = [("id", object)]
     for j, attr in enumerate(schema.attributes):
         if j in tables:
-            fields.append((f"c{j}", tables[j][0].dtype))
+            fields.append((f"c{j}", tables[j][0]))
         elif attr.is_numeric:
             fields.append((f"c{j}", np.int64 if j in ints else np.float64))
         else:
@@ -582,38 +647,57 @@ def _read_chunk(
     return row_ids, block
 
 
-def _label_table(attr: Attribute) -> tuple[np.ndarray, np.ndarray]:
-    """The labels ``_parse_chunk`` matches in numpy, sorted, and their codes.
+def _label_table(
+    attr: Attribute, is_ascii: bool
+) -> tuple[str, np.ndarray, np.ndarray]:
+    """The field ``_parse_chunk`` reads a label column into, the ``_keys``
+    of the labels it matches there, sorted, and their codes.
 
     These are the plain labels, equal to their stripped form and free of
-    NUL (numpy drops NULs from the end of a string), shorter than the
-    field width: one more than the longest plain label, at most
-    ``_LABEL_FIELD_CHARS``.  ``np.loadtxt`` cuts a longer cell to the
-    width and strips nothing, so a cell is one of these labels exactly
-    when its field equals it.
+    NUL (numpy drops NULs from the end of a string).  ``np.loadtxt`` fills
+    a field with a cell as it is, stripping nothing and cutting a longer
+    cell to the field's width.  In an ASCII chunk where every plain label
+    is at most 7 ASCII characters, the field is ``S8``, and a cell is a
+    label exactly when the field's bytes, read as an integer, are the
+    label's NUL-padded bytes: a cell of 8 or more characters fills the
+    last byte, which no label does.  Otherwise the field is ``U`` one
+    character wider than the longest plain label, at most
+    ``_LABEL_FIELD_CHARS``, and holds the plain labels shorter than that.
     """
     plain = [
         (label, code)
         for code, label in enumerate(attr.values)
         if label == label.strip() and "\0" not in label
     ]
-    longest = max((len(label) for label, _ in plain), default=0)
-    width = min(1 + longest, _LABEL_FIELD_CHARS)
+    if is_ascii and all(len(label) < 8 and label.isascii() for label, _ in plain):
+        width, field = 8, "S8"
+    else:
+        longest = max((len(label) for label, _ in plain), default=0)
+        width = min(1 + longest, _LABEL_FIELD_CHARS)
+        field = f"U{width}"
     kept = [(label, code) for label, code in plain if len(label) < width]
-    labels = np.array([label for label, _ in kept], dtype=f"U{width}")
+    keys = _keys([label for label, _ in kept], field)
     codes = np.array([code for _, code in kept], dtype=np.int64)
-    order = np.argsort(labels)
-    return labels[order], codes[order]
+    order = np.argsort(keys)
+    return field, keys[order], codes[order]
+
+
+def _keys(cells: Sequence[str] | np.ndarray, field: str) -> np.ndarray:
+    """``cells`` as ``np.loadtxt`` fills a ``field``, compared as they
+    are, or as little-endian 8-byte integers in an ``S8`` field."""
+    keys = np.asarray(cells, dtype=field)
+    return keys.view("<u8") if field == "S8" else keys
 
 
 def _label_codes(
-    cells: np.ndarray, labels: np.ndarray, codes: np.ndarray
+    cells: np.ndarray, field: str, keys: np.ndarray, codes: np.ndarray
 ) -> np.ndarray | None:
-    """The code of each cell from a non-empty ``_label_table``; None if a
-    cell is none of its labels."""
-    at = np.searchsorted(labels, cells)
-    np.minimum(at, len(labels) - 1, out=at)
-    return codes[at] if (labels[at] == cells).all() else None
+    """The code of each cell of a ``field`` from a non-empty
+    ``_label_table``; None if a cell is none of its labels."""
+    cells = _keys(cells, field)
+    at = np.searchsorted(keys, cells)
+    np.minimum(at, len(keys) - 1, out=at)
+    return codes[at] if (keys[at] == cells).all() else None
 
 
 def _parse_records(

@@ -177,6 +177,101 @@ class TestSchema:
         schema = Schema.from_dict(payload)
         assert schema.attribute("a").values == ("1", "2.5", "x")
 
+    @pytest.mark.parametrize("entry", [None, True, 7, ["x"]])
+    def test_bucket_labels_that_are_not_strings_rejected(self, entry):
+        spec = {"name": "Age", "bins": [0, 40, 130], "labels": ["young", entry]}
+        with pytest.raises(DatasetError) as exc:
+            Schema.from_dict({"attributes": [spec]})
+        assert str(exc.value) == (
+            f"attribute 'Age': 'labels' entries must be strings, got {entry!r}"
+        )
+
+    @pytest.mark.parametrize("labels", [False, 0, ""])
+    def test_bucket_labels_that_are_not_a_list_rejected(self, labels):
+        spec = {"name": "Age", "bins": [0, 40], "labels": labels}
+        with pytest.raises(DatasetError) as exc:
+            Schema.from_dict({"attributes": [spec]})
+        assert str(exc.value) == (
+            f"attribute 'Age': 'labels' must be a list, got {labels!r}"
+        )
+
+    def test_domain_and_bins_together_rejected(self):
+        spec = {"name": "a", "domain": ["x"], "bins": [0, 1]}
+        with pytest.raises(DatasetError) as exc:
+            Schema.from_dict({"attributes": [spec]})
+        assert str(exc.value) == "attribute 'a': give 'domain' or 'bins', not both"
+
+    @pytest.mark.parametrize(
+        "spec, allowed",
+        [
+            ({"name": "a", "domain": ["x"], "extra": 1}, ["domain", "name"]),
+            ({"name": "a", "domain": ["x"], "labels": ["y"]}, ["domain", "name"]),
+            (
+                {"name": "a", "bins": [0, 1], "Labels": ["y"]},
+                ["bins", "labels", "name"],
+            ),
+        ],
+    )
+    def test_unknown_attribute_key_rejected(self, spec, allowed):
+        with pytest.raises(DatasetError) as exc:
+            Schema.from_dict({"attributes": [spec]})
+        key = [k for k in spec if k not in allowed][0]
+        assert str(exc.value) == f"attribute 'a': key {key!r} is not one of {allowed}"
+
+    def test_unknown_payload_key_rejected(self):
+        payload = {"attributes": [{"name": "a", "domain": ["x"]}], "atributes": []}
+        with pytest.raises(DatasetError) as exc:
+            Schema.from_dict(payload)
+        assert str(exc.value) == "schema payload has an unknown key 'atributes'"
+
+
+# JSON values, weighted towards schema-shaped objects.
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats()
+    | st.sampled_from(("a", "b", "A", "", " x", "[0,1)", "name", "domain"))
+)
+_json = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(("x", "labels", "name")), inner, max_size=2),
+    max_leaves=12,
+)
+# Ascending edges, maybe open at the top.
+_edges = st.tuples(
+    st.lists(
+        st.integers(-50, 50) | st.floats(-50, 50), min_size=1, max_size=5, unique=True
+    ).map(sorted),
+    st.lists(st.none(), max_size=1),
+).map(lambda parts: parts[0] + parts[1])
+_attribute_specs = st.fixed_dictionaries(
+    {"name": st.sampled_from(("a", "b", "A")) | _json},
+    optional={
+        "domain": st.lists(_json_leaves, max_size=4) | _json,
+        "bins": _edges | _json,
+        "labels": st.lists(_json_leaves, max_size=4) | _json,
+        "extra": _json,
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {"attributes": st.lists(_attribute_specs, max_size=3)},
+        optional={"extra": _json},
+    )
+    | _json
+)
+def test_schema_from_dict_loads_only_what_round_trips(payload):
+    try:
+        schema = Schema.from_dict(payload)
+    except DatasetError:
+        return
+    assert Schema.from_dict(schema.to_dict()) == schema
+
 
 class TestLoadCsv:
     def test_fixture_loads(self, people_dataset, people_schema):
@@ -446,10 +541,23 @@ LOADER_SCHEMA = Schema(
     )
 )
 LOADER_HEADER = "id,Name,Age,Score\n"
+# A label column numpy decodes by 8-byte keys (Region: every label at
+# most 7 ASCII characters, one of them empty), one it reads into a
+# string field (Kind: an 8-character label, and a non-ASCII one, which
+# makes its chunk non-ASCII), and Age as above.
+KEYED_SCHEMA = Schema(
+    (
+        Attribute("Region", ("north", "seven77", "", "e")),
+        Attribute("Kind", ("eight888", "k", "\u4e2d\u6587")),
+        LOADER_SCHEMA.attribute("Age"),
+    )
+)
 BAD_CELLS = {
     "Name": ("zzz", "3", "A,B"),
     "Age": ("-1", "nan", "adult", "-1e-3"),
     "Score": ("100", "1e9", "nan", "high", "-inf"),
+    "Region": ("seven777", "north1234", "nort", "\u00e9", "\u4e2d"),
+    "Kind": ("eight8888", "eight88", "\u4e2d"),
 }
 BLANK_LINES = ("", "   ", " , ,", ",,,", "\t")
 # The last three are numbers that float() reads and numpy's parser
@@ -476,7 +584,7 @@ def padded(draw, text):
 
 
 @st.composite
-def good_cell(draw, attr: Attribute, plain: bool):
+def good_cell(draw, attr: Attribute, plain: bool, pad: bool):
     if attr.is_numeric and draw(st.booleans()):
         hi = min(attr.bin_edges[-1], 200.0)
         x = draw(st.floats(attr.bin_edges[0], hi, exclude_max=True))
@@ -485,7 +593,7 @@ def good_cell(draw, attr: Attribute, plain: bool):
             text = repr(x)  # rounding pushed it out of range
     else:
         text = draw(st.sampled_from(unquoted(attr.values, plain)))
-    return draw(padded(text))
+    return draw(padded(text)) if pad else text
 
 
 def unquoted(texts, plain: bool) -> list[str]:
@@ -495,17 +603,24 @@ def unquoted(texts, plain: bool) -> list[str]:
 
 @st.composite
 def loader_files(draw):
-    """CSV text over LOADER_SCHEMA with blank lines and at most one fault.
+    """A schema, LOADER_SCHEMA or KEYED_SCHEMA, and CSV text over it with
+    blank lines and at most one fault.
 
     Lines end in LF, CRLF or a lone CR, and the last one maybe in nothing.
     Half the files are plain, with no quoted cell, so that ``load_csv``
-    splits every chunk of them itself.
+    splits every chunk of them itself, and half pad their good cells, so
+    that the other half's label columns are decoded in numpy.
     """
-    attrs = LOADER_SCHEMA.attributes
+    schema = draw(st.sampled_from((LOADER_SCHEMA, KEYED_SCHEMA)))
+    attrs = schema.attributes
     plain = draw(st.booleans())
+    pad = draw(st.booleans())
     n = draw(st.integers(0, 9))
     records = [
-        [draw(padded(f"u{i}")), *(draw(good_cell(attr, plain)) for attr in attrs)]
+        [
+            draw(padded(f"u{i}")),
+            *(draw(good_cell(attr, plain, pad)) for attr in attrs),
+        ]
         for i in range(n)
     ]
     fault = draw(st.sampled_from((None, "cell", "width", "empty_id", "duplicate")))
@@ -538,18 +653,21 @@ def loader_files(draw):
     text = "".join(line + end for line in lines)
     if draw(st.booleans()):
         text = text.removesuffix(end)
-    return LOADER_HEADER + text
+    return schema, ",".join(("id", *schema.names)) + "\n" + text
 
 
 @settings(max_examples=300, deadline=None)
 @given(loader_files(), st.sampled_from((1, 2, 3, dataset_module._CHUNK_ROWS)))
-def test_load_csv_matches_the_row_by_row_loader(text, chunk_rows):
+def test_load_csv_matches_the_row_by_row_loader(case, chunk_rows):
+    # A chunk of 1-3 lines is read in blocks of 64-192 characters, so
+    # chunks and line ends straddle blocks.
+    schema, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "data.csv")
         Path(path).write_text(text, encoding="utf-8")
-        expected = load_or_error(reference_load_csv, path, LOADER_SCHEMA)
+        expected = load_or_error(reference_load_csv, path, schema)
         with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk_rows):
-            assert load_or_error(load_csv, path, LOADER_SCHEMA) == expected
+            assert load_or_error(load_csv, path, schema) == expected
 
 
 @pytest.mark.parametrize(
@@ -591,6 +709,21 @@ def test_quote_free_chunk_loads_as_the_row_by_row_loader(tmp_path, line):
         # labels longer than the widest numpy field are read as strings
         (("n" * 70, "s"), ["s", "n" * 70], [1, 0]),
         (("n" * 70, "s"), ["s", "n" * 64 + "e" * 6], "is not in the domain"),
+        # labels of at most 7 ASCII characters go to an S8 field: a cell
+        # fills it byte for byte, and one of 8 or more fills its last byte
+        (("seven77", "x"), ["x", "seven77"], [1, 0]),
+        (("seven77", "x"), ["seven77", "seven777"], "value 'seven777' is not"),
+        (("north", "south"), ["north", "north1234"], "value 'north1234' is not"),
+        (("north", "south"), ["north", "  south  "], [0, 1]),
+        (("", "x"), ["x", ""], [1, 0]),
+        (("", "x"), ["", "x", " "], [0, 1, 0]),
+        # an 8-character label: a U field
+        (("eight888", "x"), ["x", "eight888"], [1, 0]),
+        (("eight888", "x"), ["eight888", "eight8888"], "value 'eight8888' is not"),
+        # a non-ASCII chunk or label: a U field
+        (("north", "south"), ["north", "\u00e9"], "value '\u00e9' is not"),
+        (("north", "south"), ["north", "\u4e2d"], "value '\u4e2d' is not"),
+        (("north", "\u4e2d"), ["north", "\u4e2d"], [0, 1]),
     ],
 )
 def test_quote_free_labels_load_as_the_row_by_row_loader(
@@ -604,12 +737,14 @@ def test_quote_free_labels_load_as_the_row_by_row_loader(
     reference = load_or_error(reference_load_csv, path, schema)
     # No csv.reader: numpy reads the chunk, and strings the column it can't match.
     monkeypatch.setattr(dataset_module, "_parse_records", None)
-    loaded = load_or_error(load_csv, path, schema)
-    assert loaded == reference
-    if isinstance(expected, str):
-        assert expected in loaded
-    else:
-        assert loaded[1] == [[code, 0, 1] for code in expected]
+    for chunk_rows in (1, 2, 3, dataset_module._CHUNK_ROWS):
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
+        loaded = load_or_error(load_csv, path, schema)
+        assert loaded == reference
+        if isinstance(expected, str):
+            assert expected in loaded
+        else:
+            assert loaded[1] == [[code, 0, 1] for code in expected]
 
 
 def labels_schema(domain: tuple[str, ...]) -> Schema:
@@ -648,6 +783,29 @@ def test_a_label_column_is_read_twice_only_below_a_plain_first_line(
     loaded = load_csv(str(path), labels_schema(("north", "south")))
     assert loaded.codes.tolist() == [[0, 0, 1], [1, 0, 0]]
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_a_chunk_takes_its_fields_from_its_first_line_that_is_not_blank(
+    tmp_path, monkeypatch, end
+):
+    # An empty line after the header: Region and Sex are still decoded in
+    # numpy, never as strings, and Age is still read as integers.
+    path = tmp_path / "blank.csv"
+    lines = ["id,Region,Age,Sex", "", "u0,north,30,M", "u1,south,30,F"]
+    path.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+    dtypes = []
+    loadtxt = np.loadtxt
+
+    def recording(*args, dtype, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return loadtxt(*args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    monkeypatch.setattr(dataset_module, "_column_codes", None)
+    loaded = load_csv(str(path), labels_schema(("north", "south")))
+    assert loaded.codes.tolist() == [[0, 0, 1], [1, 0, 0]]
+    assert [dtype["c1"] for dtype in dtypes] == [np.dtype(np.int64)]
 
 
 def test_csv_reads_bucketed_cells_as_numbers_first(tmp_path):
@@ -771,11 +929,48 @@ class TestChunkBoundaries:
         "r10,Ravi,40,6.01,0",
     ]
 
-    def write(self, tmp_path, lines) -> str:
+    def write(self, tmp_path, lines, end="\n") -> str:
         path = tmp_path / "chunks.csv"
-        text = "id,Name,Age,Height,Weight\n" + "".join(f"{l}\n" for l in lines)
-        path.write_text(text, encoding="utf-8")
+        lines = ["id,Name,Age,Height,Weight", *lines]
+        path.write_bytes("".join(f"{l}{end}" for l in lines).encode("utf-8"))
         return str(path)
+
+    @staticmethod
+    def end_first_block(lines, chunk_rows, end) -> list[str]:
+        """``lines`` with IDs padded with "x" so that, ended by ``end``,
+        a line end starts at the last character of the first block that
+        ``load_csv`` reads after the header.
+
+        An ID stays shorter than ``csv.reader``'s 131,072-character cell
+        limit, so the 1 MiB block of the default chunk takes 9 lines.
+        """
+        block = dataset_module._LINE_CHARS * chunk_rows
+        out, length = [], 0
+        for line in lines:
+            room = block - 1 - length - len(line)
+            if length < block and "," in line:
+                pad = room if room <= 120_000 else min(120_000, room - 100)
+                uid, rest = line.split(",", 1)
+                line = f"{uid}{'x' * pad},{rest}"
+            length += len(line) + len(end)
+            out.append(line)
+        text = "".join(line + end for line in out)
+        assert text[block - 1 : block - 1 + len(end)] == end
+        return out
+
+    @staticmethod
+    def recording_chunks(monkeypatch) -> list[bool]:
+        """Whether each chunk ``load_csv`` reads is given as lines."""
+        given = []
+        chunks = dataset_module._chunks
+
+        def recording(fh):
+            for item in chunks(fh):
+                given.append(item[0] is not None)
+                yield item
+
+        monkeypatch.setattr(dataset_module, "_chunks", recording)
+        return given
 
     def test_ten_rows_load_as_with_the_default_chunk(
         self, tmp_path, monkeypatch, people_schema
@@ -863,6 +1058,58 @@ class TestChunkBoundaries:
         chunked = load_or_error(load_csv, path, people_schema)
         assert chunked == load_or_error(reference_load_csv, path, people_schema)
         assert chunked[0][5:7] == ("r6", "r7,b")
+
+    @pytest.mark.parametrize("chunk_rows", (1, 2, 3, dataset_module._CHUNK_ROWS))
+    def test_crlf_line_end_across_a_block(
+        self, tmp_path, monkeypatch, people_schema, chunk_rows
+    ):
+        lines = self.end_first_block(self.LINES, chunk_rows, "\r\n")
+        path = self.write(tmp_path, lines, "\r\n")
+        reference = load_or_error(reference_load_csv, path, people_schema)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
+        given = self.recording_chunks(monkeypatch)
+        assert load_or_error(load_csv, path, people_schema) == reference
+        assert len(reference[0]) == 10
+        assert given and all(given)  # no block ended in a lone CR
+
+    @pytest.mark.parametrize("chunk_rows", (1, 2, 3, dataset_module._CHUNK_ROWS))
+    def test_first_quote_after_the_first_block(
+        self, tmp_path, monkeypatch, people_schema, chunk_rows
+    ):
+        lines = [*self.LINES[:-1], 'r10,"Ravi",40,6.01,0']
+        path = self.write(tmp_path, self.end_first_block(lines, chunk_rows, "\n"))
+        reference = load_or_error(reference_load_csv, path, people_schema)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
+        given = self.recording_chunks(monkeypatch)
+        assert load_or_error(load_csv, path, people_schema) == reference
+        assert reference[0][-1] == "r10"
+        assert given[-1] is False  # csv.reader read the quoted line
+
+    def test_a_chunk_across_blocks_is_ascii_only_if_every_block_is(
+        self, tmp_path, monkeypatch, people_schema
+    ):
+        # A 4-line chunk read in blocks of 256 characters: the first block
+        # holds lines 1 and 2, whose Name "中" is not a label, and each
+        # later block one long line.  Name's labels are short, but the
+        # chunk is not ASCII, so Name must not go to an S8 field, which
+        # numpy cannot fill with "中"; csv.reader is off, so such a read
+        # fails.
+        second = "r2,中,7,4.8,42"
+        first = "r1,Riya,20,5.3,48"
+        pad = 4 * dataset_module._LINE_CHARS - len(first) - len(second) - 2
+        lines = [
+            first.replace(",", "x" * pad + ",", 1),
+            second,
+            f"r3{'x' * 300},Priya,28,5.3,78",
+            f"r4{'x' * 300},Sayan,35,6.00,85",
+        ]
+        path = self.write(tmp_path, lines)
+        reference = load_or_error(reference_load_csv, path, people_schema)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(dataset_module, "_parse_records", None)
+        assert load_or_error(load_csv, path, people_schema) == reference
+        message = "row 2, attribute 'Name': value '中' is not in the domain"
+        assert reference.endswith(message)
 
     def test_crlf_lines(self, tmp_path, monkeypatch, people_schema):
         path = tmp_path / "crlf.csv"
