@@ -4,17 +4,21 @@ Every attribute has a finite domain: either an explicit list of labels or
 a set of numeric buckets defined by ascending bin edges.  Rows carry a
 unique ID plus one value per attribute.  A Dataset checks every value
 once and stores it as its index in the attribute's domain, in one
-``(n, k)`` integer array.  That index is the position of the single high
-bit in the paper's one-hot encoding, so it carries exactly the same
-information; the shuffling stages downstream only ever move rows of
-indices, and labels come back only when a table is exported.
+column-major ``(n, k)`` integer array.  That index is the position of
+the single high bit in the paper's one-hot encoding, so it carries
+exactly the same information; the shuffling stages downstream only ever
+move columns of indices, and labels come back only when a table is
+exported.
 
 ``load_csv`` reads a file in blocks of text, splits each once into
 lines and turns each chunk of lines straight into a block of indices, so
-besides the row IDs loading holds the index array plus a block and one
-chunk of cells, never a ``Row`` or a record per row.  numpy's C reader,
-``np.loadtxt``, parses a chunk free of quotes in one call.  It reads
-every ID as a string, and the numbers of a bucketed attribute as
+loading holds the IDs, the index array, a block and one chunk of cells,
+never a ``Row`` or a record per row.  numpy's C reader, ``np.loadtxt``,
+parses a chunk free of quotes in one call.  In an ASCII chunk it reads
+the IDs into one fixed-width byte field, checked in numpy to be whole
+and stripped, and kept as bytes: duplicates are found by hashing them,
+and they are decoded to strings only when ``Dataset.ids`` is read, which
+a release never does.  It reads the numbers of a bucketed attribute as
 integers, bucketed through a lookup table, where the chunk's first line
 that is not blank holds an integer there, and as floats otherwise.
 Labels are read as fixed-width fields that numpy looks up in the
@@ -352,6 +356,10 @@ class Row:
     values: tuple[object, ...]
 
 
+def _decode_ids(ids: np.ndarray) -> tuple[str, ...]:
+    return tuple(ids.astype(str).tolist())
+
+
 def _check_unique(ids: Sequence[str]) -> None:
     if len(set(ids)) == len(ids):
         return
@@ -365,11 +373,14 @@ def _check_unique(ids: Sequence[str]) -> None:
 class Dataset:
     """Rows checked against a schema and stored as domain indices.
 
-    ``ids`` keeps the row IDs in input order and ``codes[i, j]`` is the
-    index of row i's value in the domain of attribute j.  Row IDs must be
-    unique and every row must carry one value per attribute.  String
-    values of a bucketed attribute are tried as bucket labels first, then
-    as numbers.
+    ``ids`` gives the row IDs in input order and ``codes[i, j]`` is the
+    index of row i's value in the domain of attribute j, in a read-only
+    column-major array, so that each attribute's column is contiguous.
+    Row IDs must be unique and every row must carry one value per
+    attribute.  String values of a bucketed attribute are tried as bucket
+    labels first, then as numbers.  ``load_csv`` may keep the IDs as one
+    array of ASCII bytes, decoded to strings on the first read of
+    ``ids``; a release never reads them.
     """
 
     def __init__(self, schema: Schema, rows: Iterable[Row]) -> None:
@@ -382,29 +393,37 @@ class Dataset:
                 )
         ids = tuple(row.uid for row in rows)
         _check_unique(ids)
-        codes = np.empty((len(rows), schema.k), dtype=np.int64)
+        codes = np.empty((len(rows), schema.k), dtype=np.int64, order="F")
         for j, attr in enumerate(schema.attributes):
             codes[:, j] = _value_codes(attr, [row.values[j] for row in rows])
         self._store(schema, ids, codes)
 
     @classmethod
     def _from_codes(
-        cls, schema: Schema, ids: tuple[str, ...], codes: np.ndarray
+        cls, schema: Schema, ids: tuple[str, ...] | np.ndarray, codes: np.ndarray
     ) -> Dataset:
         """A dataset of already checked IDs and codes."""
         dataset = cls.__new__(cls)
         dataset._store(schema, ids, codes)
         return dataset
 
-    def _store(self, schema: Schema, ids: tuple[str, ...], codes: np.ndarray) -> None:
+    def _store(
+        self, schema: Schema, ids: tuple[str, ...] | np.ndarray, codes: np.ndarray
+    ) -> None:
         codes.flags.writeable = False
         self.schema = schema
-        self.ids = ids
+        self._ids = ids
         self.codes = codes
 
     @property
+    def ids(self) -> tuple[str, ...]:
+        if isinstance(self._ids, np.ndarray):
+            self._ids = _decode_ids(self._ids)
+        return self._ids
+
+    @property
     def n(self) -> int:
-        return len(self.ids)
+        return len(self.codes)
 
     def column(self, name: str) -> np.ndarray:
         """Domain index of attribute ``name`` for every row."""
@@ -426,11 +445,12 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     The header must name every schema attribute, in schema order, after
     the ID column.  The file is read in blocks of text split once into
     lines, and each chunk of lines goes straight to a block of domain
-    indices, so besides the IDs memory holds the codes, one block of text
-    and one chunk, never a ``Row`` per line; the blocks of indices are
-    joined once at the end.  A chunk free of quotes is parsed by numpy's
-    C reader, ``np.loadtxt``: numbers of bucketed attributes straight to
-    integers or floats, IDs to strings, and labels to fixed-width fields
+    indices, so memory holds the IDs, the codes, one block of text and
+    one chunk, never a ``Row`` per line; the blocks of indices are
+    joined once at the end, column-major.  A chunk free of quotes is
+    parsed by numpy's C reader, ``np.loadtxt``: numbers of bucketed
+    attributes straight to integers or floats, IDs of an ASCII chunk to
+    bytes and of any other to strings, and labels to fixed-width fields
     looked up in numpy (short ASCII labels as 8-byte integer keys), or to
     strings where a cell is padded or not a label.  A chunk it cannot
     read exactly, and from the first block holding a quote on the rest
@@ -441,11 +461,14 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     stripped of surrounding whitespace.  Rows are numbered from 1 after
     the header, not counting blank lines, which are skipped.  Each chunk
     is checked as it is read, and IDs are checked for duplicates once the
-    whole file is in.  ``_chunks`` says how the text is read, and
-    ``_parse_chunk`` how numpy reads a chunk.
+    whole file is in, by ``_unique_ids``.  Where every chunk's IDs were
+    read as bytes, the dataset keeps them so until ``Dataset.ids`` is
+    read.  ``_chunks`` says how the text is read, and ``_parse_chunk``
+    how numpy reads a chunk.
     """
-    ids: list[str] = []
+    id_chunks: list[list[str] | np.ndarray] = []
     blocks: list[np.ndarray] = []
+    n = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             try:
@@ -466,13 +489,14 @@ def load_csv(path: str, schema: Schema) -> Dataset:
             gc.disable()
             try:
                 for lines, is_ascii, records in _chunks(fh):
-                    parsed = lines and _parse_chunk(lines, schema, len(ids), is_ascii)
+                    parsed = lines and _parse_chunk(lines, schema, n, is_ascii)
                     if parsed is None:  # for csv.reader to read or to word
-                        parsed = _parse_records(records, schema, len(ids))
+                        parsed = _parse_records(records, schema, n)
                     row_ids, block = parsed
-                    ids.extend(row_ids)
+                    id_chunks.append(row_ids)
                     blocks.append(block)
-                _check_unique(ids)
+                    n += len(block)
+                ids = _unique_ids(id_chunks)
             except DatasetError as exc:
                 raise DatasetError(f"{path} {exc}") from None
             finally:
@@ -481,7 +505,39 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: {exc}") from None
     codes = np.concatenate(blocks) if blocks else np.empty((0, schema.k), np.int64)
-    return Dataset._from_codes(schema, tuple(ids), codes)
+    return Dataset._from_codes(schema, ids, codes)
+
+
+# Odd, so that multiplying a hash by it, modulo 2**64, loses no bit of it.
+_HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _unique_ids(chunks: list[list[str] | np.ndarray]) -> tuple[str, ...] | np.ndarray:
+    """Each chunk's IDs joined, once checked for duplicates.
+
+    Where every chunk holds an ``S`` array, they are joined in one, and
+    each ID's 8-byte words are hashed to one ``uint64``.  Equal IDs are
+    equal bytes, so equal hashes, and only when two hashes are equal are
+    the IDs decoded and checked as strings, which names the first repeat.
+    """
+    if chunks and all(isinstance(c, np.ndarray) for c in chunks):
+        ids = np.concatenate(chunks)
+        words = ids.view("<u8").reshape(len(ids), ids.itemsize // 8)
+        hashes = words[:, 0].copy()
+        for j in range(1, words.shape[1]):
+            hashes *= _HASH_FACTOR
+            hashes += words[:, j]
+        hashes.sort()
+        if (hashes[1:] == hashes[:-1]).any():
+            _check_unique(_decode_ids(ids))
+        return ids
+    ids = tuple(
+        chain.from_iterable(
+            _decode_ids(c) if isinstance(c, np.ndarray) else c for c in chunks
+        )
+    )
+    _check_unique(ids)
+    return ids
 
 
 def _chunks(
@@ -539,9 +595,11 @@ def _chunks(
         yield None, False, records
 
 
-# Widest label field ``np.loadtxt`` fills.  A domain's longer labels are
-# never matched in numpy: a cell holding one sends its column to
-# ``_column_codes``, and a chunk's fields stay at most 256 bytes a cell.
+# Widest label field ``np.loadtxt`` fills, in characters, and widest ID
+# field, in bytes.  A domain's longer labels are never matched in numpy:
+# a cell holding one sends its column to ``_column_codes``, and a chunk's
+# fields stay at most 256 bytes a cell.  A chunk whose first ID is
+# longer reads its IDs as strings.
 _LABEL_FIELD_CHARS = 64
 
 # How ``_parse_chunk`` splits a quote-free chunk, as ``csv.reader`` would.
@@ -554,8 +612,9 @@ _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 
 def _parse_chunk(
     lines: list[str], schema: Schema, start: int, is_ascii: bool
-) -> tuple[list[str], np.ndarray] | None:
-    """The stripped IDs and the codes of a quote-free chunk of lines.
+) -> tuple[list[str] | np.ndarray, np.ndarray] | None:
+    """The stripped IDs, as strings or bytes, and the codes of a
+    quote-free chunk of lines.
 
     ``np.loadtxt`` skips empty lines and reads a bucketed cell as a number
     only where ``float`` reads the stripped cell as the same number.  A
@@ -564,20 +623,26 @@ def _parse_chunk(
     field, which numpy fills only with integers that convert to the
     floats ``float`` reads; any other goes to a float field.  If the int
     read fails, or finds a bad cell, the chunk is read again with every
-    bucketed field a float, which words the fault as before.  IDs stay
-    Python strings, since a fixed-width field would cut them short.  A
-    label column whose cell there is in its ``_label_table`` goes to that
-    table's fixed-width field, ``S8`` in an ASCII chunk when every label
-    fits, decoded in numpy, and is read again as strings if another cell
-    of it is not a label (padded or unknown).  Any other label column, as
-    in a file written with ", " separators, is read as strings at once.
+    bucketed field a float, which words the fault as before.  In an ASCII
+    chunk, IDs go to an ``S`` field a multiple of 8 bytes wide and wider
+    than the first line's ID, and are read again as strings unless
+    ``_whole_ids`` finds each of them whole and stripped; in any other
+    chunk, or where that field would be wider than
+    ``_LABEL_FIELD_CHARS``, they are read as strings at once.  A label column whose cell
+    there is in its ``_label_table`` goes to that table's fixed-width
+    field, ``S8`` in an ASCII chunk when every label fits, decoded in
+    numpy, and is read again as strings if another cell of it is not a
+    label (padded or unknown).  Any other label column, as in a file
+    written with ", " separators, is read as strings at once.
     ``_column_codes`` reads a column of strings as it reads a
     ``csv.reader`` column.  None when ``csv.reader`` must read the chunk
     or word its fault: a line of the wrong width or of whitespace only, a
     cell numpy does not read as a number, or an empty ID.  A bad cell
     that numpy did read is raised here, its row counted after ``start``.
     """
-    first = next(filter(str.strip, lines)).rstrip("\r").split(",")[1:]
+    uid, *first = next(filter(str.strip, lines)).rstrip("\r").split(",")
+    width = (len(uid) + 8) // 8 * 8
+    id_field = f"S{width}" if is_ascii and width <= _LABEL_FIELD_CHARS else object
     tables = {}
     ints = set()
     for j, (attr, cell) in enumerate(zip(schema.attributes, first)):
@@ -589,25 +654,26 @@ def _parse_chunk(
             ints.add(j)
     if ints:
         try:
-            parsed = _read_chunk(lines, schema, start, tables, ints)
+            parsed = _read_chunk(lines, schema, start, id_field, tables, ints)
         except DatasetError:
             parsed = None  # the floats word it: a "-0" cell is -0.0, not 0
         if parsed is not None:
             return parsed
-    return _read_chunk(lines, schema, start, tables, set())
+    return _read_chunk(lines, schema, start, id_field, tables, set())
 
 
 def _read_chunk(
     lines: list[str],
     schema: Schema,
     start: int,
+    id_field: str | type,
     tables: dict[int, tuple[str, np.ndarray, np.ndarray]],
     ints: set[int],
-) -> tuple[list[str], np.ndarray] | None:
-    """One ``np.loadtxt`` read of a chunk for ``_parse_chunk``: ``tables``
-    maps a label column to its ``_label_table``, and ``ints`` holds the
-    bucketed columns read as int64."""
-    fields = [("id", object)]
+) -> tuple[list[str] | np.ndarray, np.ndarray] | None:
+    """One ``np.loadtxt`` read of a chunk for ``_parse_chunk``: IDs go to
+    ``id_field``, ``tables`` maps a label column to its ``_label_table``,
+    and ``ints`` holds the bucketed columns read as int64."""
+    fields = [("id", id_field)]
     for j, attr in enumerate(schema.attributes):
         if j in tables:
             fields.append((f"c{j}", tables[j][0]))
@@ -622,29 +688,53 @@ def _read_chunk(
             table = np.loadtxt(lines, dtype=np.dtype(fields), **_LOADTXT_OPTIONS)
     except (ValueError, DeprecationWarning):
         return None
-    row_ids = list(map(str.strip, table["id"]))
-    if "" in row_ids:
-        return None
+    row_ids = table["id"]
     labels = {j: _label_codes(table[f"c{j}"], *tables[j]) for j in tables}
-    redo = [j for j, codes in labels.items() if codes is None]
-    if redo:  # one more pass reads every such column as strings
+    # The CSV columns, the IDs' being 0, that one more pass reads as strings.
+    redo = [j + 1 for j, codes in labels.items() if codes is None]
+    if row_ids.dtype.kind == "S":
+        row_ids = row_ids.copy()  # holds no view of the chunk's table
+        if not _whole_ids(row_ids):
+            redo.insert(0, 0)
+    if redo:
         strings = np.loadtxt(
             lines,
-            dtype=[(f"c{j}", object) for j in redo],
-            usecols=[j + 1 for j in redo],
+            dtype=[(f"f{col}", object) for col in redo],
+            usecols=redo,
             **_LOADTXT_OPTIONS,
         )
+        if redo[0] == 0:
+            row_ids = strings["f0"]
+    if row_ids.dtype == object:
+        row_ids = list(map(str.strip, row_ids))
+        if "" in row_ids:
+            return None
     rows = range(start + 1, start + len(row_ids) + 1)
-    block = np.empty((len(row_ids), schema.k), dtype=np.int64)
+    block = np.empty((len(row_ids), schema.k), dtype=np.int64, order="F")
     for j, attr in enumerate(schema.attributes):
         if attr.is_numeric:
             block[:, j] = _bucket_codes(attr, table[f"c{j}"], rows)
         elif labels.get(j) is not None:
             block[:, j] = labels[j]
         else:  # read as strings, by the first pass or the second
-            cells = strings[f"c{j}"] if j in redo else table[f"c{j}"]
+            cells = strings[f"f{j + 1}"] if j + 1 in redo else table[f"c{j}"]
             block[:, j] = _column_codes(attr, cells, start)
     return row_ids, block
+
+
+def _whole_ids(ids: np.ndarray) -> bool:
+    """Whether an ``S`` field holds every ID of its ASCII chunk whole and
+    stripped: none filling the field's last byte, where ``np.loadtxt``
+    may have cut a longer one, and none empty or starting or ending with
+    a space or a control byte below it, a set holding every ASCII byte
+    that ``str.strip`` removes."""
+    cells = ids.view(np.uint8)
+    rows = cells.reshape(len(ids), ids.itemsize)
+    if rows[:, -1].any() or (rows[:, 0] <= 32).any():
+        return False
+    # An ID holds no NUL, so it ends at the byte before its first NUL.
+    # ``cells - 1 < 32`` holds for the bytes 1 to 32; a NUL wraps to 255.
+    return not ((cells[:-1] - 1 < 32) & (cells[1:] == 0)).any()
 
 
 def _label_table(
@@ -717,7 +807,7 @@ def _parse_records(
             )
         if not record[0].strip():
             raise DatasetError(f"row {number}: empty row ID")
-    block = np.empty((len(records), schema.k), dtype=np.int64)
+    block = np.empty((len(records), schema.k), dtype=np.int64, order="F")
     for j, attr in enumerate(schema.attributes):
         column = [record[j + 1] for record in records]
         block[:, j] = _column_codes(attr, column, start)

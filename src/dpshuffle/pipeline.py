@@ -178,7 +178,8 @@ def load_config(path: str) -> PipelineConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deep to decode.
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -228,17 +228,18 @@ class Channel:
 class TiedDataset(Dataset):
     """A dataset whose attributes are grouped into shuffling channels.
 
-    ``schema``, ``ids`` and the read-only ``codes`` array are the
-    dataset's own, shared rather than copied.  ``channels`` groups the
-    attributes: the members of a channel are columns of ``codes`` that a
-    shuffle moves together, so slot i of a channel's members belongs to
-    one input row until shuffling breaks the linkage with other channels.
+    ``schema``, the stored IDs and the read-only ``codes`` array are the
+    dataset's own, shared rather than copied or decoded.  ``channels``
+    groups the attributes: the members of a channel are columns of
+    ``codes`` that a shuffle moves together, so slot i of a channel's
+    members belongs to one input row until shuffling breaks the linkage
+    with other channels.
     """
 
     def __init__(
         self,
         schema: Schema,
-        ids: tuple[str, ...],
+        ids: tuple[str, ...] | np.ndarray,
         codes: np.ndarray,
         channels: tuple[Channel, ...],
         tied_channel: str,
@@ -289,7 +290,7 @@ def tie_attributes(
             channels.append(Channel(name, (name,)))
 
     return TiedDataset(
-        schema, dataset.ids, dataset.codes, tuple(channels), ":".join(tied)
+        schema, dataset._ids, dataset.codes, tuple(channels), ":".join(tied)
     )
 
 

@@ -61,7 +61,9 @@ class ShuffledDataset(TiedDataset):
     def __init__(
         self, tied: TiedDataset, codes: np.ndarray, provenance: Provenance
     ) -> None:
-        super().__init__(tied.schema, tied.ids, codes, tied.channels, tied.tied_channel)
+        super().__init__(
+            tied.schema, tied._ids, codes, tied.channels, tied.tied_channel
+        )
         self.provenance = provenance
 
 

@@ -4,8 +4,11 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
+from dpshuffle import dataset as dataset_module
+from dpshuffle import pipeline as pipeline_module
 from dpshuffle.cli import build_parser, main
 from dpshuffle.pipeline import REPORT_FIELDS
 from conftest import EXAMPLE_QUERY
@@ -556,3 +559,33 @@ class TestParser:
         err = _usage_error(main, argv, capsys)
         assert err == _usage_error(build_parser().parse_args, argv, capsys)
         assert err.startswith("usage: dpshuffle ")
+
+
+def test_a_release_and_a_sweep_never_decode_the_row_ids(
+    monkeypatch, capsys, people_paths, make_config
+):
+    # The fixture's IDs are loaded as bytes, which a read of Dataset.ids,
+    # or of a tied or shuffled table's, would decode.
+    dataset, schema = people_paths
+    loaded, reads = [], []
+    load_csv, ids = pipeline_module.load_csv, dataset_module.Dataset.ids
+
+    def loading(*args):
+        loaded.append(load_csv(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(pipeline_module, "load_csv", loading)
+    reading = property(lambda d: reads.append(d) or ids.fget(d))
+    monkeypatch.setattr(dataset_module.Dataset, "ids", reading)
+    run = make_config("run.json", {"seed": 2, "t": 2, "S": 2})
+    sweep = make_config(
+        "sweep.json",
+        {"seed": 5, "hypothesis_grid": [[3, 2], [2, 2]], "workload": [EXAMPLE_QUERY]},
+    )
+    common = ["--dataset", dataset, "--schema", schema]
+    assert main(["run", "--config", run, "--query", EXAMPLE_QUERY, *common]) == 0
+    assert main(["risk-sweep", "--config", sweep, *common]) == 0
+    capsys.readouterr()
+    assert len(loaded) == 2
+    assert all(isinstance(d._ids, np.ndarray) for d in loaded)
+    assert reads == []

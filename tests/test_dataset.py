@@ -388,6 +388,12 @@ class TestEncoding:
             column = people_dataset.codes[:, j]
             assert ((0 <= column) & (column < attr.size)).all()
 
+    def test_codes_are_column_major(self, people_dataset, people_schema):
+        rows = [Row(f"u{i}", ("Riya", 20, "5.3", 48)) for i in range(3)]
+        for dataset in (people_dataset, Dataset(people_schema, rows)):
+            assert dataset.codes.flags.f_contiguous
+            assert not dataset.codes.flags.c_contiguous
+
     def test_known_bits(self, people_dataset):
         # Riya: age 20 -> bucket [0,40); weight 48 -> bucket [0,60)
         assert people_dataset.codes[0, 1] == 0
@@ -601,6 +607,37 @@ def unquoted(texts, plain: bool) -> list[str]:
     return [t for t in texts if not (plain and any(c in t for c in ',"\r\n'))]
 
 
+# Every ASCII character that str.strip removes; a CSV writer quotes the
+# last two.
+ASCII_STRIPPED = (
+    "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " ", "\r", "\n"
+)
+
+
+@st.composite
+def padded_id(draw, uid: str, plain: bool):
+    """``uid`` as it is, padded by ``padded``, or padded with ASCII
+    characters that str.strip removes."""
+    kind = draw(st.sampled_from(("bare", "padded", "ascii")))
+    if kind == "padded":
+        return draw(padded(uid))
+    if kind == "ascii":
+        pad = st.text(st.sampled_from(unquoted(ASCII_STRIPPED, plain)), max_size=2)
+        return draw(pad) + uid + draw(pad)
+    return uid
+
+
+@st.composite
+def row_id(draw, i: int, plain: bool):
+    """The ID of row ``i``, of 2 to 40 characters: it differs from the
+    others in its first two or only in its last two, which for 10 or more
+    characters lie past the eighth byte."""
+    length = draw(st.sampled_from((2, 7, 8, 15, 16, 17, 40)))
+    stem = f"u{i}"
+    uid = stem.rjust(length, "x") if draw(st.booleans()) else stem.ljust(length, "x")
+    return draw(padded_id(uid, plain))
+
+
 @st.composite
 def loader_files(draw):
     """A schema, LOADER_SCHEMA or KEYED_SCHEMA, and CSV text over it with
@@ -609,7 +646,10 @@ def loader_files(draw):
     Lines end in LF, CRLF or a lone CR, and the last one maybe in nothing.
     Half the files are plain, with no quoted cell, so that ``load_csv``
     splits every chunk of them itself, and half pad their good cells, so
-    that the other half's label columns are decoded in numpy.
+    that the other half's label columns are decoded in numpy.  IDs are of
+    mixed lengths (``row_id``), so a longer ID may follow a shorter first
+    one in a chunk, and a third of them are padded with ASCII whitespace;
+    a non-ASCII pad or label makes its chunk non-ASCII.
     """
     schema = draw(st.sampled_from((LOADER_SCHEMA, KEYED_SCHEMA)))
     attrs = schema.attributes
@@ -618,7 +658,7 @@ def loader_files(draw):
     n = draw(st.integers(0, 9))
     records = [
         [
-            draw(padded(f"u{i}")),
+            draw(row_id(i, plain)),
             *(draw(good_cell(attr, plain, pad)) for attr in attrs),
         ]
         for i in range(n)
@@ -632,10 +672,11 @@ def loader_files(draw):
         i = draw(st.integers(0, n - 1))
         records[i] = records[i][:-1] if draw(st.booleans()) else [*records[i], "7"]
     elif n and fault == "empty_id":
-        records[draw(st.integers(0, n - 1))][0] = draw(st.sampled_from(("", "  ")))
+        records[draw(st.integers(0, n - 1))][0] = draw(padded_id("", plain))
     elif n >= 2 and fault == "duplicate":
         first = draw(st.integers(0, n - 2))
-        records[draw(st.integers(first + 1, n - 1))][0] = records[first][0].strip()
+        uid = draw(padded_id(records[first][0].strip(), plain))
+        records[draw(st.integers(first + 1, n - 1))][0] = uid
     quoting = csv.QUOTE_MINIMAL
     if not plain:
         quoting = draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
@@ -1025,6 +1066,79 @@ class TestChunkBoundaries:
         with pytest.raises(DatasetError) as exc:
             load_csv(path, people_schema)
         assert str(exc.value) == f"{path} row 10: duplicate row ID 'r2'"
+
+    @staticmethod
+    def with_ids(lines, ids) -> list[str]:
+        """``lines`` with the IDs of its rows replaced by ``ids``."""
+        ids = iter(ids)
+        return [f"{next(ids)},{l.split(',', 1)[1]}" if "," in l else l for l in lines]
+
+    @pytest.mark.parametrize("chunk_rows", (1, 2, 3, dataset_module._CHUNK_ROWS))
+    @pytest.mark.parametrize(
+        "ids, expected",
+        [
+            # 7, 8, 15, 16, 17 and 40 characters after a 2-character first
+            # ID: an 8-byte field fits 7 characters, a 16-byte one 15
+            (
+                ["r1", "r234567", "r2345678", "r" + "2" * 14, "r" + "3" * 15,
+                 "r" + "4" * 16, "r" + "5" * 39, "r6", "r7", "r8"],
+                None,
+            ),
+            # a first ID too long for a byte field, and a shorter one
+            (["r" * 70, *(f"r{i}" for i in range(1, 10))], None),
+            # IDs that differ only after their eighth or sixteenth byte
+            ([f"id-of-row-{i}" for i in range(10)], None),
+            ([f"{'x' * 16}{i}" for i in range(10)], None),
+            # every ASCII character str.strip removes that a quote-free
+            # line can hold, before an ID and after one
+            ([f"{c}r{i}" for i, c in enumerate("\t\x0b\x0c\x1c\x1d\x1e\x1f   ")], None),
+            ([f"r{i}{c}" for i, c in enumerate("\t\x0b\x0c\x1c\x1d\x1e\x1f   ")], None),
+            # whitespace only
+            ([f"r{i}" if i != 6 else " \t\x1f" for i in range(10)], "row 7: empty row ID"),
+            ([f"r{i}" if i != 1 else "\x1c" for i in range(10)], "row 2: empty row ID"),
+            # a duplicate of an ID in an earlier chunk, as it is or padded
+            ([*(f"r{i}" for i in range(9)), "r1"], "row 10: duplicate row ID 'r1'"),
+            ([*(f"r{i}" for i in range(9)), " r1\t"], "row 10: duplicate row ID 'r1'"),
+            (
+                [*(f"id-of-row-{i}" for i in range(9)), "id-of-row-3"],
+                "row 10: duplicate row ID 'id-of-row-3'",
+            ),
+            # ASCII chunks next to non-ASCII ones
+            ([f"r{i}" if i % 3 else f"\u00e9{i}" for i in range(10)], None),
+            (
+                [*(f"r{i}" if i % 3 else f"\u00e9{i}" for i in range(9)), "\u00e93"],
+                "row 10: duplicate row ID '\u00e93'",
+            ),
+        ],
+    )
+    def test_ids_load_as_the_row_by_row_loader(
+        self, tmp_path, monkeypatch, people_schema, chunk_rows, ids, expected
+    ):
+        # Without the whitespace-only line, whose chunk csv.reader reads.
+        lines = [line for line in self.LINES if line != "   "]
+        path = self.write(tmp_path, self.with_ids(lines, ids))
+        reference = load_or_error(reference_load_csv, path, people_schema)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
+        if expected is None:
+            # No csv.reader: numpy reads every chunk, so an ID it refused
+            # rather than cut would fail the load.
+            monkeypatch.setattr(dataset_module, "_parse_records", None)
+            assert reference[0] == tuple(uid.strip() for uid in ids)
+        else:
+            assert reference == f"{path} {expected}"
+        assert load_or_error(load_csv, path, people_schema) == reference
+
+    def test_ids_whose_hashes_collide_load(self, tmp_path, monkeypatch, people_schema):
+        # With a factor of 0 an ID's hash is its last 8-byte word, so these
+        # IDs, which differ only in their first word, all hash alike.
+        ids = [f"{i:08}1" for i in range(10)]
+        path = self.write(tmp_path, self.with_ids(self.LINES, ids))
+        monkeypatch.setattr(dataset_module, "_HASH_FACTOR", np.uint64(0))
+        assert load_csv(path, people_schema).ids == tuple(ids)
+        path = self.write(tmp_path, self.with_ids(self.LINES, [*ids[:9], ids[4]]))
+        with pytest.raises(DatasetError) as exc:
+            load_csv(path, people_schema)
+        assert str(exc.value) == f"{path} row 10: duplicate row ID '000000041'"
 
     def test_chunk_of_empty_lines_loads_without_a_warning(
         self, tmp_path, monkeypatch, people_schema

@@ -1,8 +1,11 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpshuffle import (
     Attribute,
@@ -174,6 +177,52 @@ class TestLoadConfig:
         for lam in (-0.1, math.nan, math.inf):
             with pytest.raises(ConfigError, match="lambda"):
                 PipelineConfig(seed=1, lam=lam)
+
+    def test_a_config_nested_too_deep_for_the_decoder_is_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"deep\.json: invalid JSON \(maximum"):
+            load_config(str(path))
+
+
+# JSON values, NaN and the infinities included, whose objects may hold a
+# grid entry's "t" and "S".
+JSON_KEYS = st.sampled_from(("t", "S")) | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_KEYS, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def config_payloads(draw):
+    """A JSON value, or an object of config keys and other keys, most with
+    an integer seed."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    keys = st.sampled_from(sorted(_CONFIG_KEYS)) | st.text(max_size=4)
+    payload = draw(st.dictionaries(keys, JSON_VALUES, max_size=6))
+    if draw(st.integers(0, 4)):
+        payload["seed"] = draw(st.integers())
+    return payload
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=config_payloads())
+def test_load_config_returns_a_config_or_raises_config_error(config_path, payload):
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        config = load_config(str(config_path))
+    except ConfigError:
+        return
+    assert isinstance(config, PipelineConfig)
 
 
 class TestRunOnDataset:

@@ -196,6 +196,14 @@ class TestIterativeShuffle:
         plan = build_plan(9, 2, [c.name for c in td.channels], 2, seed=8)
         assert iterative_shuffle(td, plan).ids == td.ids
 
+    def test_tie_and_shuffle_pass_loaded_ids_on_undecoded(self, people_dataset):
+        td = tie_attributes(people_dataset, ("Age",))
+        plan = build_plan(td.n, 2, [c.name for c in td.channels], 2, seed=8)
+        out = iterative_shuffle(td, plan)
+        assert isinstance(people_dataset._ids, np.ndarray)
+        assert out._ids is td._ids is people_dataset._ids
+        assert out.ids == people_dataset.ids
+
     def test_tied_tuples_stay_fused(self):
         td = make_tied(12, attrs=3, tie_first=2)
         plan = build_plan(12, 4, [c.name for c in td.channels], 3, seed=5)
