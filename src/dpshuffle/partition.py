@@ -139,8 +139,18 @@ def build_plan(
 ) -> ShufflePlan:
     """Derive a complete plan from the root seed."""
     sizes = plan_batches(n, num_batches)
+    groups = _draw_groups(channels, num_shufflers, seed)
+    return ShufflePlan(seed=seed, batch_sizes=sizes, attribute_groups=groups)
+
+
+def _draw_groups(
+    channels: Sequence[str], num_shufflers: int, seed: int
+) -> tuple[tuple[str, ...], ...]:
+    """The attribute groups of the plan with root ``seed``.
+
+    A risk trial draws its groups here without building the plan.
+    """
     # No other draw reads this stream, so an even split derives none.
     uneven = num_shufflers > 1 and len(channels) % num_shufflers
     rng = derive_rng(seed, "plan", "group-extras") if uneven else None
-    groups = group_attributes(channels, num_shufflers, rng)
-    return ShufflePlan(seed=seed, batch_sizes=sizes, attribute_groups=groups)
+    return group_attributes(channels, num_shufflers, rng)

@@ -30,6 +30,7 @@ from .partition import build_plan, plan_batches
 from .privacy import account, epsilon_is
 from .queryplan import QuerySpec, parse_query, validate_query
 from .seeds import derive_seed
+from .shuffler import _stage_runs
 from .utility import (
     RiskConfig,
     Scheme,
@@ -173,14 +174,22 @@ _CONFIG_KEYS = {
 }
 
 
-def load_config(path: str) -> PipelineConfig:
-    """Read a JSON config file, rejecting unknown keys and ill-typed values."""
+def _read_json(path: str, error: type[ValueError]) -> object:
+    """The JSON value in the file ``path``; a file that holds none raises
+    ``error`` naming it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            # RecursionError: arrays or objects nested too deep to decode.
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError: malformed JSON, bytes that are not UTF-8, or an
+            # integer literal too long to convert; RecursionError: arrays
+            # or objects nested too deep to decode.
+            raise error(f"{path}: invalid JSON ({exc})") from None
+
+
+def load_config(path: str) -> PipelineConfig:
+    """Read a JSON config file, rejecting unknown keys and ill-typed values."""
+    raw = _read_json(path, ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = raw.keys() - _CONFIG_KEYS.keys()
@@ -292,6 +301,7 @@ def run_on_dataset(
         )
 
     c = count_hits(hits)
+    runs = _stage_runs(sizes, config.mode)
     attempts: list[AttemptRecord] = []
     for attempt in range(config.max_retries + 1):
         plan = build_plan(
@@ -301,7 +311,9 @@ def run_on_dataset(
             scheme.S,
             derive_seed(config.seed, "attempt", attempt),
         )
-        (c_prime,) = _released_counts(tied_db, plan, config.mode, [hits], [c])
+        (c_prime,) = _released_counts(
+            tied_db.n, runs, plan.attribute_groups, plan.seed, config.mode, [hits], [c]
+        )
         util = measure_utility(c, c_prime, acct.epsilon)
         if util.bound_satisfied:
             return DPReport(
@@ -336,11 +348,9 @@ def _load_inputs(
         raise ConfigError(
             "a schema file is required (flag --schema or config 'schema')"
         )
+    raw = _read_json(schema_file, DatasetError)
     try:
-        with open(schema_file, encoding="utf-8") as fh:
-            schema = Schema.from_dict(json.load(fh))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"{schema_file}: invalid JSON ({exc})") from None
+        schema = Schema.from_dict(raw)
     except DatasetError as exc:
         raise DatasetError(f"{schema_file}: {exc}") from None
     return load_csv(dataset_path, schema)

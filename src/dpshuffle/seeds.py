@@ -12,13 +12,19 @@ code:
 ``derive_rng`` defines each stream.  A shuffle reads one stream,
 ``derive_rng(plan.seed, "shuffle", mode)``, for all of its permutations
 (see ``shuffler``).
+
+The hashed payload is the compact JSON array ``[root,...path]``: each
+int written by ``int.__repr__`` and each string by json's ASCII string
+encoder, joined by commas.  Those are the bytes
+``json.dumps([root, *path], separators=(",", ":"))`` writes, built
+without setting up a JSON encoder per stream.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -26,12 +32,17 @@ PathPart = int | str
 
 
 def _canonical_payload(root: int, path: tuple[PathPart, ...]) -> bytes:
+    parts = []
     for part in path:
-        if not isinstance(part, (int, str)) or isinstance(part, bool):
+        if isinstance(part, str):
+            parts.append(encode_basestring_ascii(part))
+        elif isinstance(part, int) and not isinstance(part, bool):
+            parts.append(int.__repr__(part))
+        else:
             raise TypeError(f"seed path parts must be int or str, got {part!r}")
     if not isinstance(root, int) or isinstance(root, bool):
         raise TypeError(f"root seed must be an int, got {root!r}")
-    return json.dumps([root, *path], separators=(",", ":")).encode("utf-8")
+    return f"[{','.join([int.__repr__(root), *parts])}]".encode("ascii")
 
 
 def _digest(root: int, path: tuple[PathPart, ...]) -> bytes:

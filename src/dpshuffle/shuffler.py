@@ -87,9 +87,7 @@ def group_orders(
 
     ``orders[group][i]`` is the input slot whose values end in output
     slot i of the group's channels.  Every stage permutes its own
-    disjoint slice of it: a batch for IS, all n rows for CIS.  Each run
-    of equal batch sizes is drawn by one ``permuted`` call, which equals
-    ``rng.shuffle`` on each batch in turn, draw for draw.  Raises
+    disjoint slice of it: a batch for IS, all n rows for CIS.  Raises
     ``ShuffleError`` when the plan does not fit the dataset.
     """
     names = tuple(ch.name for ch in tied.channels)
@@ -102,16 +100,37 @@ def group_orders(
         raise ShuffleError(
             f"plan covers {plan.n} rows but the dataset has {tied.n}"
         )
+    runs = _stage_runs(plan.batch_sizes, mode)
+    return _draw_orders(plan.n, runs, plan.attribute_groups, plan.seed, mode)
+
+
+def _stage_runs(batch_sizes: Sequence[int], mode: str) -> list[tuple[int, int]]:
+    """The stages of a shuffle as runs of (stage size, stage count), in
+    order: one stage per batch for IS, one over all rows for CIS."""
     if mode == "IS":
-        runs = [(size, len(list(run))) for size, run in groupby(plan.batch_sizes)]
-    else:
-        runs = [(plan.n, 1)]
-    rng = derive_rng(plan.seed, "shuffle", mode)
+        return [(size, len(list(run))) for size, run in groupby(batch_sizes)]
+    return [(sum(batch_sizes), 1)]
+
+
+def _draw_orders(
+    n: int,
+    runs: Sequence[tuple[int, int]],
+    groups: Sequence[tuple[str, ...]],
+    seed: int,
+    mode: str,
+) -> dict[tuple[str, ...], np.ndarray]:
+    """``group_orders`` of the plan with these rows, stage runs
+    (``_stage_runs``), groups and seed, unchecked.
+
+    Each run of equal stage sizes is drawn by one ``permuted`` call,
+    which equals ``rng.shuffle`` on each stage in turn, draw for draw.
+    """
+    rng = derive_rng(seed, "shuffle", mode)
     orders = {}
-    for group in plan.attribute_groups:
+    for group in groups:
         if not group:
             continue
-        order = np.arange(plan.n)
+        order = np.arange(n)
         start = 0
         for size, count in runs:
             block = order[start : start + size * count].reshape(count, size)

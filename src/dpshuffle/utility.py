@@ -28,7 +28,10 @@ regularized empirical risk: each candidate's n1 and budget come from
 ``privacy.account``, as an IS release's do, seeded IS shuffle trials
 measure the workload's mean loss, a complexity penalty lambda * G(scheme)
 discourages heavier schemes, and the argmin wins with ties broken
-toward fewer shufflers, then fewer batches.
+toward fewer shufflers, then fewer batches.  A trial builds no
+``ShufflePlan``: it draws its attribute groups (``partition._draw_groups``)
+and its orders (``shuffler._draw_orders``) from the streams a release's
+plan with the trial's seed would, so its counts are that plan's.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset, fields_dict
-from .partition import ShufflePlan, build_plan, plan_batches
+from .partition import _draw_groups, plan_batches
 from .privacy import account
 from .queryplan import (
     QuerySpec,
@@ -54,7 +57,7 @@ from .queryplan import (
     validate_query,
 )
 from .seeds import derive_seed
-from .shuffler import group_orders
+from .shuffler import _draw_orders, _stage_runs
 
 
 class RiskError(ValueError):
@@ -150,32 +153,39 @@ def count_through(
     return int(np.count_nonzero(released))
 
 
-def _in_one_group(plan: ShufflePlan, hits: Mapping[str, np.ndarray]) -> bool:
-    """Whether every channel ``hits`` touches lies in one attribute group."""
-    return any(hits.keys() <= set(group) for group in plan.attribute_groups)
+def _in_one_group(
+    groups: Sequence[tuple[str, ...]], hits: Mapping[str, np.ndarray]
+) -> bool:
+    """Whether every channel ``hits`` touches lies in one attribute group,
+    the one that holds the first of them."""
+    first = next(iter(hits))
+    return any(first in group and hits.keys() <= set(group) for group in groups)
 
 
 def _released_counts(
-    tied: TiedDataset,
-    plan: ShufflePlan,
+    n: int,
+    runs: Sequence[tuple[int, int]],
+    groups: Sequence[tuple[str, ...]],
+    seed: int,
     mode: str,
     queries_hits: Sequence[Mapping[str, np.ndarray]],
     counts: Sequence[int],
 ) -> list[int]:
-    """Each query's released count under ``plan``, given its input count.
+    """Each query's released count under the plan with these rows, stage
+    runs, groups and seed, given its input count.
 
     A query inside one group is counted through that group's order alone,
     a permutation of the rows, so its count is its input count.  The
-    orders are drawn, once, only for a query that spans groups; no other
-    draw reads their stream.  Which branch runs depends only on the query
-    and the plan, never on the rows.
+    orders are drawn (``shuffler._draw_orders``), once, only for a query
+    that spans groups; no other draw reads their stream.  Which branch
+    runs depends only on the query and the groups, never on the rows.
     """
     orders = None
     released = []
     for hits, c in zip(queries_hits, counts):
-        if not _in_one_group(plan, hits):
+        if not _in_one_group(groups, hits):
             if orders is None:
-                orders = group_orders(tied, plan, mode)
+                orders = _draw_orders(n, runs, groups, seed, mode)
             c = count_through(orders, hits)
         released.append(c)
     return released
@@ -336,8 +346,10 @@ def _rank(
     Each candidate runs ``trials_per_scheme`` seeded IS shuffles from its
     own derived streams, so the table does not depend on evaluation order,
     and counts the workload through each shuffle (``_released_counts``):
-    a trial whose queries each lie in one group draws no orders.  Ties
-    break toward smaller S, then smaller t.
+    a trial whose queries each lie in one group draws no orders.  A trial
+    draws its groups and orders from the streams a release's plan with
+    the trial's seed would, without building that plan.  Ties break
+    toward smaller S, then smaller t.
     """
     if not config.hypothesis_grid:
         raise RiskError("hypothesis grid is empty")
@@ -345,6 +357,7 @@ def _rank(
         raise RiskError(
             f"need at least one trial per scheme, got {config.trials_per_scheme}"
         )
+    n = tied_db.n
     channels = tuple(ch.name for ch in tied_db.channels)
     input_counts = [count_hits(hits) for hits in workload_hits]
 
@@ -352,24 +365,22 @@ def _rank(
     for scheme in config.hypothesis_grid:
         if scheme.S < 2:
             raise RiskError(f"candidate {scheme} needs at least 2 shufflers")
-        sizes = plan_batches(tied_db.n, scheme.t)
+        sizes = plan_batches(n, scheme.t)
         if sizes[-1] < 2:
             raise RiskError(
                 f"candidate {scheme} leaves batches of a single row; "
                 f"its ratio is undefined"
             )
         acct = account("IS", sizes, scheme.S)
+        runs = _stage_runs(sizes, "IS")
         losses: list[float] = []
         released: list[float] = []
         for trial in range(config.trials_per_scheme):
-            plan = build_plan(
-                tied_db.n,
-                scheme.t,
-                channels,
-                scheme.S,
-                derive_seed(seed, "risk", scheme.t, scheme.S, trial),
+            trial_seed = derive_seed(seed, "risk", scheme.t, scheme.S, trial)
+            groups = _draw_groups(channels, scheme.S, trial_seed)
+            counts = _released_counts(
+                n, runs, groups, trial_seed, "IS", workload_hits, input_counts
             )
-            counts = _released_counts(tied_db, plan, "IS", workload_hits, input_counts)
             for c, c_prime in zip(input_counts, counts):
                 losses.append(loss(c, c_prime))
                 released.append(c_prime)

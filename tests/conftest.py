@@ -59,21 +59,32 @@ def people_dataset(people_schema) -> Dataset:
 
 
 def refuse_group_orders(monkeypatch) -> None:
-    """Makes drawing a shuffle's group orders fail."""
+    """Makes drawing a shuffle's group orders fail, on the one path by
+    which release attempts and risk trials draw them."""
     from dpshuffle import utility
 
     def refuse(*args):
         raise AssertionError("group orders were drawn")
 
-    monkeypatch.setattr(utility, "group_orders", refuse)
+    monkeypatch.setattr(utility, "_draw_orders", refuse)
 
 
-def draw_every_group(monkeypatch) -> None:
+def draw_every_group(monkeypatch) -> list:
     """Turns off the one-group short-cut: every count goes through the
-    drawn group orders."""
+    drawn group orders.  Returns the arguments of each draw, so a test
+    can check that orders were drawn."""
     from dpshuffle import utility
 
-    monkeypatch.setattr(utility, "_in_one_group", lambda plan, hits: False)
+    draws = []
+    original = utility._draw_orders
+
+    def draw(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(utility, "_in_one_group", lambda groups, hits: False)
+    monkeypatch.setattr(utility, "_draw_orders", draw)
+    return draws
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -226,6 +227,14 @@ class TestRunCommand:
             ('{"attributes": [\n', "invalid JSON (Expecting value: line 2"),
             ('{"attributes": "\xff"}', "invalid JSON ('utf-8' codec can't decode"),
             ('{"attributes": [{"name": "Age"}]}', "attribute 'Age' needs either"),
+            pytest.param(
+                '{"attributes": [' + "9" * 5000 + "]}",
+                "invalid JSON (Exceeds the limit (4300 digits)",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python converts integers of any length",
+                ),
+            ),
         ],
     )
     def test_bad_schema_file_is_named(
@@ -241,6 +250,24 @@ class TestRunCommand:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {schema}: {message}")
+
+    @pytest.mark.parametrize("command", ["run", "risk-sweep"])
+    def test_schema_nested_too_deep_for_the_decoder_is_named(
+        self, capsys, tmp_path, people_paths, make_config, command
+    ):
+        dataset, _ = people_paths
+        schema = tmp_path / "deep.json"
+        schema.write_text("[" * 100_000, encoding="utf-8")
+        config = make_config("c.json", {
+            "seed": 1, "t": 2, "S": 2, "workload": [EXAMPLE_QUERY],
+        })
+        argv = [command, "--config", config, "--dataset", dataset, "--schema", str(schema)]
+        if command == "run":
+            argv += ["--query", EXAMPLE_QUERY]
+        code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {schema}: invalid JSON (maximum recursion depth")
 
     def test_non_utf8_dataset_is_named(
         self, capsys, tmp_path, people_paths, make_config
@@ -361,21 +388,21 @@ class TestGridInCumulativeMode:
     # The sweep's trials and budgets are IS, so a CIS grid is refused
     # before any trial rather than ranked on IS shapes.  On six rows the
     # sweep would pick t=2, whose CIS budget is negative, over t=3.  Every
-    # trial and release attempt builds a plan, even one that draws no
-    # group orders.
+    # trial draws its attribute groups and every release attempt builds a
+    # plan, even one that draws no group orders.
     @pytest.fixture()
     def trials(self, monkeypatch):
         from dpshuffle import pipeline, utility
 
         calls = []
-        for module in (pipeline, utility):
-            original = module.build_plan
+        for module, name in ((pipeline, "build_plan"), (utility, "_draw_groups")):
+            original = getattr(module, name)
 
             def counting(*args, _original=original):
                 calls.append(args)
                 return _original(*args)
 
-            monkeypatch.setattr(module, "build_plan", counting)
+            monkeypatch.setattr(module, name, counting)
         return calls
 
     @pytest.mark.parametrize("command", ["run", "risk-sweep"])

@@ -7,7 +7,9 @@ are decimals or bucket labels, so every cell form the loader accepts is
 exercised.  The ``run`` and ``risk-sweep`` cases go through the CLI
 entry point only, so they pin what a user sees whatever the internals.
 The ``cli-*`` cases pin the data-free subcommands the same way, and
-``cli-table3-out.json`` is the file ``table3 --json --out`` writes.
+``cli-table3-out.json`` is the file ``table3 --json --out`` writes, and
+``cli-risk-sweep.json`` is the risk sweep on the people fixture that CI
+runs through the installed console script and diffs against this file.
 
 To re-record after a deliberate change of the random streams, run
 ``PYTHONPATH=src python tests/test_golden.py`` and say why in CHANGES.md.
@@ -34,7 +36,8 @@ from dpshuffle import (
 )
 from dpshuffle.cli import main
 
-GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+DATA_DIR = Path(__file__).parent / "data"
+GOLDEN_DIR = DATA_DIR / "golden"
 
 SEEDS = (1, 2, 3)
 ROWS = 300
@@ -171,6 +174,20 @@ CLI_CASES = {
 }
 
 
+# The config of the CI step's risk sweep on the people fixture, whose
+# output CI compares with cli-risk-sweep.json.
+CLI_SWEEP_CONFIG = {
+    "seed": 7,
+    "trials": 4,
+    "hypothesis_grid": [[3, 2], [2, 3]],
+    "tied_attributes": ["Age"],
+    "workload": [
+        "count where age < 40 and weight > 60",
+        "count where name = Riya and weight > 60",
+    ],
+}
+
+
 def _cli(argv: list[str]) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -219,6 +236,12 @@ def golden_outputs(workdir: Path) -> dict[str, bytes]:
                 ).read_bytes()
     for name, argv in CLI_CASES.items():
         outputs[name] = _cli(argv)
+    config_path.write_text(json.dumps(CLI_SWEEP_CONFIG), encoding="utf-8")
+    outputs["cli-risk-sweep.json"] = _cli([
+        "risk-sweep", "--config", str(config_path), "--json",
+        "--dataset", str(DATA_DIR / "people.csv"),
+        "--schema", str(DATA_DIR / "people_schema.json"),
+    ])
     table3_out = workdir / "table3.json"
     _cli(["table3", "--json", "--out", str(table3_out)])
     outputs["cli-table3-out.json"] = table3_out.read_bytes()

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -184,28 +185,59 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"deep\.json: invalid JSON \(maximum"):
             load_config(str(path))
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="this Python converts integers of any length",
+    )
+    def test_an_integer_too_long_to_convert_is_rejected(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"long\.json: invalid JSON \(Exceeds the limit"):
+            load_config(str(path))
+
 
 # JSON values, NaN and the infinities included, whose objects may hold a
 # grid entry's "t" and "S".
 JSON_KEYS = st.sampled_from(("t", "S")) | st.text(max_size=3)
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    JSON_LEAVES,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(JSON_KEYS, inner, max_size=3),
     max_leaves=12,
 )
 
+# Values of each config key's JSON kind, near the edges its checks draw:
+# integers too large for a float, unknown modes, empty lists, grid
+# entries of the wrong shape.
+INTEGERS = st.integers() | st.sampled_from((0, -1, 2**63, -(2**64), 10**400))
+STRINGS = st.sampled_from(("IS", "CIS", "Age", "")) | st.text(max_size=4)
+GRID_ENTRIES = (
+    st.lists(INTEGERS | JSON_LEAVES, min_size=1, max_size=3)
+    | st.dictionaries(JSON_KEYS, INTEGERS | JSON_LEAVES, max_size=3)
+)
+KIND_VALUES = {
+    "an integer": INTEGERS,
+    "a number": INTEGERS | st.floats(),
+    "a string": STRINGS,
+    "a list": st.lists(STRINGS | GRID_ENTRIES, max_size=3),
+}
+
 
 @st.composite
 def config_payloads(draw):
-    """A JSON value, or an object of config keys and other keys, most with
-    an integer seed."""
+    """A JSON value, or an object of config keys and other keys: each
+    config key's value mostly of its kind, most objects with a seed."""
     if draw(st.integers(0, 9)) == 0:
         return draw(JSON_VALUES)
-    keys = st.sampled_from(sorted(_CONFIG_KEYS)) | st.text(max_size=4)
-    payload = draw(st.dictionaries(keys, JSON_VALUES, max_size=6))
+    payload = {}
+    for key in draw(st.lists(st.sampled_from(sorted(_CONFIG_KEYS)), max_size=6, unique=True)):
+        kind = _CONFIG_KEYS[key][1]
+        payload[key] = draw(KIND_VALUES[kind] if draw(st.integers(0, 3)) else JSON_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        payload[draw(st.text(max_size=4))] = draw(JSON_LEAVES)
     if draw(st.integers(0, 4)):
-        payload["seed"] = draw(st.integers())
+        payload["seed"] = draw(INTEGERS)
     return payload
 
 
@@ -258,8 +290,9 @@ class TestRunOnDataset:
             refuse_group_orders(m)
             report = run_on_dataset(config, dataset, query)
         with monkeypatch.context() as m:
-            draw_every_group(m)
+            draws = draw_every_group(m)
             assert run_on_dataset(config, dataset, query).to_json() == report.to_json()
+        assert draws
 
     def test_spanning_release_draws_its_orders(self, monkeypatch, people_dataset):
         query = parse_query(DRIFTY_QUERY, people_dataset.schema)
@@ -513,7 +546,8 @@ class TestOneTiePerGridRun:
 
     @pytest.fixture()
     def spied(self, monkeypatch):
-        """Each tie's attributes, and the channels each module plans."""
+        """Each tie's attributes, and the channels each module groups: a
+        sweep trial draws its groups, a release attempt builds a plan."""
         from dpshuffle import pipeline, utility
 
         ties, channels = [], {}
@@ -524,14 +558,18 @@ class TestOneTiePerGridRun:
             return original_tie(dataset, relevant)
 
         monkeypatch.setattr(utility, "tie_attributes", tie)
-        for module in (utility, pipeline):
-            original = module.build_plan
+        original_plan, original_groups = pipeline.build_plan, utility._draw_groups
 
-            def plan(n, t, chans, s, seed, _name=module.__name__, _original=original):
-                channels.setdefault(_name, set()).add(chans)
-                return _original(n, t, chans, s, seed)
+        def plan(n, t, chans, s, seed):
+            channels.setdefault(pipeline.__name__, set()).add(chans)
+            return original_plan(n, t, chans, s, seed)
 
-            monkeypatch.setattr(module, "build_plan", plan)
+        def groups(chans, s, seed):
+            channels.setdefault(utility.__name__, set()).add(chans)
+            return original_groups(chans, s, seed)
+
+        monkeypatch.setattr(pipeline, "build_plan", plan)
+        monkeypatch.setattr(utility, "_draw_groups", groups)
         return ties, channels
 
     def test_sweep_and_release_share_one_tie(self, people_dataset, spied):

@@ -1,7 +1,18 @@
+import enum
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpshuffle.seeds import _entropy_words, derive_entropy, derive_rng, derive_seed
+from dpshuffle.seeds import (
+    _canonical_payload,
+    _entropy_words,
+    derive_entropy,
+    derive_rng,
+    derive_seed,
+)
 
 
 def test_same_path_reproduces_stream():
@@ -52,6 +63,51 @@ def test_non_canonical_path_parts_rejected(bad):
 def test_bool_root_rejected():
     with pytest.raises(TypeError):
         derive_rng(True, "x")
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+class Label(str):
+    pass
+
+
+# Ints of any sign and size and an IntEnum; strings with quotes,
+# backslashes, control and non-ASCII characters, lone surrogates, and a
+# str subclass.
+INTS = st.integers() | st.integers(min_value=2**64) | st.sampled_from(Level)
+TEXT = st.text(st.characters(blacklist_categories=()), max_size=8)
+STRINGS = (
+    TEXT
+    | TEXT.map(Label)
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u6f22\U0001f642", "\ud800", Label('a"b')])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=INTS, path=st.lists(INTS | STRINGS, max_size=5))
+def test_payload_is_the_compact_json_array(root, path):
+    expected = json.dumps([root, *path], separators=(",", ":")).encode("utf-8")
+    assert _canonical_payload(root, tuple(path)) == expected
+
+
+@pytest.mark.parametrize(
+    "root, path, message",
+    [
+        (1, ("x", True), "seed path parts must be int or str, got True"),
+        (1, (2.0,), "seed path parts must be int or str, got 2.0"),
+        (1.5, ("x",), "root seed must be an int, got 1.5"),
+        (False, (), "root seed must be an int, got False"),
+        # The parts are checked before the root.
+        (True, (0.5,), "seed path parts must be int or str, got 0.5"),
+    ],
+)
+def test_payload_type_errors(root, path, message):
+    with pytest.raises(TypeError) as info:
+        _canonical_payload(root, path)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

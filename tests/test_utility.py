@@ -25,6 +25,7 @@ from dpshuffle import (
 )
 from dpshuffle.partition import PlanError, plan_batches
 from dpshuffle.privacy import account
+from dpshuffle.seeds import derive_seed
 from dpshuffle.queryplan import (
     OPERATORS,
     Predicate,
@@ -35,6 +36,8 @@ from dpshuffle.queryplan import (
 )
 from dpshuffle.shuffler import apply_channel_permutations, group_orders
 from dpshuffle.utility import (
+    SchemeRisk,
+    SchemeSelection,
     channel_hits,
     count_hits,
     count_through,
@@ -380,8 +383,9 @@ class TestSelectScheme:
             refuse_group_orders(m)
             selection = select_scheme(config, shapes_dataset, seed=4)
         with monkeypatch.context() as m:
-            draw_every_group(m)
+            draws = draw_every_group(m)
             assert select_scheme(config, shapes_dataset, seed=4).to_dict() == selection.to_dict()
+        assert len(draws) == 2 * config.trials_per_scheme
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -495,3 +499,95 @@ class TestSelectScheme:
         except (RiskError, PlanError):
             return
         account("IS", plan_batches(n, best.t), best.S)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_ranks_as_plan_by_plan_trials(self, data):
+        # Random tables, tie sets, grids whose S need not divide the
+        # channel count or may exceed it (so some groups are empty), and
+        # queries on one channel or several, ranked as by building each
+        # trial's plan, drawing its group orders and counting through
+        # them, whichever groups the queries touch.
+        rnd = random.Random(data.draw(st.integers(0, 2**32 - 1), label="table"))
+        schema = random_schema(rnd)
+        dataset = random_dataset(rnd, schema, max_rows=40)
+        names = st.sampled_from(schema.names)
+        tied = data.draw(st.lists(names, min_size=1, max_size=2, unique=True), label="tied")
+        tied_db = tie_attributes(dataset, tied)
+        channels = [ch.name for ch in tied_db.channels]
+        grid = data.draw(
+            st.lists(
+                st.builds(
+                    Scheme, st.integers(1, dataset.n // 2), st.integers(2, len(channels) + 2)
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            label="grid",
+        )
+        workload = tuple(
+            QuerySpec(tuple(_condition(data, attr) for attr in conditions))
+            for conditions in data.draw(
+                st.lists(
+                    st.lists(st.sampled_from(schema.attributes), min_size=1, max_size=4),
+                    min_size=1,
+                    max_size=3,
+                ),
+                label="workload",
+            )
+        )
+        config = RiskConfig(
+            hypothesis_grid=tuple(grid),
+            workload=workload,
+            trials_per_scheme=data.draw(st.integers(1, 3), label="trials"),
+            tied_attributes=tuple(tied),
+        )
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        assert select_scheme(config, dataset, seed).to_dict() == plan_by_plan(
+            config, dataset, seed
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ranks_as_plan_by_plan_trials_on_uneven_groups(self, shapes_dataset, seed):
+        # Three channels in two groups: which group takes the extra
+        # channel decides whether each query spans groups.
+        config = RiskConfig(
+            hypothesis_grid=(Scheme(10, 2), Scheme(30, 2), Scheme(7, 3)),
+            workload=(
+                "count where shape = s0 and size = z1",
+                "count where color = c1 and shape = s2",
+                "count where size = z3",
+            ),
+            tied_attributes=("color",),
+        )
+        assert select_scheme(config, shapes_dataset, seed).to_dict() == plan_by_plan(
+            config, shapes_dataset, seed
+        )
+
+
+def plan_by_plan(config: RiskConfig, dataset: Dataset, seed: int) -> dict:
+    """``select_scheme(config, dataset, seed).to_dict()``, computed by
+    building each trial's plan, drawing its group orders and counting
+    every query through them, whichever groups it touches."""
+    tied_db = tie_attributes(dataset, config.tied_attributes)
+    channels = [ch.name for ch in tied_db.channels]
+    hits = [
+        channel_hits(tied_db, parse_query(q, dataset.schema) if isinstance(q, str) else q)
+        for q in config.workload
+    ]
+    rows = []
+    for scheme in config.hypothesis_grid:
+        acct = account("IS", plan_batches(dataset.n, scheme.t), scheme.S)
+        losses, released = [], []
+        for trial in range(config.trials_per_scheme):
+            trial_seed = derive_seed(seed, "risk", scheme.t, scheme.S, trial)
+            plan = build_plan(dataset.n, scheme.t, channels, scheme.S, trial_seed)
+            orders = group_orders(tied_db, plan, "IS")
+            for query_hits in hits:
+                c_prime = count_through(orders, query_hits)
+                losses.append(loss(count_hits(query_hits), c_prime))
+                released.append(c_prime)
+        result = empirical_risk(losses, released, acct.epsilon, config.lam, scheme)
+        rows.append(SchemeRisk(scheme, acct.n1, result))
+    rows.sort(key=lambda row: (row.result.risk, row.scheme.S, row.scheme.t))
+    return SchemeSelection(rows[0].scheme, tuple(rows)).to_dict()
