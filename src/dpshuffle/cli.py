@@ -36,26 +36,46 @@ from .privacy import epsilon_cis, epsilon_is, mc_rr_estimate, rr_batch
 _COMMANDS = ("run", "epsilon", "risk-sweep", "table3", "oracle-rr")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; given a subcommand's name, only that subcommand
-    is built.  Its usage, help and error texts are the full parser's."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's full parser: top-level usage and help, and every
+    subcommand as a subparser.  ``main`` builds it only where its own
+    texts are needed."""
     parser = argparse.ArgumentParser(
         prog="dpshuffle",
         description="Differentially private count reporting via batched "
         "iterative shuffling",
     )
-    # The top-level usage, which an unrecognized argument's error prints,
-    # names every subcommand however many are built.
-    choices = "{" + ",".join(_COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser | None:
-        if command not in (None, name):
-            return None
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         subparser = sub.add_parser(name, help=help_text)
         subparser.set_defaults(func=handler)
         return subparser
 
+    _subcommands(add)
+    return parser
+
+
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """Subcommand ``command``'s parser on its own, named as argparse names
+    it as a subparser of ``build_parser``, so its usage, help and error
+    texts, and the namespace it fills, are that subparser's."""
+    parser = argparse.ArgumentParser(prog=f"dpshuffle {command}")
+
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser | None:
+        if name != command:
+            return None
+        parser.set_defaults(func=handler, command=name)
+        return parser
+
+    _subcommands(add)
+    return parser
+
+
+def _subcommands(add) -> None:
+    """Each subcommand's help text, handler and arguments, stated once:
+    ``add(name, help_text, handler)`` gives the parser its arguments go
+    to, or None to leave that subcommand out."""
     if run := add("run", "release one count-query answer", _cmd_run):
         run.add_argument("--config", required=True, help="JSON config file")
         run.add_argument("--dataset", required=True, help="CSV dataset, first column is the row ID")
@@ -86,7 +106,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         oracle.add_argument("--trials", type=int, default=1_000_000)
         oracle.add_argument("--seed", type=int, default=0)
         oracle.add_argument("--json", action="store_true")
-    return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -198,12 +217,21 @@ def _emit_json(payload: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) and give its exit
+    code; a usage error or help exits through ``SystemExit``.
+
+    A named subcommand is parsed by its own parser.  The full parser is
+    built only for no or an unknown subcommand, for top-level help, and
+    to word an unrecognized argument, which argparse reports with the
+    top-level usage, so every text is the full parser's.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    # Only the named subcommand's parser is built; help, an unknown name
-    # or no arguments at all get the full parser and its texts.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = extra = None
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PipelineRefused as exc:

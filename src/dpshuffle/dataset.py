@@ -19,17 +19,20 @@ the IDs into one fixed-width byte field, checked in numpy to be whole
 and stripped, and kept as bytes: duplicates are found by hashing them,
 and they are decoded to strings only when ``Dataset.ids`` is read, which
 a release never does.  It reads the numbers of a bucketed attribute as
-integers, bucketed through a lookup table, where the chunk's first line
-that is not blank holds an integer there, and as floats otherwise.
-Labels are read as fixed-width fields that numpy looks up in the
-domain: in an ASCII chunk, labels of at most 7 ASCII characters as
-8-byte fields compared as integers.  A column is read as strings where a
-cell is padded.  A chunk numpy rejects goes through ``csv.reader``, and
-so does the rest of the file from the first block holding a quote; both
-paths word every fault alike.  A CSV cell
-of a bucketed attribute is read as a number first and as a bucket label
-only when it does not parse; a string value given to ``Dataset`` in a
-``Row`` is tried as a label first.
+integers, bucketed through a lookup table or by comparison with each
+edge, where the chunk's first line that is not blank holds an integer
+there, and as floats otherwise.  Labels are read as fixed-width fields
+that numpy looks up in the domain: in an ASCII chunk, labels of at most
+7 ASCII characters as 8-byte fields compared as integers, one equality
+test per label where there are at most 16.  Each column is decoded
+straight into the chunk's block of indices, and a file of one chunk
+keeps that block and its IDs as read.  A column is read as strings
+where a cell is padded.  A chunk numpy rejects goes through
+``csv.reader``, and so does the rest of the file from the first block
+holding a quote; both paths word every fault alike.  A CSV cell of a
+bucketed attribute is read as a number first and as a bucket label only
+when it does not parse; a string value given to ``Dataset`` in a ``Row``
+is tried as a label first.
 """
 
 from __future__ import annotations
@@ -119,24 +122,47 @@ class Attribute:
         return self.bin_edges[index], self.bin_edges[index + 1]
 
 
-def _bucket_codes(attr: Attribute, x: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-    """Bucket index of every number in ``x``; ``rows`` are their row numbers.
+# A bucketed column with at most this many edges, outside the lookup
+# table's range, is bucketed by one ``x >= edge`` pass per edge; one
+# with more by a sorted search.
+_COMPARED_EDGES = 8
+
+
+def _bucket_codes(
+    attr: Attribute, x: np.ndarray, rows: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Bucket index of every number in ``x``, written to ``out`` if given;
+    ``rows`` are their row numbers.
 
     Integers spanning fewer values than there are of them are looked up
-    in a table of each value's bucket, built by one search; other numbers
-    are searched one by one.  The first number outside the buckets, NaN
-    included, is an error, worded from its float value.
+    in a table of each value's bucket, built by one search.  Other
+    numbers, against at most ``_COMPARED_EDGES`` edges, are bucketed by
+    counting the edges each is at least: the float64 comparisons numpy's
+    search makes, so an integer past 2**53 is rounded as there.  Against
+    more edges they are searched one by one.  The first number outside
+    the buckets, NaN included, is an error, worded from its float value.
     """
     edges = np.array(attr.bin_edges)
-    codes = None
+    if out is None:
+        out = np.empty(len(x), np.int64)
+    narrow = False
     if x.dtype.kind == "i" and len(x):
         lo, hi = int(x.min()), int(x.max())
-        if hi - lo < len(x):
-            span = np.arange(hi - lo + 1) + lo
-            codes = (np.searchsorted(edges, span, side="right") - 1)[x - lo]
-    if codes is None:
-        codes = np.searchsorted(edges, x, side="right") - 1
-    outside = (codes < 0) | (codes >= attr.size)  # NaN sorts after every edge
+        narrow = hi - lo < len(x)
+    if narrow:
+        span = np.arange(hi - lo + 1) + lo
+        np.take(np.searchsorted(edges, span, side="right") - 1, x - lo, out=out)
+    elif len(edges) <= _COMPARED_EDGES:
+        numbers = x.astype(np.float64)  # as the search converts them
+        count = np.zeros(len(x), np.uint8)
+        at_least = np.empty(len(x), np.uint8)
+        for edge in edges.tolist():
+            np.greater_equal(numbers, edge, out=at_least)
+            count += at_least
+        np.subtract(count, 1, out=out, dtype=np.int64)
+    else:
+        np.subtract(np.searchsorted(edges, x, side="right"), 1, out=out)
+    outside = (out < 0) | (out >= attr.size)  # NaN is outside either way
     if outside.any():
         i = int(np.argmax(outside))
         value = float(x[i])
@@ -148,7 +174,7 @@ def _bucket_codes(attr: Attribute, x: np.ndarray, rows: Sequence[int]) -> np.nda
                 f"[{_format_number(edges[0])}, {_format_number(edges[-1])})"
             )
         raise DatasetError(f"row {rows[i]}, attribute {attr.name!r}: {problem}")
-    return codes
+    return out
 
 
 def _value_codes(
@@ -211,13 +237,11 @@ def _value_codes(
 
 
 def _auto_labels(edges: tuple[float, ...]) -> tuple[str, ...]:
-    labels = []
-    for lo, hi in zip(edges, edges[1:]):
-        if math.isinf(hi):
-            labels.append(f"{_format_number(lo)}+")
-        else:
-            labels.append(f"[{_format_number(lo)},{_format_number(hi)})")
-    return tuple(labels)
+    texts = [_format_number(e) for e in edges]  # each edge formatted once
+    return tuple(
+        f"{lo}+" if math.isinf(top) else f"[{lo},{hi})"
+        for lo, hi, top in zip(texts, texts[1:], edges[1:])
+    )
 
 
 def _is_number(value: object) -> bool:
@@ -447,7 +471,8 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     lines, and each chunk of lines goes straight to a block of domain
     indices, so memory holds the IDs, the codes, one block of text and
     one chunk, never a ``Row`` per line; the blocks of indices are
-    joined once at the end, column-major.  A chunk free of quotes is
+    joined once at the end, column-major, and a lone block is kept as
+    it is.  A chunk free of quotes is
     parsed by numpy's C reader, ``np.loadtxt``: numbers of bucketed
     attributes straight to integers or floats, IDs of an ASCII chunk to
     bytes and of any other to strings, and labels to fixed-width fields
@@ -504,7 +529,10 @@ def load_csv(path: str, schema: Schema) -> Dataset:
                     gc.enable()
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: {exc}") from None
-    codes = np.concatenate(blocks) if blocks else np.empty((0, schema.k), np.int64)
+    if len(blocks) == 1:  # a one-chunk table keeps its block as read
+        codes = blocks[0]
+    else:
+        codes = np.concatenate(blocks) if blocks else np.empty((0, schema.k), np.int64)
     return Dataset._from_codes(schema, ids, codes)
 
 
@@ -515,13 +543,14 @@ _HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
 def _unique_ids(chunks: list[list[str] | np.ndarray]) -> tuple[str, ...] | np.ndarray:
     """Each chunk's IDs joined, once checked for duplicates.
 
-    Where every chunk holds an ``S`` array, they are joined in one, and
-    each ID's 8-byte words are hashed to one ``uint64``.  Equal IDs are
-    equal bytes, so equal hashes, and only when two hashes are equal are
-    the IDs decoded and checked as strings, which names the first repeat.
+    Where every chunk holds an ``S`` array, they are joined in one (a
+    lone chunk's is kept as it is), and each ID's 8-byte words are
+    hashed to one ``uint64``.  Equal IDs are equal bytes, so equal
+    hashes, and only when two hashes are equal are the IDs decoded and
+    checked as strings, which names the first repeat.
     """
     if chunks and all(isinstance(c, np.ndarray) for c in chunks):
-        ids = np.concatenate(chunks)
+        ids = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         words = ids.view("<u8").reshape(len(ids), ids.itemsize // 8)
         hashes = words[:, 0].copy()
         for j in range(1, words.shape[1]):
@@ -616,29 +645,30 @@ def _parse_chunk(
     """The stripped IDs, as strings or bytes, and the codes of a
     quote-free chunk of lines.
 
-    ``np.loadtxt`` skips empty lines and reads a bucketed cell as a number
-    only where ``float`` reads the stripped cell as the same number.  A
-    chunk's fields are chosen from its first line that is not blank.  A
-    bucketed column whose cell there is a plain integer goes to an int64
-    field, which numpy fills only with integers that convert to the
-    floats ``float`` reads; any other goes to a float field.  If the int
-    read fails, or finds a bad cell, the chunk is read again with every
-    bucketed field a float, which words the fault as before.  In an ASCII
-    chunk, IDs go to an ``S`` field a multiple of 8 bytes wide and wider
-    than the first line's ID, and are read again as strings unless
-    ``_whole_ids`` finds each of them whole and stripped; in any other
-    chunk, or where that field would be wider than
-    ``_LABEL_FIELD_CHARS``, they are read as strings at once.  A label column whose cell
-    there is in its ``_label_table`` goes to that table's fixed-width
-    field, ``S8`` in an ASCII chunk when every label fits, decoded in
-    numpy, and is read again as strings if another cell of it is not a
-    label (padded or unknown).  Any other label column, as in a file
-    written with ", " separators, is read as strings at once.
-    ``_column_codes`` reads a column of strings as it reads a
-    ``csv.reader`` column.  None when ``csv.reader`` must read the chunk
-    or word its fault: a line of the wrong width or of whitespace only, a
-    cell numpy does not read as a number, or an empty ID.  A bad cell
-    that numpy did read is raised here, its row counted after ``start``.
+    ``np.loadtxt`` skips empty lines and reads a bucketed cell as a
+    number only where ``float`` reads the stripped cell as the same
+    number.  A chunk's fields are chosen from its first line that is not
+    blank.  A bucketed column whose cell there is a plain integer goes
+    to an int64 field, which numpy fills only with integers that convert
+    to the floats ``float`` reads; any other goes to a float field.  If
+    the int read fails, or finds a bad cell, the chunk is read again
+    with every bucketed field a float, which words the fault as before.
+    In an ASCII chunk, IDs go to an ``S`` field a multiple of 8 bytes
+    wide and wider than the first line's ID, and are read again as
+    strings unless ``_whole_ids`` finds each of them whole and stripped;
+    in any other chunk, or where that field would be wider than
+    ``_LABEL_FIELD_CHARS``, they are read as strings at once.  A label
+    column whose cell there is in its ``_label_table`` goes to that
+    table's fixed-width field, ``S8`` in an ASCII chunk when every label
+    fits, decoded in numpy by ``_label_codes``, and is read again as
+    strings if another cell of it is not a label (padded or unknown).
+    Any other label column, as in a file written with ", " separators,
+    is read as strings at once.  ``_column_codes`` reads a column of
+    strings as it reads a ``csv.reader`` column.  None when
+    ``csv.reader`` must read the chunk or word its fault: a line of the
+    wrong width or of whitespace only, a cell numpy does not read as a
+    number, or an empty ID.  A bad cell that numpy did read is raised
+    here, its row counted after ``start``.
     """
     uid, *first = next(filter(str.strip, lines)).rstrip("\r").split(",")
     width = (len(uid) + 8) // 8 * 8
@@ -672,7 +702,8 @@ def _read_chunk(
 ) -> tuple[list[str] | np.ndarray, np.ndarray] | None:
     """One ``np.loadtxt`` read of a chunk for ``_parse_chunk``: IDs go to
     ``id_field``, ``tables`` maps a label column to its ``_label_table``,
-    and ``ints`` holds the bucketed columns read as int64."""
+    and ``ints`` holds the bucketed columns read as int64.  Each column
+    is decoded straight into its column of the chunk's block."""
     fields = [("id", id_field)]
     for j, attr in enumerate(schema.attributes):
         if j in tables:
@@ -689,9 +720,13 @@ def _read_chunk(
     except (ValueError, DeprecationWarning):
         return None
     row_ids = table["id"]
-    labels = {j: _label_codes(table[f"c{j}"], *tables[j]) for j in tables}
+    block = np.empty((len(row_ids), schema.k), dtype=np.int64, order="F")
     # The CSV columns, the IDs' being 0, that one more pass reads as strings.
-    redo = [j + 1 for j, codes in labels.items() if codes is None]
+    redo = [
+        j + 1
+        for j in tables
+        if not _label_codes(table[f"c{j}"], *tables[j], block[:, j])
+    ]
     if row_ids.dtype.kind == "S":
         row_ids = row_ids.copy()  # holds no view of the chunk's table
         if not _whole_ids(row_ids):
@@ -710,15 +745,13 @@ def _read_chunk(
         if "" in row_ids:
             return None
     rows = range(start + 1, start + len(row_ids) + 1)
-    block = np.empty((len(row_ids), schema.k), dtype=np.int64, order="F")
     for j, attr in enumerate(schema.attributes):
         if attr.is_numeric:
-            block[:, j] = _bucket_codes(attr, table[f"c{j}"], rows)
-        elif labels.get(j) is not None:
-            block[:, j] = labels[j]
-        else:  # read as strings, by the first pass or the second
-            cells = strings[f"f{j + 1}"] if j + 1 in redo else table[f"c{j}"]
-            block[:, j] = _column_codes(attr, cells, start)
+            _bucket_codes(attr, table[f"c{j}"], rows, block[:, j])
+        elif j + 1 in redo:
+            block[:, j] = _column_codes(attr, strings[f"f{j + 1}"], start)
+        elif j not in tables:  # read as strings at once
+            block[:, j] = _column_codes(attr, table[f"c{j}"], start)
     return row_ids, block
 
 
@@ -779,15 +812,41 @@ def _keys(cells: Sequence[str] | np.ndarray, field: str) -> np.ndarray:
     return keys.view("<u8") if field == "S8" else keys
 
 
+# A label table of at most this many ``S8`` keys is decoded by one
+# equality test per key; a larger one, or any ``U`` field, is searched.
+_EQUAL_KEYS = 16
+
+
 def _label_codes(
-    cells: np.ndarray, field: str, keys: np.ndarray, codes: np.ndarray
-) -> np.ndarray | None:
-    """The code of each cell of a ``field`` from a non-empty
-    ``_label_table``; None if a cell is none of its labels."""
+    cells: np.ndarray, field: str, keys: np.ndarray, codes: np.ndarray, out: np.ndarray
+) -> bool:
+    """Write the code of each cell of a ``field`` from a non-empty
+    ``_label_table`` to ``out``; False if a cell is none of its labels.
+
+    Against at most ``_EQUAL_KEYS`` ``S8`` keys, each key's code plus one
+    is summed into the cells equal to it, in the narrowest unsigned type
+    that holds it; a cell equal to no key sums to 0.  Against more keys,
+    each cell is searched for among them.
+    """
     cells = _keys(cells, field)
+    if field == "S8" and len(keys) <= _EQUAL_KEYS:
+        cells = np.ascontiguousarray(cells)  # copied once out of the records
+        total = np.zeros(len(cells), np.min_scalar_type(int(codes.max()) + 1))
+        equal = np.empty_like(total)
+        for key, code in zip(keys.tolist(), codes.tolist()):
+            np.equal(cells, key, out=equal)
+            equal *= code + 1
+            total += equal
+        if not total.all():
+            return False
+        np.subtract(total, 1, out=out, dtype=np.int64)
+        return True
     at = np.searchsorted(keys, cells)
     np.minimum(at, len(keys) - 1, out=at)
-    return codes[at] if (keys[at] == cells).all() else None
+    if not (keys[at] == cells).all():
+        return False
+    np.take(codes, at, out=out)
+    return True
 
 
 def _parse_records(

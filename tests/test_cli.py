@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from dpshuffle import cli as cli_module
 from dpshuffle import dataset as dataset_module
 from dpshuffle import pipeline as pipeline_module
 from dpshuffle.cli import build_parser, main
@@ -546,6 +547,52 @@ def _usage_error(parse, argv, capsys) -> str:
     return capsys.readouterr().err
 
 
+# Arguments each subcommand accepts, a long option and its value first.
+ACCEPTED = {
+    "run": ["--config", "c.json", "--dataset", "d.csv", "--query", "q"],
+    "epsilon": ["--batches", "3", "-S", "2", "--n1", "4"],
+    "risk-sweep": ["--config", "c.json", "--dataset", "d.csv"],
+    "table3": ["--out", "t.json"],
+    "oracle-rr": ["--trials", "5", "--n1", "3", "-S", "2"],
+}
+
+
+def _parse_cases(name: str) -> list[list[str]]:
+    option, value, *rest = accepted = ACCEPTED[name]
+    return [
+        [name, *accepted],
+        [name, f"{option}={value}", *rest],
+        [name, option[:4], value, *rest],  # abbreviated
+        [name, *accepted, "--json", "--json"],
+        [name, *accepted, option, "again"],
+        [name, "--", *accepted],
+        [name, *accepted, "--"],
+        [name, *accepted, "--", "stray"],
+        [name, *accepted, "stray"],
+        [name, "stray", *accepted],
+        [name, "--", "--"],
+        [name, *accepted, "--bogus", "x"],
+        [name, *accepted, "-x"],
+        [name, *accepted, "--json=1"],  # a flag given a value
+        [name, *accepted[2:]],  # a required option left out, if any
+        [name, "-h"],
+        [name, *accepted, "--help"],
+    ]
+
+
+def _outcome(call, argv, capsys) -> tuple:
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _parse_with_full_parser(argv):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
 class TestParser:
     def test_no_arguments_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:
@@ -568,10 +615,31 @@ class TestParser:
 
     @pytest.mark.parametrize("name", COMMANDS)
     def test_one_subcommand_build_has_the_full_texts(self, name):
-        full, alone = build_parser(), build_parser(name)
+        alone, full = cli_module._command_parser(name), _subparser(build_parser(), name)
+        assert alone.prog == full.prog
+        assert alone.format_help() == full.format_help()
         assert alone.format_usage() == full.format_usage()
-        assert _subparser(alone, name).format_help() == _subparser(full, name).format_help()
-        assert _subparser(alone, name).format_usage() == _subparser(full, name).format_usage()
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_main_parses_as_the_full_parser(self, monkeypatch, capsys, name):
+        # Each handler prints the namespace it was given instead of running.
+        def echo(handler):
+            def run(args):
+                fields = {k: v for k, v in vars(args).items() if k != "func"}
+                print(handler, sorted(fields.items()))
+                return 0
+
+            return run
+
+        handlers = ("_cmd_run", "_cmd_epsilon", "_cmd_risk_sweep", "_cmd_table3", "_cmd_oracle")
+        for handler in handlers:
+            monkeypatch.setattr(cli_module, handler, echo(handler))
+        outcomes = set()
+        for argv in _parse_cases(name):
+            got = _outcome(main, argv, capsys)
+            assert got == _outcome(_parse_with_full_parser, argv, capsys), argv
+            outcomes.add(got[0])
+        assert outcomes == {0, 2}
 
     @pytest.mark.parametrize(
         "argv",

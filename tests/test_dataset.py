@@ -758,6 +758,8 @@ def test_quote_free_chunk_loads_as_the_row_by_row_loader(tmp_path, line):
         (("north", "south"), ["north", "  south  "], [0, 1]),
         (("", "x"), ["x", ""], [1, 0]),
         (("", "x"), ["", "x", " "], [0, 1, 0]),
+        # codes past 255, which a uint8 total cannot hold
+        (tuple(f" p{i}" for i in range(300)) + ("a", "b"), ["b", "a"], [301, 300]),
         # an 8-character label: a U field
         (("eight888", "x"), ["x", "eight888"], [1, 0]),
         (("eight888", "x"), ["eight888", "eight8888"], "value 'eight8888' is not"),
@@ -786,6 +788,51 @@ def test_quote_free_labels_load_as_the_row_by_row_loader(
             assert expected in loaded
         else:
             assert loaded[1] == [[code, 0, 1] for code in expected]
+
+
+def searched_label_codes(cells: np.ndarray, keys: np.ndarray, codes: np.ndarray):
+    """Codes of ``S8`` cells by a sorted search of a ``_label_table``'s
+    keys, or None if a cell is none of its labels."""
+    cells = cells.view("<u8")
+    at = np.minimum(np.searchsorted(keys, cells), len(keys) - 1)
+    return codes[at].tolist() if (keys[at] == cells).all() else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_label_decode_matches_the_sorted_search(data):
+    # 1 to 40 plain labels, across the equality kernel's limit, and maybe
+    # padded ones, which take codes but are never matched in numpy.
+    count = data.draw(st.integers(1, 40))
+    text = st.text("abcxyz019_", min_size=1, max_size=7)
+    plain = data.draw(st.lists(text, min_size=count, max_size=count, unique=True))
+    padded = data.draw(st.lists(st.sampled_from((" a", "b ")), max_size=2, unique=True))
+    domain = data.draw(st.permutations(plain + padded))
+    field, keys, codes = dataset_module._label_table(Attribute("x", tuple(domain)), True)
+    assert field == "S8" and len(keys) == count
+    cells = data.draw(st.lists(st.sampled_from(plain), min_size=1, max_size=30))
+    if data.draw(st.booleans()):
+        # A label's prefix (maybe empty), "", a padded label, or a cell of
+        # 8 or more bytes starting with a label, which numpy cuts to 8.
+        label = st.sampled_from(domain)
+        longer = st.tuples(label, st.text("abz", max_size=4))
+        other = (
+            label.map(lambda v: v[:-1])
+            | st.just("")
+            | label
+            | longer.map(lambda p: (p[0] + "z" * 8)[:8] + p[1])
+        )
+        cells.insert(data.draw(st.integers(0, len(cells))), data.draw(other))
+    # As np.loadtxt gives them: one field of a record per row.
+    table = np.zeros(len(cells), [("id", "S16"), ("c", "S8"), ("n", np.int64)])
+    table["c"] = cells
+    block = np.full((len(cells), 3), -7, dtype=np.int64, order="F")
+    expected = searched_label_codes(table["c"].copy(), keys, codes)
+    decoded = dataset_module._label_codes(table["c"], field, keys, codes, block[:, 1])
+    assert decoded == (expected is not None)
+    if decoded:
+        assert block[:, 1].tolist() == expected
+    assert (block[:, [0, 2]] == -7).all()
 
 
 def labels_schema(domain: tuple[str, ...]) -> Schema:
@@ -865,26 +912,57 @@ def bucket_outcome(attr: Attribute, x: np.ndarray, rows) -> list[int] | str:
         return str(exc)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_integer_buckets_match_the_float_search(data):
-    # Edges may be negative or non-integral (n + 0.5), the last one inf.
-    whole = st.lists(st.integers(-60, 60), min_size=2, max_size=8, unique=True)
+def draw_buckets(data, max_edges: int) -> tuple[Attribute, st.SearchStrategy]:
+    """A bucketed attribute, and integers inside its buckets or on or
+    next to an edge.
+
+    Edges may be negative or non-integral (n + 0.5), the last one inf.
+    """
+    whole = st.lists(st.integers(-60, 60), min_size=2, max_size=max_edges, unique=True)
     halves = st.sampled_from((0.0, 0.5))
     edges = [e + data.draw(halves) for e in sorted(data.draw(whole))]
     if data.draw(st.booleans()):
         edges[-1] = math.inf
     attr = Attribute("x", tuple(f"b{i}" for i in range(len(edges) - 1)), tuple(edges))
+    inside = [v for v in range(-70, 71) if edges[0] <= v < edges[-1]]
+    finite = [e for e in edges if math.isfinite(e)]
+    near = [f(e) for e in finite for f in (math.floor, math.ceil)]
+    return attr, st.sampled_from(inside + near)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_buckets_match_the_float_search(data):
+    # Up to 8 edges are compared against each value, more are searched.
+    attr, values = draw_buckets(data, 12)
     n = data.draw(st.integers(1, 40))
     if data.draw(st.booleans()):  # narrow: fewer distinct values than cells
         lo = data.draw(st.integers(-70, 70))
         cells = st.integers(lo, lo + n - 1)
     else:
-        extremes = (-(2**63), 2**63 - 1, 2**53 + 1, -(2**53) - 1)
-        cells = st.integers(-70, 70) | st.sampled_from(extremes)
+        cells = values
+        if data.draw(st.booleans()):  # values outside the buckets too
+            extremes = (-(2**63), 2**63 - 1, 2**53 + 1, -(2**53) - 1)
+            cells |= st.integers(-70, 70) | st.sampled_from(extremes)
     x = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.int64)
     rows = range(4, 4 + n)
-    assert bucket_outcome(attr, x, rows) == bucket_outcome(attr, x.astype(float), rows)
+    with mock.patch.object(dataset_module, "_COMPARED_EDGES", 0):  # search them all
+        searched = bucket_outcome(attr, x.astype(float), rows)
+    assert bucket_outcome(attr, x, rows) == searched
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compared_float_buckets_match_the_search(data):
+    attr, values = draw_buckets(data, 8)
+    cells = values.map(float)
+    if data.draw(st.booleans()):
+        cells |= st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.5, 2.0**60))
+    x = np.array(data.draw(st.lists(cells, min_size=1, max_size=30)))
+    rows = range(1, 1 + len(x))
+    with mock.patch.object(dataset_module, "_COMPARED_EDGES", 0):
+        searched = bucket_outcome(attr, x, rows)
+    assert bucket_outcome(attr, x, rows) == searched
 
 
 # Bucketed cells around an edge at 17.5 and an edge at 0, and a range
