@@ -10,29 +10,29 @@ exactly the same information; the shuffling stages downstream only ever
 move columns of indices, and labels come back only when a table is
 exported.
 
-``load_csv`` reads a file in blocks of text, splits each once into
-lines and turns each chunk of lines straight into a block of indices, so
-loading holds the IDs, the index array, a block and one chunk of cells,
-never a ``Row`` or a record per row.  numpy's C reader, ``np.loadtxt``,
-parses a chunk free of quotes in one call.  In an ASCII chunk it reads
-the IDs into one fixed-width byte field, checked in numpy to be whole
-and stripped, and kept as bytes: duplicates are found by hashing them,
-and they are decoded to strings only when ``Dataset.ids`` is read, which
-a release never does.  It reads the numbers of a bucketed attribute as
-integers, bucketed through a lookup table or by comparison with each
-edge, where the chunk's first line that is not blank holds an integer
-there, and as floats otherwise.  Labels are read as fixed-width fields
-that numpy looks up in the domain: in an ASCII chunk, labels of at most
-7 ASCII characters as 8-byte fields compared as integers, one equality
-test per label where there are at most 16.  Each column is decoded
-straight into the chunk's block of indices, and a file of one chunk
-keeps that block and its IDs as read.  A column is read as strings
-where a cell is padded.  A chunk numpy rejects goes through
-``csv.reader``, and so does the rest of the file from the first block
-holding a quote; both paths word every fault alike.  A CSV cell of a
-bucketed attribute is read as a number first and as a bucket label only
-when it does not parse; a string value given to ``Dataset`` in a ``Row``
-is tried as a label first.
+``load_csv`` reads a file in blocks of text, splits each once into lines
+and writes each chunk of lines straight into one index array and one ID
+array for the whole table, so loading holds those two arrays, one
+block's lines and one chunk of cells, never a ``Row`` or a record per
+row.  numpy's C reader, ``np.loadtxt``, parses a chunk free of quotes in
+one call.  In an ASCII chunk it reads the IDs into one fixed-width byte
+field, checked in numpy to be whole and stripped, and kept as bytes:
+duplicates are found by hashing them, and they are decoded to strings
+only when ``Dataset.ids`` is read, which a release never does.  It reads
+the numbers of a bucketed attribute as integers, bucketed through a
+lookup table or by comparison with each edge, where the chunk's first
+line that is not blank holds an integer there, and as floats otherwise.
+Labels are read as fixed-width fields that numpy looks up in the domain:
+in an ASCII chunk, labels of at most 7 ASCII characters as 8-byte fields
+compared as integers, one equality test per label where there are at
+most 16.  Each column is decoded straight into the chunk's rows of the
+index array, which is sized from the file's length, so a file of one
+chunk keeps it as read.  A column is read as strings where a cell is
+padded.  A chunk numpy rejects goes through ``csv.reader``, and so does
+the rest of the file from the first block holding a quote; both paths
+word every fault alike.  A CSV cell of a bucketed attribute is read as a
+number first and as a bucket label only when it does not parse; a string
+value given to ``Dataset`` in a ``Row`` is tried as a label first.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import csv
 import gc
 import io
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, fields
@@ -468,11 +469,13 @@ def load_csv(path: str, schema: Schema) -> Dataset:
 
     The header must name every schema attribute, in schema order, after
     the ID column.  The file is read in blocks of text split once into
-    lines, and each chunk of lines goes straight to a block of domain
-    indices, so memory holds the IDs, the codes, one block of text and
-    one chunk, never a ``Row`` per line; the blocks of indices are
-    joined once at the end, column-major, and a lone block is kept as
-    it is.  A chunk free of quotes is
+    lines, and each chunk of lines is written straight into one
+    column-major array of domain indices and one array of IDs, both
+    sized from the file's length and grown if that falls short (see
+    ``_Rows``), so memory holds the IDs, the codes, one block's lines
+    and one chunk, never a ``Row`` per line, and never a second copy of
+    the codes: at 10^6 rows the traced peak is within a fifth of what
+    the dataset keeps.  A chunk free of quotes is
     parsed by numpy's C reader, ``np.loadtxt``: numbers of bucketed
     attributes straight to integers or floats, IDs of an ASCII chunk to
     bytes and of any other to strings, and labels to fixed-width fields
@@ -491,9 +494,7 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     read.  ``_chunks`` says how the text is read, and ``_parse_chunk``
     how numpy reads a chunk.
     """
-    id_chunks: list[list[str] | np.ndarray] = []
-    blocks: list[np.ndarray] = []
-    n = 0
+    rows = _Rows(schema.k)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             try:
@@ -513,15 +514,13 @@ def load_csv(path: str, schema: Schema) -> Dataset:
             gc_enabled = gc.isenabled()
             gc.disable()
             try:
-                for lines, is_ascii, records in _chunks(fh):
-                    parsed = lines and _parse_chunk(lines, schema, n, is_ascii)
-                    if parsed is None:  # for csv.reader to read or to word
-                        parsed = _parse_records(records, schema, n)
-                    row_ids, block = parsed
-                    id_chunks.append(row_ids)
-                    blocks.append(block)
-                    n += len(block)
-                ids = _unique_ids(id_chunks)
+                for lines, is_ascii, records, lines_left in _chunks(fh):
+                    rows.lines_left = lines_left
+                    if not (lines and _parse_chunk(lines, schema, rows, is_ascii)):
+                        # for csv.reader to read or to word
+                        _parse_records(records, schema, rows)
+                ids, codes = rows.finish()
+                ids = _unique_ids(ids)
             except DatasetError as exc:
                 raise DatasetError(f"{path} {exc}") from None
             finally:
@@ -529,67 +528,160 @@ def load_csv(path: str, schema: Schema) -> Dataset:
                     gc.enable()
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"{path}: {exc}") from None
-    if len(blocks) == 1:  # a one-chunk table keeps its block as read
-        codes = blocks[0]
-    else:
-        codes = np.concatenate(blocks) if blocks else np.empty((0, schema.k), np.int64)
     return Dataset._from_codes(schema, ids, codes)
+
+
+class _Rows:
+    """The IDs and codes of the rows a load has read so far, each kind
+    written into one array as the chunks come in.
+
+    ``codes`` holds ``capacity`` codes of each attribute, one column after
+    another, so that ``block`` gives a chunk a column-major view of its
+    rows.  IDs read as bytes go to ``ids``, one ``S`` array as wide as
+    the widest chunk's field; from the first chunk whose IDs are read as
+    strings on, every ID is kept in ``strings`` instead.  The arrays are
+    sized by the first chunk, to its rows and ``lines_left``, the lines
+    ``_chunks`` estimates after it, plus a sixteenth; a table of one
+    chunk gets exactly its rows.  A chunk that does not fit doubles the
+    capacity, and ``finish`` trims it to the rows read.  Both reallocate
+    the arrays in place, by ``ndarray.resize``, which numpy refuses while
+    a view of them is alive, so no view outlives the chunk it was made
+    for.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.n = 0  # rows read
+        self.capacity = 0
+        self.lines_left = 0
+        self.codes = np.empty(0, np.int64)
+        self.ids = np.empty(0, "S8")
+        self.strings: list[str] | None = None
+
+    def block(self, rows: int) -> np.ndarray:
+        """A writable column-major view of the next ``rows`` rows' codes."""
+        end = self.n + rows
+        if end > self.capacity and self.capacity:
+            self._resize(max(end, 2 * self.capacity))
+        elif end > self.capacity:
+            self.capacity = end + self.lines_left + self.lines_left // 16
+            self.codes = np.empty(self.capacity * self.k, np.int64)
+        return self.codes.reshape(self.k, self.capacity).T[self.n : end]
+
+    def write_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Write the next rows' IDs from an ``S`` array, and return their
+        8-byte words as written, as many a row as ``ids`` has."""
+        if len(self.ids) < self.capacity or self.ids.itemsize < ids.itemsize:
+            wider = np.empty(self.capacity, f"S{max(self.ids.itemsize, ids.itemsize)}")
+            if self.strings is None:
+                wider[: self.n] = self.ids[: self.n]
+            self.ids = wider
+        end = self.n + len(ids)
+        self.ids[self.n : end] = ids
+        words = self.ids[self.n : end].view("<u8").reshape(len(ids), -1)
+        return words[:, : ids.itemsize // 8]
+
+    def commit(self, rows: int, strings: list[str] | None = None) -> None:
+        """Count the next ``rows`` rows as read, their IDs ``strings`` or,
+        if None, the bytes ``write_ids`` wrote."""
+        end = self.n + rows
+        if strings is None and self.strings is not None:
+            strings = _decode_ids(self.ids[self.n : end])
+        if strings is not None:
+            if self.strings is None:
+                self.strings = list(_decode_ids(self.ids[: self.n]))
+            self.strings.extend(strings)
+        self.n = end
+
+    def finish(self) -> tuple[list[str] | np.ndarray, np.ndarray]:
+        """The IDs and the ``(n, k)`` column-major codes of the rows read,
+        each array trimmed to them."""
+        if self.capacity > self.n:
+            self._resize(self.n)
+        codes = self.codes.reshape(self.k, self.n).T
+        return (self.ids if self.strings is None else self.strings), codes
+
+    def _resize(self, capacity: int) -> None:
+        """Give each column ``capacity`` rows, keeping the rows read.
+
+        Columns move ``_CHUNK_ROWS`` rows at a time, so that numpy sets
+        at most that many aside where a piece overlaps its new place.
+        They move right once the array has grown, from its end, and left
+        before it shrinks, from its start, so that no row is overwritten
+        before it has moved.
+        """
+        old, n, k = self.capacity, self.n, self.k
+        grow = capacity > old
+        if grow:
+            self.codes.resize(capacity * k)
+        pieces = [(j, lo) for j in range(1, k) for lo in range(0, n, _CHUNK_ROWS)]
+        for j, lo in reversed(pieces) if grow else pieces:
+            hi = min(lo + _CHUNK_ROWS, n)
+            self.codes[j * capacity + lo : j * capacity + hi] = self.codes[
+                j * old + lo : j * old + hi
+            ]
+        if not grow:
+            self.codes.resize(capacity * k)
+        if len(self.ids):
+            self.ids.resize(capacity)
+        self.capacity = capacity
 
 
 # Odd, so that multiplying a hash by it, modulo 2**64, loses no bit of it.
 _HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _unique_ids(chunks: list[list[str] | np.ndarray]) -> tuple[str, ...] | np.ndarray:
-    """Each chunk's IDs joined, once checked for duplicates.
+def _unique_ids(ids: list[str] | np.ndarray) -> tuple[str, ...] | np.ndarray:
+    """``ids``, once checked for duplicates.
 
-    Where every chunk holds an ``S`` array, they are joined in one (a
-    lone chunk's is kept as it is), and each ID's 8-byte words are
+    An ``S`` array is kept as it is, and each ID's 8-byte words are
     hashed to one ``uint64``.  Equal IDs are equal bytes, so equal
     hashes, and only when two hashes are equal are the IDs decoded and
     checked as strings, which names the first repeat.
     """
-    if chunks and all(isinstance(c, np.ndarray) for c in chunks):
-        ids = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        words = ids.view("<u8").reshape(len(ids), ids.itemsize // 8)
-        hashes = words[:, 0].copy()
-        for j in range(1, words.shape[1]):
-            hashes *= _HASH_FACTOR
-            hashes += words[:, j]
-        hashes.sort()
-        if (hashes[1:] == hashes[:-1]).any():
-            _check_unique(_decode_ids(ids))
+    if isinstance(ids, list):
+        ids = tuple(ids)
+        _check_unique(ids)
         return ids
-    ids = tuple(
-        chain.from_iterable(
-            _decode_ids(c) if isinstance(c, np.ndarray) else c for c in chunks
-        )
-    )
-    _check_unique(ids)
+    words = ids.view("<u8").reshape(len(ids), ids.itemsize // 8)
+    hashes = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        hashes *= _HASH_FACTOR
+        hashes += words[:, j]
+    hashes.sort()
+    if (hashes[1:] == hashes[:-1]).any():
+        _check_unique(_decode_ids(ids))
     return ids
 
 
 def _chunks(
     fh: TextIO,
-) -> Iterator[tuple[list[str] | None, bool, Iterable[list[str]]]]:
-    """The lines, whether they are ASCII, and the ``csv.reader`` records
-    of each chunk of ``fh``.
+) -> Iterator[tuple[list[str] | None, bool, Iterable[list[str]], int]]:
+    """The lines, whether they are ASCII, the ``csv.reader`` records of
+    each chunk of ``fh``, and an estimate of the lines after it.
 
     The text is read in blocks of about ``_LINE_CHARS`` characters a
     chunk line, each finished at a line end by ``readline`` and split
-    once at every LF; a line keeps the CR of a CRLF end.  A chunk is
-    ``_CHUNK_ROWS`` such lines, taken across blocks.  The lines are given
-    while the blocks hold no quote, no NUL (which ``csv.reader`` rejects
-    before Python 3.11) and no CR outside a CRLF line end: ``csv.reader``
-    would split such a chunk exactly at line ends and commas, as
-    ``np.loadtxt`` does, and its records are parsed only if the caller
-    reads them.  A chunk of whitespace-only lines holds no rows and is
-    skipped.  From the first block holding any of those on, which may
-    open a quoted cell spanning lines, ``csv.reader`` reads the rest of
-    the file from the first line not yet given, ``_CHUNK_ROWS`` records
-    at a time, and only records are given.
+    once at every LF; a line keeps the CR of a CRLF end.  A block's text
+    is let go once split, so a chunk is parsed beside its lines alone.
+    A chunk is ``_CHUNK_ROWS`` such lines, taken across blocks.  The
+    lines are given while the blocks hold no quote, no NUL (which
+    ``csv.reader`` rejects before Python 3.11) and no CR outside a CRLF
+    line end: ``csv.reader`` would split such a chunk exactly at line
+    ends and commas, as ``np.loadtxt`` does, and its records are parsed
+    only if the caller reads them.  A chunk of whitespace-only lines
+    holds no rows and is skipped.  The lines after a chunk are those
+    split and not yet given, plus the file's bytes not yet read over the
+    characters a line of the first block; after the last chunk they are
+    0.  From the first block holding a quote, a NUL or a lone CR on,
+    which may open a quoted cell spanning lines, ``csv.reader`` reads the
+    rest of the file from the first line not yet given, ``_CHUNK_ROWS``
+    records at a time, and only records are given, with 0 lines after
+    them.
     """
     rows = _CHUNK_ROWS
+    unread = os.fstat(fh.fileno()).st_size
+    line_chars = 0.0  # characters a line of the first block
     lines: list[str] = []  # split from the blocks read, not yet given
     lines_ascii = True  # whether ``lines`` are ASCII
     while True:
@@ -603,25 +695,31 @@ def _chunks(
         block = text.split("\n")
         if not block[-1]:  # the text after the last LF
             block.pop()
+        more = bool(text)
+        block_ascii = text.isascii()
+        unread = max(unread - len(text), 0)
+        line_chars = line_chars or len(text) / max(len(block), 1)
+        del text
         start = len(lines)  # this block's first line
         block[:0] = lines  # shifts the block's lines rather than copying them
         lines = block
-        end = len(lines) - len(lines) % rows if text else len(lines)
-        block_ascii = text.isascii()
+        end = len(lines) - len(lines) % rows if more else len(lines)
+        unread_lines = int(unread / line_chars) if more else 0
         for i in range(0, end, rows):
             # The lines of a table shorter than a chunk are given uncopied.
             chunk = lines if len(lines) <= rows else lines[i : i + rows]
             if any(map(str.strip, chunk)):
                 is_ascii = block_ascii and (lines_ascii or i >= start)
-                yield chunk, is_ascii, csv.reader(chunk)
-        if not text:
+                left = len(lines) - i - len(chunk) + unread_lines
+                yield chunk, is_ascii, csv.reader(chunk), left
+        if not more:
             return
         lines = lines[end:]
         lines_ascii = block_ascii and (lines_ascii or end >= start)
     head = "".join(f"{line}\n" for line in lines)
     reader = csv.reader(chain(io.StringIO(head + text, newline=""), fh))
     while records := list(islice(reader, rows)):
-        yield None, False, records
+        yield None, False, records, 0
 
 
 # Widest label field ``np.loadtxt`` fills, in characters, and widest ID
@@ -639,11 +737,9 @@ _LOADTXT_OPTIONS = dict(delimiter=",", comments=None, quotechar=None, ndmin=1)
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_chunk(
-    lines: list[str], schema: Schema, start: int, is_ascii: bool
-) -> tuple[list[str] | np.ndarray, np.ndarray] | None:
-    """The stripped IDs, as strings or bytes, and the codes of a
-    quote-free chunk of lines.
+def _parse_chunk(lines: list[str], schema: Schema, rows: _Rows, is_ascii: bool) -> bool:
+    """Write the stripped IDs, as strings or bytes, and the codes of a
+    quote-free chunk of lines to ``rows``.
 
     ``np.loadtxt`` skips empty lines and reads a bucketed cell as a
     number only where ``float`` reads the stripped cell as the same
@@ -664,11 +760,11 @@ def _parse_chunk(
     strings if another cell of it is not a label (padded or unknown).
     Any other label column, as in a file written with ", " separators,
     is read as strings at once.  ``_column_codes`` reads a column of
-    strings as it reads a ``csv.reader`` column.  None when
-    ``csv.reader`` must read the chunk or word its fault: a line of the
-    wrong width or of whitespace only, a cell numpy does not read as a
-    number, or an empty ID.  A bad cell that numpy did read is raised
-    here, its row counted after ``start``.
+    strings as it reads a ``csv.reader`` column.  False, with no row
+    counted as read, when ``csv.reader`` must read the chunk or word its
+    fault: a line of the wrong width or of whitespace only, a cell numpy
+    does not read as a number, or an empty ID.  A bad cell that numpy did
+    read is raised here, its row counted after the rows read.
     """
     uid, *first = next(filter(str.strip, lines)).rstrip("\r").split(",")
     width = (len(uid) + 8) // 8 * 8
@@ -684,26 +780,26 @@ def _parse_chunk(
             ints.add(j)
     if ints:
         try:
-            parsed = _read_chunk(lines, schema, start, id_field, tables, ints)
+            if _read_chunk(lines, schema, rows, id_field, tables, ints):
+                return True
         except DatasetError:
-            parsed = None  # the floats word it: a "-0" cell is -0.0, not 0
-        if parsed is not None:
-            return parsed
-    return _read_chunk(lines, schema, start, id_field, tables, set())
+            pass  # the floats word it: a "-0" cell is -0.0, not 0
+    return _read_chunk(lines, schema, rows, id_field, tables, set())
 
 
 def _read_chunk(
     lines: list[str],
     schema: Schema,
-    start: int,
+    rows: _Rows,
     id_field: str | type,
     tables: dict[int, tuple[str, np.ndarray, np.ndarray]],
     ints: set[int],
-) -> tuple[list[str] | np.ndarray, np.ndarray] | None:
+) -> bool:
     """One ``np.loadtxt`` read of a chunk for ``_parse_chunk``: IDs go to
     ``id_field``, ``tables`` maps a label column to its ``_label_table``,
     and ``ints`` holds the bucketed columns read as int64.  Each column
-    is decoded straight into its column of the chunk's block."""
+    is decoded straight into its column of the chunk's block of
+    ``rows``, and IDs read as bytes are copied straight into its IDs."""
     fields = [("id", id_field)]
     for j, attr in enumerate(schema.attributes):
         if j in tables:
@@ -718,19 +814,18 @@ def _read_chunk(
             warnings.simplefilter("error", DeprecationWarning)
             table = np.loadtxt(lines, dtype=np.dtype(fields), **_LOADTXT_OPTIONS)
     except (ValueError, DeprecationWarning):
-        return None
-    row_ids = table["id"]
-    block = np.empty((len(row_ids), schema.k), dtype=np.int64, order="F")
+        return False
+    start = rows.n
+    block = rows.block(len(table))
     # The CSV columns, the IDs' being 0, that one more pass reads as strings.
     redo = [
         j + 1
         for j in tables
         if not _label_codes(table[f"c{j}"], *tables[j], block[:, j])
     ]
-    if row_ids.dtype.kind == "S":
-        row_ids = row_ids.copy()  # holds no view of the chunk's table
-        if not _whole_ids(row_ids):
-            redo.insert(0, 0)
+    row_ids = table["id"]
+    if row_ids.dtype.kind == "S" and not _whole_ids(rows.write_ids(row_ids)):
+        redo.insert(0, 0)
     if redo:
         strings = np.loadtxt(
             lines,
@@ -743,31 +838,37 @@ def _read_chunk(
     if row_ids.dtype == object:
         row_ids = list(map(str.strip, row_ids))
         if "" in row_ids:
-            return None
-    rows = range(start + 1, start + len(row_ids) + 1)
+            return False
+    numbers = range(start + 1, start + len(table) + 1)
     for j, attr in enumerate(schema.attributes):
         if attr.is_numeric:
-            _bucket_codes(attr, table[f"c{j}"], rows, block[:, j])
+            _bucket_codes(attr, table[f"c{j}"], numbers, block[:, j])
         elif j + 1 in redo:
             block[:, j] = _column_codes(attr, strings[f"f{j + 1}"], start)
         elif j not in tables:  # read as strings at once
             block[:, j] = _column_codes(attr, table[f"c{j}"], start)
-    return row_ids, block
+    rows.commit(len(table), row_ids if isinstance(row_ids, list) else None)
+    return True
 
 
-def _whole_ids(ids: np.ndarray) -> bool:
-    """Whether an ``S`` field holds every ID of its ASCII chunk whole and
+def _whole_ids(words: np.ndarray) -> bool:
+    """Whether the ``(n, m)`` little-endian 8-byte words of an ``S``
+    field of ``8 * m`` bytes hold every ID of its ASCII chunk whole and
     stripped: none filling the field's last byte, where ``np.loadtxt``
     may have cut a longer one, and none empty or starting or ending with
     a space or a control byte below it, a set holding every ASCII byte
     that ``str.strip`` removes."""
-    cells = ids.view(np.uint8)
-    rows = cells.reshape(len(ids), ids.itemsize)
-    if rows[:, -1].any() or (rows[:, 0] <= 32).any():
+    if (words[:, -1] >> 56).any() or ((words[:, 0] & 0xFF) <= 32).any():
         return False
-    # An ID holds no NUL, so it ends at the byte before its first NUL.
-    # ``cells - 1 < 32`` holds for the bytes 1 to 32; a NUL wraps to 255.
-    return not ((cells[:-1] - 1 < 32) & (cells[1:] == 0)).any()
+    # An ID holds no NUL, so it ends at the highest nonzero byte of its
+    # last nonzero word, which halving shifts bring down to the low byte.
+    last = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        np.copyto(last, words[:, j], where=words[:, j] != 0)
+    for shift in (32, 16, 8):
+        high = last >> shift
+        np.copyto(last, high, where=high != 0)
+    return not (last <= 32).any()
 
 
 def _label_table(
@@ -849,16 +950,16 @@ def _label_codes(
     return True
 
 
-def _parse_records(
-    records: Iterable[list[str]], schema: Schema, start: int
-) -> tuple[list[str], np.ndarray]:
-    """The stripped IDs and the codes of a chunk of ``csv.reader`` records.
+def _parse_records(records: Iterable[list[str]], schema: Schema, rows: _Rows) -> None:
+    """Write the stripped IDs and the codes of a chunk of ``csv.reader``
+    records to ``rows``.
 
     Blank records are skipped.  The first wrong width, empty ID or bad
-    cell is raised, with its row number counted after ``start``.
+    cell is raised, with its row number counted after the rows read.
     """
     width = schema.k + 1
     records = [r for r in records if any(map(str.strip, r))]
+    start = rows.n
     for number, record in enumerate(records, start=start + 1):
         if len(record) != width:
             raise DatasetError(
@@ -866,11 +967,11 @@ def _parse_records(
             )
         if not record[0].strip():
             raise DatasetError(f"row {number}: empty row ID")
-    block = np.empty((len(records), schema.k), dtype=np.int64, order="F")
+    block = rows.block(len(records))
     for j, attr in enumerate(schema.attributes):
         column = [record[j + 1] for record in records]
         block[:, j] = _column_codes(attr, column, start)
-    return [record[0].strip() for record in records], block
+    rows.commit(len(records), [record[0].strip() for record in records])
 
 
 def _column_codes(attr: Attribute, cells: Sequence[str], start: int) -> np.ndarray:

@@ -116,8 +116,15 @@ def account(
     n1 = batch_sizes[0]
     if max(batch_sizes) != n1:
         raise ValueError("batch sizes must be ordered largest first")
-    scopes = batch_sizes if mode == "IS" else tuple(accumulate(batch_sizes))
-    if min(scopes) < 2:
+    smallest = min(batch_sizes)
+    if mode == "IS":
+        short = smallest < 2
+    else:
+        # Prefix sums of sizes none of which is negative never fall below
+        # the first one, so only a negative size needs them summed.
+        short = n1 < 2 or (smallest < 0 and min(accumulate(batch_sizes)) < 2)
+    if short:
+        scopes = batch_sizes if mode == "IS" else accumulate(batch_sizes)
         stage, size = next((i, s) for i, s in enumerate(scopes, 1) if s < 2)
         raise ValueError(
             f"stage {stage} covers {size} row(s); ratios need at least 2"

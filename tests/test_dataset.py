@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -1029,6 +1030,77 @@ def test_integer_read_refuses_an_integer_via_a_float(tmp_path, monkeypatch, line
     assert loaded == load_or_error(reference_load_csv, path, INT_SCHEMA)
 
 
+# Six columns, as in perfbench's tables: two label columns decoded by
+# 8-byte keys and four bucketed ones read as integers.
+MEMORY_SCHEMA = Schema.from_dict(
+    {
+        "attributes": [
+            {"name": "Region", "domain": ["north", "south", "east", "west"]},
+            {"name": "Age", "bins": [0, 18, 40, 65, 130]},
+            {"name": "Sex", "domain": ["F", "M"]},
+            {"name": "Weight", "bins": [0, 60, 90, 200]},
+            {"name": "Income", "bins": [0, 1000, 10000, 100000, None]},
+            {"name": "Time", "bins": list(range(53))},
+        ]
+    }
+)
+
+
+def write_memory_table(path: Path, n: int) -> None:
+    """A table over ``MEMORY_SCHEMA`` of ``n`` rows with 9-character IDs."""
+    rng = np.random.default_rng(7)
+    regions = rng.choice(MEMORY_SCHEMA.attribute("Region").values, n).tolist()
+    sexes = rng.choice(MEMORY_SCHEMA.attribute("Sex").values, n).tolist()
+    numbers = zip(
+        *(rng.integers(0, high, n).tolist() for high in (130, 200, 200_000, 52))
+    )
+    lines = [
+        f"r{i:08x},{region},{age},{sex},{weight},{income},{time}\n"
+        for i, region, sex, (age, weight, income, time) in zip(
+            range(n), regions, sexes, numbers
+        )
+    ]
+    header = ",".join(("id", *MEMORY_SCHEMA.names))
+    path.write_text(f"{header}\n{''.join(lines)}", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "chunk_rows, bound",
+    # Measured peaks over the bytes kept: 1.23 in 157 chunks, where
+    # each chunk's lines are small beside the arrays, and the ID hashes
+    # that check for duplicates, 8 bytes a row, are the most held at
+    # once; 3.79 in one chunk, whose lines and numpy records are alive
+    # beside the arrays, which it keeps as read.  A loader that joined
+    # the chunks' blocks at the end and kept a block's text while parsing
+    # it measured 2.12 and 4.17.
+    [(64, 1.3), (dataset_module._CHUNK_ROWS, 4.25)],
+)
+def test_a_load_holds_little_beyond_the_dataset_it_returns(
+    tmp_path, monkeypatch, chunk_rows, bound
+):
+    path = tmp_path / "table.csv"
+    write_memory_table(path, 10_000)
+    monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dataset = load_csv(str(path), MEMORY_SCHEMA)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    kept = dataset.codes.nbytes + dataset._ids.nbytes
+    assert kept == 10_000 * (6 * 8 + 16)
+    assert peak <= bound * kept
+    monkeypatch.undo()
+    whole = load_csv(str(path), MEMORY_SCHEMA)
+    assert dataset.ids == whole.ids
+    assert np.array_equal(dataset.codes, whole.codes)
+
+
 class TestChunkBoundaries:
     """``load_csv`` with 3-record chunks, blank lines counted in a chunk."""
 
@@ -1181,6 +1253,10 @@ class TestChunkBoundaries:
                 [*(f"id-of-row-{i}" for i in range(9)), "id-of-row-3"],
                 "row 10: duplicate row ID 'id-of-row-3'",
             ),
+            # later chunks whose IDs need a wider byte field than the
+            # first chunk's, or are read as strings after ones kept as bytes
+            ([f"r{i}" if i < 6 else f"r{i}-{'w' * 20}" for i in range(10)], None),
+            ([f"r{i}" if i < 6 else f"r{i}-{'w' * 70}" for i in range(10)], None),
             # ASCII chunks next to non-ASCII ones
             ([f"r{i}" if i % 3 else f"\u00e9{i}" for i in range(10)], None),
             (
@@ -1205,6 +1281,44 @@ class TestChunkBoundaries:
         else:
             assert reference == f"{path} {expected}"
         assert load_or_error(load_csv, path, people_schema) == reference
+
+    @pytest.mark.parametrize("chunk_rows", (1, 2, 3, dataset_module._CHUNK_ROWS))
+    @pytest.mark.parametrize("long_rows", [range(2), range(2, 30)])
+    def test_lines_longer_or_shorter_after_the_first_block(
+        self, tmp_path, monkeypatch, people_schema, chunk_rows, long_rows
+    ):
+        one_chunk = chunk_rows == dataset_module._CHUNK_ROWS
+        # 30 rows, Weight padded with 150 zeros after its point in some.
+        # Long lines first make the first block's characters a line
+        # overstate the rest, so the table's arrays are sized short and
+        # must grow; long lines after it make them too large, and they
+        # are trimmed.
+        rows = [line for line in self.LINES if line.strip()] * 3
+        lines = self.with_ids(rows, (f"r{i}" for i in range(30)))
+        for i in long_rows:
+            weight = lines[i].rsplit(",", 1)[1]
+            lines[i] += ("" if "." in weight else ".") + "0" * 150
+        path = self.write(tmp_path, lines)
+        reference = load_or_error(reference_load_csv, path, people_schema)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(dataset_module, "_parse_records", None)
+        resizes = []
+        resize = dataset_module._Rows._resize
+
+        def recording(rows, capacity):
+            resizes.append((rows.capacity, capacity))
+            return resize(rows, capacity)
+
+        monkeypatch.setattr(dataset_module._Rows, "_resize", recording)
+        loaded = load_or_error(load_csv, path, people_schema)
+        assert loaded == reference
+        assert isinstance(loaded[0], tuple) and len(loaded[0]) == 30
+        if one_chunk:
+            assert resizes == []  # one chunk: sized to its rows
+        elif long_rows[0] == 0:
+            assert any(new > old for old, new in resizes)
+        else:
+            assert resizes[-1][0] > resizes[-1][1] == 30
 
     def test_ids_whose_hashes_collide_load(self, tmp_path, monkeypatch, people_schema):
         # With a factor of 0 an ID's hash is its last 8-byte word, so these

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,27 @@ class TestAccount:
             account("IS", (3, 4), 2)
         with pytest.raises(ValueError, match="stage 1 covers 1 row"):
             account("CIS", (1, 1, 1), 2)
+
+    @pytest.mark.parametrize("mode", ("IS", "CIS"))
+    @pytest.mark.parametrize(
+        "sizes",
+        [(2, 1), (1, 1, 1), (3, 0), (2, 0, 0), (0,), (0, 0), (3, 3, 0, 0), (3, -2, 1)],
+    )
+    def test_short_stage_is_the_first_whose_scope_holds_under_2_rows(
+        self, mode, sizes
+    ):
+        # The rule stated over every stage's scope: its batch (IS) or the
+        # prefix of batches up to it (CIS).
+        scopes = sizes if mode == "IS" else tuple(accumulate(sizes))
+        short = [(i, s) for i, s in enumerate(scopes, 1) if s < 2]
+        if short:
+            stage, size = short[0]
+            message = f"stage {stage} covers {size} row(s); ratios need at least 2"
+            with pytest.raises(ValueError) as exc:
+                account(mode, sizes, 2)
+            assert str(exc.value) == message
+        else:
+            assert account(mode, sizes, 2).n1 == sizes[0]
 
     def test_plan_accounting_matches_plan_sizes(self):
         plan = build_plan(11, 3, ["a", "b"], 2, seed=6)
