@@ -8,6 +8,9 @@ Subcommands:
     table3      recompute the bundled reference configurations and diff
     oracle-rr   Monte-Carlo check of the single-batch likelihood ratio
 
+One parser, built once per process at import, parses every call of
+``main``.
+
 Exit codes: 0 success, 1 invalid input, 2 release refused, 3 retries
 exhausted.
 """
@@ -32,14 +35,10 @@ from .pipeline import (
 from .privacy import epsilon_cis, epsilon_is, mc_rr_estimate, rr_batch
 
 
-# The subcommands, in help order.
-_COMMANDS = ("run", "epsilon", "risk-sweep", "table3", "oracle-rr")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's full parser: top-level usage and help, and every
-    subcommand as a subparser.  ``main`` builds it only where its own
-    texts are needed."""
+    """The CLI's parser: top-level usage and help, and every subcommand
+    with its help text, handler and arguments.  Module scope builds it
+    once, as ``_PARSER``, which ``main`` parses with."""
     parser = argparse.ArgumentParser(
         prog="dpshuffle",
         description="Differentially private count reporting via batched "
@@ -47,65 +46,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
-        subparser = sub.add_parser(name, help=help_text)
-        subparser.set_defaults(func=handler)
-        return subparser
+    run = sub.add_parser("run", help="release one count-query answer")
+    run.set_defaults(func=_cmd_run)
+    run.add_argument("--config", required=True, help="JSON config file")
+    run.add_argument("--dataset", required=True, help="CSV dataset, first column is the row ID")
+    run.add_argument(
+        "--query", required=True, help='e.g. "count where age < 40 and weight > 60"'
+    )
+    run.add_argument("--schema", help="JSON schema file (overrides the config)")
+    run.add_argument("--json", action="store_true", help="emit the report as JSON")
+    run.add_argument("--out", help="also write the JSON report to this file")
 
-    _subcommands(add)
+    eps = sub.add_parser("epsilon", help="recompute privacy budgets")
+    eps.set_defaults(func=_cmd_epsilon)
+    eps.add_argument("--batches", "-t", type=int, required=True, help="batch count t")
+    eps.add_argument("--shufflers", "-S", type=int, required=True, help="shuffler count S")
+    size = eps.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=int, help="row count; the largest batch is derived")
+    size.add_argument("--n1", type=int, help="largest batch size, given directly")
+    eps.add_argument("--json", action="store_true")
+
+    sweep = sub.add_parser("risk-sweep", help="rank candidate (t, S) schemes")
+    sweep.set_defaults(func=_cmd_risk_sweep)
+    sweep.add_argument("--config", required=True)
+    sweep.add_argument("--dataset", required=True)
+    sweep.add_argument("--schema")
+    sweep.add_argument("--json", action="store_true")
+
+    table = sub.add_parser("table3", help="recompute the bundled reference configurations")
+    table.set_defaults(func=_cmd_table3)
+    table.add_argument("--json", action="store_true")
+    table.add_argument("--out", help="write the JSON diff to this file")
+
+    oracle = sub.add_parser("oracle-rr", help="Monte-Carlo check of the single-batch ratio")
+    oracle.set_defaults(func=_cmd_oracle)
+    oracle.add_argument("--n1", type=int, required=True, help="batch size")
+    oracle.add_argument("--shufflers", "-S", type=int, required=True)
+    oracle.add_argument("--trials", type=int, default=1_000_000)
+    oracle.add_argument("--seed", type=int, default=0)
+    oracle.add_argument("--json", action="store_true")
     return parser
-
-
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """Subcommand ``command``'s parser on its own, named as argparse names
-    it as a subparser of ``build_parser``, so its usage, help and error
-    texts, and the namespace it fills, are that subparser's."""
-    parser = argparse.ArgumentParser(prog=f"dpshuffle {command}")
-
-    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser | None:
-        if name != command:
-            return None
-        parser.set_defaults(func=handler, command=name)
-        return parser
-
-    _subcommands(add)
-    return parser
-
-
-def _subcommands(add) -> None:
-    """Each subcommand's help text, handler and arguments, stated once:
-    ``add(name, help_text, handler)`` gives the parser its arguments go
-    to, or None to leave that subcommand out."""
-    if run := add("run", "release one count-query answer", _cmd_run):
-        run.add_argument("--config", required=True, help="JSON config file")
-        run.add_argument("--dataset", required=True, help="CSV dataset, first column is the row ID")
-        run.add_argument(
-            "--query", required=True, help='e.g. "count where age < 40 and weight > 60"'
-        )
-        run.add_argument("--schema", help="JSON schema file (overrides the config)")
-        run.add_argument("--json", action="store_true", help="emit the report as JSON")
-        run.add_argument("--out", help="also write the JSON report to this file")
-    if eps := add("epsilon", "recompute privacy budgets", _cmd_epsilon):
-        eps.add_argument("--batches", "-t", type=int, required=True, help="batch count t")
-        eps.add_argument("--shufflers", "-S", type=int, required=True, help="shuffler count S")
-        size = eps.add_mutually_exclusive_group(required=True)
-        size.add_argument("--n", type=int, help="row count; the largest batch is derived")
-        size.add_argument("--n1", type=int, help="largest batch size, given directly")
-        eps.add_argument("--json", action="store_true")
-    if sweep := add("risk-sweep", "rank candidate (t, S) schemes", _cmd_risk_sweep):
-        sweep.add_argument("--config", required=True)
-        sweep.add_argument("--dataset", required=True)
-        sweep.add_argument("--schema")
-        sweep.add_argument("--json", action="store_true")
-    if table := add("table3", "recompute the bundled reference configurations", _cmd_table3):
-        table.add_argument("--json", action="store_true")
-        table.add_argument("--out", help="write the JSON diff to this file")
-    if oracle := add("oracle-rr", "Monte-Carlo check of the single-batch ratio", _cmd_oracle):
-        oracle.add_argument("--n1", type=int, required=True, help="batch size")
-        oracle.add_argument("--shufflers", "-S", type=int, required=True)
-        oracle.add_argument("--trials", type=int, default=1_000_000)
-        oracle.add_argument("--seed", type=int, default=0)
-        oracle.add_argument("--json", action="store_true")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -217,21 +197,10 @@ def _emit_json(payload: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the CLI on ``argv`` (default ``sys.argv[1:]``) and give its exit
-    code; a usage error or help exits through ``SystemExit``.
-
-    A named subcommand is parsed by its own parser.  The full parser is
-    built only for no or an unknown subcommand, for top-level help, and
-    to word an unrecognized argument, which argparse reports with the
-    top-level usage, so every text is the full parser's.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    args = extra = None
-    if argv and argv[0] in _COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extra:
-        args = build_parser().parse_args(argv)
+    """Parse ``argv`` (default ``sys.argv[1:]``) with ``_PARSER``, run the
+    subcommand and give its exit code; a usage error or help exits through
+    ``SystemExit``."""
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except PipelineRefused as exc:
@@ -243,6 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+# Built at import, so that building it is a cost of starting the process,
+# not of each call: a parse keeps no state in the parser.
+_PARSER = build_parser()
 
 
 def entry() -> None:  # console-script hook

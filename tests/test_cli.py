@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import math
@@ -535,11 +534,6 @@ class TestNeighbouringTables:
 COMMANDS = ("run", "epsilon", "risk-sweep", "table3", "oracle-rr")
 
 
-def _subparser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices[name]
-
-
 def _usage_error(parse, argv, capsys) -> str:
     with pytest.raises(SystemExit) as info:
         parse(argv)
@@ -614,13 +608,6 @@ class TestParser:
             assert re.search(rf"^ +{name} +\S", out, re.M), name
 
     @pytest.mark.parametrize("name", COMMANDS)
-    def test_one_subcommand_build_has_the_full_texts(self, name):
-        alone, full = cli_module._command_parser(name), _subparser(build_parser(), name)
-        assert alone.prog == full.prog
-        assert alone.format_help() == full.format_help()
-        assert alone.format_usage() == full.format_usage()
-
-    @pytest.mark.parametrize("name", COMMANDS)
     def test_main_parses_as_the_full_parser(self, monkeypatch, capsys, name):
         # Each handler prints the namespace it was given instead of running.
         def echo(handler):
@@ -634,12 +621,55 @@ class TestParser:
         handlers = ("_cmd_run", "_cmd_epsilon", "_cmd_risk_sweep", "_cmd_table3", "_cmd_oracle")
         for handler in handlers:
             monkeypatch.setattr(cli_module, handler, echo(handler))
+        # The shared parser holds the handlers it was built with.
+        monkeypatch.setattr(cli_module, "_PARSER", build_parser())
         outcomes = set()
         for argv in _parse_cases(name):
             got = _outcome(main, argv, capsys)
             assert got == _outcome(_parse_with_full_parser, argv, capsys), argv
             outcomes.add(got[0])
         assert outcomes == {0, 2}
+
+    def test_the_shared_parser_keeps_no_state_between_calls(
+        self, monkeypatch, capsys, people_paths, make_config
+    ):
+        dataset, schema = people_paths
+        common = ["--dataset", dataset, "--schema", schema]
+        run = make_config("run.json", {"seed": 2, "t": 2, "S": 2})
+        exhaust = make_config(
+            "exhaust.json",
+            {"seed": 13, "t": 2, "S": 2, "tied_attributes": ["Weight"], "max_retries": 2},
+        )
+        sweep = make_config(
+            "sweep.json",
+            {"seed": 5, "trials": 2, "hypothesis_grid": [[3, 2], [2, 2]],
+             "workload": [EXAMPLE_QUERY]},
+        )
+        calls = {
+            "run": ["--config", run, "--query", EXAMPLE_QUERY, *common, "--json"],
+            "epsilon": ["-t", "100", "-S", "2", "--n1", "10"],
+            "risk-sweep": ["--config", sweep, *common],
+            "table3": ["--json"],
+            "oracle-rr": ["--n1", "3", "-S", "2", "--trials", "10000"],
+        }
+        sequence = []
+        for name, rest in calls.items():
+            sequence += [
+                [name, *rest],
+                ["run", "--config", run, "--query", EXAMPLE_QUERY, *common, "--bogus", "x"],
+                [name, "-h"],
+                ["run", "--config", exhaust, "--query", DRIFTY_QUERY, *common],
+                [name, *rest],
+            ]
+        # Each call, among usage errors, help and exhausted releases, gives
+        # what it gives on a parser built just before it.
+        got = [_outcome(main, argv, capsys) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            monkeypatch.setattr(cli_module, "_PARSER", build_parser())
+            fresh.append(_outcome(main, argv, capsys))
+        assert got == fresh
+        assert [code for code, *_ in got] == [0, 2, 0, 3, 0] * len(calls)
 
     @pytest.mark.parametrize(
         "argv",
