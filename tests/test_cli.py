@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -606,6 +607,28 @@ class TestParser:
         assert "{" + ",".join(COMMANDS) + "}" in out
         for name in COMMANDS:
             assert re.search(rf"^ +{name} +\S", out, re.M), name
+
+    def test_main_builds_no_parser(self, monkeypatch, capsys):
+        # The parser is built once, at import: no call of main, whether it
+        # runs, asks for help or fails to parse, builds another.
+        assert isinstance(cli_module._PARSER, argparse.ArgumentParser)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [
+            _outcome(main, argv, capsys)[0]
+            for name in COMMANDS
+            for argv in ([name, "-h"], [name, "--bogus"])
+        ]
+        codes.append(_outcome(main, ["epsilon", "-t", "100", "-S", "2", "--n1", "10"], capsys)[0])
+        codes.append(_outcome(main, [], capsys)[0])
+        assert codes == [0, 2] * len(COMMANDS) + [0, 2]
+        assert built == []
 
     @pytest.mark.parametrize("name", COMMANDS)
     def test_main_parses_as_the_full_parser(self, monkeypatch, capsys, name):
