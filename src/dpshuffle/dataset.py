@@ -10,29 +10,32 @@ exactly the same information; the shuffling stages downstream only ever
 move columns of indices, and labels come back only when a table is
 exported.
 
+Row IDs are kept as one ``S`` array of their UTF-8 bytes, checked for
+duplicates by hashing them and decoded to strings only when
+``Dataset.ids`` is read, which a release never does.
+
 ``load_csv`` reads a file in blocks of text, splits each once into lines
 and writes each chunk of lines straight into one index array and one ID
 array for the whole table, so loading holds those two arrays, one
 block's lines and one chunk of cells, never a ``Row`` or a record per
 row.  numpy's C reader, ``np.loadtxt``, parses a chunk free of quotes in
 one call.  In an ASCII chunk it reads the IDs into one fixed-width byte
-field, checked in numpy to be whole and stripped, and kept as bytes:
-duplicates are found by hashing them, and they are decoded to strings
-only when ``Dataset.ids`` is read, which a release never does.  It reads
-the numbers of a bucketed attribute as integers, bucketed through a
-lookup table or by comparison with each edge, where the chunk's first
-line that is not blank holds an integer there, and as floats otherwise.
-Labels are read as fixed-width fields that numpy looks up in the domain:
-in an ASCII chunk, labels of at most 7 ASCII characters as 8-byte fields
-compared as integers, one equality test per label where there are at
-most 16.  Each column is decoded straight into the chunk's rows of the
-index array, which is sized from the file's length, so a file of one
-chunk keeps it as read.  A column is read as strings where a cell is
-padded.  A chunk numpy rejects goes through ``csv.reader``, and so does
-the rest of the file from the first block holding a quote; both paths
-word every fault alike.  A CSV cell of a bucketed attribute is read as a
-number first and as a bucket label only when it does not parse; a string
-value given to ``Dataset`` in a ``Row`` is tried as a label first.
+field, checked in numpy to be whole and stripped; other IDs are read as
+strings, stripped and encoded once.  It reads the numbers of a bucketed
+attribute as integers, bucketed through a lookup table or by comparison
+with each edge, where the chunk's first line that is not blank holds an
+integer there, and as floats otherwise.  Labels are read as fixed-width
+fields that numpy looks up in the domain: in an ASCII chunk, labels of
+at most 7 ASCII characters as 8-byte fields compared as integers, one
+equality test per label where there are at most 16.  Each column is
+decoded straight into the chunk's rows of the index array, which is
+sized from the file's length, so a file of one chunk keeps it as read.
+A column is read as strings where a cell is padded.  A chunk numpy
+rejects goes through ``csv.reader``, and so does the rest of the file
+from the first block holding a quote; both paths word every fault
+alike.  A CSV cell of a bucketed attribute is read as a number first
+and as a bucket label only when it does not parse; a string value given
+to ``Dataset`` in a ``Row`` is tried as a label first.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, fields
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -375,31 +378,46 @@ class Row:
     values: tuple[object, ...]
 
 
+def _encode_ids(ids: Sequence[str], start: int = 0) -> np.ndarray:
+    """``ids`` encoded to UTF-8, surrogates passed through, in an ``S``
+    array a multiple of 8 bytes wide, each encoded once for the width
+    and once into the array.  numpy drops NULs from the end of a string,
+    so an ID that is not a string or holds a NUL is an error naming its
+    1-based row, ``start`` rows before ``ids`` counted.  UTF-8 encodes
+    only NUL to a zero byte, so a NUL shows as fewer nonzero bytes in
+    the array than the IDs' lengths sum to.
+    """
+    utf8 = (repeat("utf-8"), repeat("surrogatepass"))
+    try:
+        lengths = list(map(len, map(str.encode, ids, *utf8)))
+        width = max(8, (max(lengths, default=0) + 7) // 8 * 8)
+        out = np.fromiter(map(str.encode, ids, *utf8), f"S{width}", len(ids))
+    except TypeError:
+        lengths = None
+    if lengths is None or np.count_nonzero(out.view(np.uint8)) != sum(lengths):
+        for number, uid in enumerate(ids, start=start + 1):
+            if not isinstance(uid, str):
+                raise DatasetError(f"row {number}: row ID {uid!r} is not a string")
+            if "\0" in uid:
+                raise DatasetError(f"row {number}: row ID {uid!r} holds a NUL")
+    return out
+
+
 def _decode_ids(ids: np.ndarray) -> tuple[str, ...]:
-    return tuple(ids.astype(str).tolist())
-
-
-def _check_unique(ids: Sequence[str]) -> None:
-    if len(set(ids)) == len(ids):
-        return
-    seen: set[str] = set()
-    for number, uid in enumerate(ids, start=1):
-        if uid in seen:
-            raise DatasetError(f"row {number}: duplicate row ID {uid!r}")
-        seen.add(uid)
+    return tuple([uid.decode("utf-8", "surrogatepass") for uid in ids.tolist()])
 
 
 class Dataset:
     """Rows checked against a schema and stored as domain indices.
 
-    ``ids`` gives the row IDs in input order and ``codes[i, j]`` is the
-    index of row i's value in the domain of attribute j, in a read-only
-    column-major array, so that each attribute's column is contiguous.
-    Row IDs must be unique and every row must carry one value per
-    attribute.  String values of a bucketed attribute are tried as bucket
-    labels first, then as numbers.  ``load_csv`` may keep the IDs as one
-    array of ASCII bytes, decoded to strings on the first read of
-    ``ids``; a release never reads them.
+    ``codes[i, j]`` is the index of row i's value in the domain of
+    attribute j, in a read-only column-major array, so that each
+    attribute's column is contiguous.  Row IDs must be unique strings
+    free of NUL, and every row must carry one value per attribute.
+    String values of a bucketed attribute are tried as bucket labels
+    first, then as numbers.  The IDs are kept in input order as one
+    ``S`` array of their UTF-8 bytes (``_encode_ids``), decoded on the
+    first read of ``ids``, which a release never makes.
     """
 
     def __init__(self, schema: Schema, rows: Iterable[Row]) -> None:
@@ -410,35 +428,31 @@ class Dataset:
                     f"row {number} ({row.uid!r}) has {len(row.values)} values, "
                     f"expected {schema.k}"
                 )
-        ids = tuple(row.uid for row in rows)
-        _check_unique(ids)
+        ids = _unique_ids(_encode_ids([row.uid for row in rows]))
         codes = np.empty((len(rows), schema.k), dtype=np.int64, order="F")
         for j, attr in enumerate(schema.attributes):
             codes[:, j] = _value_codes(attr, [row.values[j] for row in rows])
         self._store(schema, ids, codes)
 
     @classmethod
-    def _from_codes(
-        cls, schema: Schema, ids: tuple[str, ...] | np.ndarray, codes: np.ndarray
-    ) -> Dataset:
+    def _from_codes(cls, schema: Schema, ids: np.ndarray, codes: np.ndarray) -> Dataset:
         """A dataset of already checked IDs and codes."""
         dataset = cls.__new__(cls)
         dataset._store(schema, ids, codes)
         return dataset
 
-    def _store(
-        self, schema: Schema, ids: tuple[str, ...] | np.ndarray, codes: np.ndarray
-    ) -> None:
+    def _store(self, schema: Schema, ids: np.ndarray, codes: np.ndarray) -> None:
         codes.flags.writeable = False
         self.schema = schema
         self._ids = ids
+        self._decoded_ids: tuple[str, ...] | None = None
         self.codes = codes
 
     @property
     def ids(self) -> tuple[str, ...]:
-        if isinstance(self._ids, np.ndarray):
-            self._ids = _decode_ids(self._ids)
-        return self._ids
+        if self._decoded_ids is None:
+            self._decoded_ids = _decode_ids(self._ids)
+        return self._decoded_ids
 
     @property
     def n(self) -> int:
@@ -469,24 +483,24 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     ``_Rows``), so memory holds the IDs, the codes, one block's lines
     and one chunk, never a ``Row`` per line, and never a second copy of
     the codes: at 10^6 rows the traced peak is within a fifth of what
-    the dataset keeps.  A chunk free of quotes is
-    parsed by numpy's C reader, ``np.loadtxt``: numbers of bucketed
-    attributes straight to integers or floats, IDs of an ASCII chunk to
-    bytes and of any other to strings, and labels to fixed-width fields
-    looked up in numpy (short ASCII labels as 8-byte integer keys), or to
-    strings where a cell is padded or not a label.  A chunk it cannot
-    read exactly, and from the first block holding a quote on the rest
-    of the file, goes through ``csv.reader``, so quoted cells may hold
-    commas and newlines and every fault is worded the same either way.
-    A cell of a bucketed attribute that parses as a number is read as a
-    number, and only otherwise as a bucket label.  Cells are read as if
-    stripped of surrounding whitespace.  Rows are numbered from 1 after
-    the header, not counting blank lines, which are skipped.  Each chunk
-    is checked as it is read, and IDs are checked for duplicates once the
-    whole file is in, by ``_unique_ids``.  Where every chunk's IDs were
-    read as bytes, the dataset keeps them so until ``Dataset.ids`` is
-    read.  ``_chunks`` says how the text is read, and ``_parse_chunk``
-    how numpy reads a chunk.
+    the dataset keeps.  A chunk free of quotes is parsed by numpy's C
+    reader, ``np.loadtxt``: numbers of bucketed attributes straight to
+    integers or floats, IDs of an ASCII chunk to bytes and of any other
+    to strings, encoded to UTF-8 once stripped, and labels to
+    fixed-width fields looked up in numpy (short ASCII labels as 8-byte
+    integer keys), or to strings where a cell is padded or not a
+    label.  A chunk it cannot read exactly, and from the first block
+    holding a quote on the rest of the file, goes through
+    ``csv.reader``, so quoted cells may hold commas and newlines and
+    every fault is worded the same either way.  A cell of a bucketed
+    attribute that parses as a number is read as a number, and only
+    otherwise as a bucket label.  Cells are read as if stripped of
+    surrounding whitespace.  Rows are numbered from 1 after the header,
+    not counting blank lines, which are skipped.  Each chunk is checked
+    as it is read, and IDs are checked for duplicates once the whole
+    file is in, by ``_unique_ids``.  An ID holding a NUL is an error
+    (``_encode_ids``).  ``_chunks`` says how the text is read, and
+    ``_parse_chunk`` how numpy reads a chunk.
     """
     rows = _Rows(schema.k)
     try:
@@ -514,7 +528,6 @@ def load_csv(path: str, schema: Schema) -> Dataset:
                         # for csv.reader to read or to word
                         _parse_records(records, schema, rows)
                 ids, codes = rows.finish()
-                ids = _unique_ids(ids)
             except DatasetError as exc:
                 raise DatasetError(f"{path} {exc}") from None
             finally:
@@ -529,18 +542,17 @@ class _Rows:
     """The IDs and codes of the rows a load has read so far, each kind
     written into one array as the chunks come in.
 
-    ``codes`` holds ``capacity`` codes of each attribute, one column after
-    another, so that ``block`` gives a chunk a column-major view of its
-    rows.  IDs read as bytes go to ``ids``, one ``S`` array as wide as
-    the widest chunk's field; from the first chunk whose IDs are read as
-    strings on, every ID is kept in ``strings`` instead.  The arrays are
-    sized by the first chunk, to its rows and ``lines_left``, the lines
-    ``_chunks`` estimates after it, plus a sixteenth; a table of one
-    chunk gets exactly its rows.  A chunk that does not fit doubles the
-    capacity, and ``finish`` trims it to the rows read.  Both reallocate
-    the arrays in place, by ``ndarray.resize``, which numpy refuses while
-    a view of them is alive, so no view outlives the chunk it was made
-    for.
+    ``codes`` holds ``capacity`` codes of each attribute, one column
+    after another, so that ``block`` gives a chunk a column-major view
+    of its rows.  IDs go to ``ids``, one ``S`` array as wide as the
+    widest chunk's: an ASCII chunk's as numpy read them, any other's as
+    ``_encode_ids`` encodes them.  The arrays are sized by the first
+    chunk, to its rows and ``lines_left``, the lines ``_chunks``
+    estimates after it, plus a sixteenth; a table of one chunk gets
+    exactly its rows.  A chunk that does not fit doubles the capacity,
+    and ``finish`` trims it to the rows read.  Both reallocate the arrays
+    in place, by ``ndarray.resize``, which numpy refuses while a view of
+    them is alive, so no view outlives the chunk it was made for.
     """
 
     def __init__(self, k: int) -> None:
@@ -550,7 +562,6 @@ class _Rows:
         self.lines_left = 0
         self.codes = np.empty(0, np.int64)
         self.ids = np.empty(0, "S8")
-        self.strings: list[str] | None = None
 
     def block(self, rows: int) -> np.ndarray:
         """A writable column-major view of the next ``rows`` rows' codes."""
@@ -567,33 +578,19 @@ class _Rows:
         8-byte words as written, as many a row as ``ids`` has."""
         if len(self.ids) < self.capacity or self.ids.itemsize < ids.itemsize:
             wider = np.empty(self.capacity, f"S{max(self.ids.itemsize, ids.itemsize)}")
-            if self.strings is None:
-                wider[: self.n] = self.ids[: self.n]
+            wider[: self.n] = self.ids[: self.n]
             self.ids = wider
         end = self.n + len(ids)
         self.ids[self.n : end] = ids
-        words = self.ids[self.n : end].view("<u8").reshape(len(ids), -1)
-        return words[:, : ids.itemsize // 8]
+        words = self.ids[self.n : end].view("<u8")
+        return words.reshape(len(ids), self.ids.itemsize // 8)[:, : ids.itemsize // 8]
 
-    def commit(self, rows: int, strings: list[str] | None = None) -> None:
-        """Count the next ``rows`` rows as read, their IDs ``strings`` or,
-        if None, the bytes ``write_ids`` wrote."""
-        end = self.n + rows
-        if strings is None and self.strings is not None:
-            strings = _decode_ids(self.ids[self.n : end])
-        if strings is not None:
-            if self.strings is None:
-                self.strings = list(_decode_ids(self.ids[: self.n]))
-            self.strings.extend(strings)
-        self.n = end
-
-    def finish(self) -> tuple[list[str] | np.ndarray, np.ndarray]:
-        """The IDs and the ``(n, k)`` column-major codes of the rows read,
-        each array trimmed to them."""
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """The IDs, checked by ``_unique_ids``, and the ``(n, k)``
+        column-major codes of the rows read, each trimmed to them."""
         if self.capacity > self.n:
             self._resize(self.n)
-        codes = self.codes.reshape(self.k, self.n).T
-        return (self.ids if self.strings is None else self.strings), codes
+        return _unique_ids(self.ids), self.codes.reshape(self.k, self.n).T
 
     def _resize(self, capacity: int) -> None:
         """Give each column ``capacity`` rows, keeping the rows read.
@@ -616,8 +613,7 @@ class _Rows:
             ]
         if not grow:
             self.codes.resize(capacity * k)
-        if len(self.ids):
-            self.ids.resize(capacity)
+        self.ids.resize(capacity)
         self.capacity = capacity
 
 
@@ -625,18 +621,14 @@ class _Rows:
 _HASH_FACTOR = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _unique_ids(ids: list[str] | np.ndarray) -> tuple[str, ...] | np.ndarray:
-    """``ids``, once checked for duplicates.
+def _unique_ids(ids: np.ndarray) -> np.ndarray:
+    """``ids``, an ``S`` array a multiple of 8 bytes wide, once checked
+    for duplicates.
 
-    An ``S`` array is kept as it is, and each ID's 8-byte words are
-    hashed to one ``uint64``.  Equal IDs are equal bytes, so equal
-    hashes, and only when two hashes are equal are the IDs decoded and
-    checked as strings, which names the first repeat.
+    Each ID's 8-byte words are hashed to one ``uint64``.  Equal IDs are
+    equal bytes, so equal hashes, and only when two hashes are equal are
+    the IDs decoded and checked as strings, which names the first repeat.
     """
-    if isinstance(ids, list):
-        ids = tuple(ids)
-        _check_unique(ids)
-        return ids
     words = ids.view("<u8").reshape(len(ids), ids.itemsize // 8)
     hashes = words[:, 0].copy()
     for j in range(1, words.shape[1]):
@@ -644,7 +636,11 @@ def _unique_ids(ids: list[str] | np.ndarray) -> tuple[str, ...] | np.ndarray:
         hashes += words[:, j]
     hashes.sort()
     if (hashes[1:] == hashes[:-1]).any():
-        _check_unique(_decode_ids(ids))
+        seen: set[str] = set()
+        for number, uid in enumerate(_decode_ids(ids), start=1):
+            if uid in seen:
+                raise DatasetError(f"row {number}: duplicate row ID {uid!r}")
+            seen.add(uid)
     return ids
 
 
@@ -726,7 +722,7 @@ def _chunks(
 # field, in bytes.  A domain's longer labels are never matched in numpy:
 # a cell holding one sends its column to ``_column_codes``, and a chunk's
 # fields stay at most 256 bytes a cell.  A chunk whose first ID is
-# longer reads its IDs as strings.
+# longer reads its IDs as strings, to be encoded.
 _LABEL_FIELD_CHARS = 64
 
 # How ``_parse_chunk`` splits a quote-free chunk, as ``csv.reader`` would.
@@ -738,8 +734,8 @@ _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_chunk(lines: list[str], schema: Schema, rows: _Rows, is_ascii: bool) -> bool:
-    """Write the stripped IDs, as strings or bytes, and the codes of a
-    quote-free chunk of lines to ``rows``.
+    """Write the stripped IDs and the codes of a quote-free chunk of
+    lines to ``rows``.
 
     ``np.loadtxt`` skips empty lines and reads a bucketed cell as a
     number only where ``float`` reads the stripped cell as the same
@@ -753,7 +749,8 @@ def _parse_chunk(lines: list[str], schema: Schema, rows: _Rows, is_ascii: bool) 
     wide and wider than the first line's ID, and are read again as
     strings unless ``_whole_ids`` finds each of them whole and stripped;
     in any other chunk, or where that field would be wider than
-    ``_LABEL_FIELD_CHARS``, they are read as strings at once.  A label
+    ``_LABEL_FIELD_CHARS``, they are read as strings at once, to be
+    stripped and encoded by ``_encode_ids``.  A label
     column whose cell there is in its ``_label_table`` goes to that
     table's fixed-width field, ``S8`` in an ASCII chunk when every label
     fits, decoded in numpy by ``_label_codes``, and is read again as
@@ -799,7 +796,7 @@ def _read_chunk(
     ``id_field``, ``tables`` maps a label column to its ``_label_table``,
     and ``ints`` holds the bucketed columns read as int64.  Each column
     is decoded straight into its column of the chunk's block of
-    ``rows``, and IDs read as bytes are copied straight into its IDs."""
+    ``rows``, and the IDs, encoded if read as strings, into its IDs."""
     fields = [("id", id_field)]
     for j, attr in enumerate(schema.attributes):
         if j in tables:
@@ -839,6 +836,7 @@ def _read_chunk(
         row_ids = list(map(str.strip, row_ids))
         if "" in row_ids:
             return False
+        rows.write_ids(_encode_ids(row_ids, start))
     numbers = range(start + 1, start + len(table) + 1)
     for j, attr in enumerate(schema.attributes):
         if attr.is_numeric:
@@ -847,7 +845,7 @@ def _read_chunk(
             block[:, j] = _column_codes(attr, strings[f"f{j + 1}"], start)
         elif j not in tables:  # read as strings at once
             block[:, j] = _column_codes(attr, table[f"c{j}"], start)
-    rows.commit(len(table), row_ids if isinstance(row_ids, list) else None)
+    rows.n += len(table)
     return True
 
 
@@ -968,10 +966,11 @@ def _parse_records(records: Iterable[list[str]], schema: Schema, rows: _Rows) ->
         if not record[0].strip():
             raise DatasetError(f"row {number}: empty row ID")
     block = rows.block(len(records))
+    rows.write_ids(_encode_ids([record[0].strip() for record in records], start))
     for j, attr in enumerate(schema.attributes):
         column = [record[j + 1] for record in records]
         block[:, j] = _column_codes(attr, column, start)
-    rows.commit(len(records), [record[0].strip() for record in records])
+    rows.n += len(records)
 
 
 def _column_codes(attr: Attribute, cells: Sequence[str], start: int) -> np.ndarray:

@@ -239,7 +239,7 @@ class TiedDataset(Dataset):
     def __init__(
         self,
         schema: Schema,
-        ids: tuple[str, ...] | np.ndarray,
+        ids: np.ndarray,
         codes: np.ndarray,
         channels: tuple[Channel, ...],
         tied_channel: str,

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -299,6 +300,23 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="file is empty"):
             load_csv(str(path), people_schema)
 
+    @pytest.mark.parametrize("cell", ["Sonal\0", " \0 ", '"So\0nal"'])
+    def test_an_id_holding_a_nul_names_its_row(self, tmp_path, people_schema, cell):
+        # A NUL sends its block to csv.reader, which refuses it before
+        # Python 3.11; a byte array of IDs would drop it from an ID's end.
+        path = tmp_path / "nul.csv"
+        path.write_text(
+            f"id,Name,Age,Height,Weight\nRiya,Riya,20,5.3,48\n{cell},Sonal,7,4.8,42\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError) as exc:
+            load_csv(str(path), people_schema)
+        if sys.version_info >= (3, 11):
+            uid = next(csv.reader([cell]))[0].strip()
+            assert str(exc.value) == f"{path} row 2: row ID {uid!r} holds a NUL"
+        else:
+            assert str(exc.value) == f"{path}: line contains NUL"
+
     def test_header_mismatch(self, tmp_path, people_schema):
         path = tmp_path / "bad.csv"
         path.write_text("id,Name,Age,Weight,Height\nRiya,Riya,20,48,5.3\n")
@@ -421,6 +439,53 @@ class TestEncoding:
         with pytest.raises(DatasetError, match="duplicate"):
             Dataset(schema, (Row("a", ("yes",)), Row("a", ("no",))))
 
+    @pytest.mark.parametrize(
+        "uids, message",
+        [
+            # numpy drops trailing NULs, so "b\0" would be kept as "b"
+            (("a", "b\0"), "row 2: row ID 'b\\x00' holds a NUL"),
+            (("\0", "b"), "row 1: row ID '\\x00' holds a NUL"),
+            (("a", "b", "c\0d"), "row 3: row ID 'c\\x00d' holds a NUL"),
+            (("a", 7), "row 2: row ID 7 is not a string"),
+            ((b"a", "b"), "row 1: row ID b'a' is not a string"),
+            (("a", None, "c\0"), "row 2: row ID None is not a string"),
+        ],
+    )
+    def test_dataset_rejects_an_id_holding_a_nul_or_not_a_string(self, uids, message):
+        schema = Schema((Attribute("flag", ("yes",)),))
+        with pytest.raises(DatasetError) as exc:
+            Dataset(schema, [Row(uid, ("yes",)) for uid in uids])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "uids",
+        [
+            ("\u00e9", "\u4e2d\u6587", "\U0001d7d5", "e\u0301", "", " padded "),
+            # lone surrogates, and a pair of them beside the character
+            # they would make in UTF-16: each keeps its own bytes
+            ("\ud800", "a\udfffb", "\ud83d\ude00", "\U0001f600"),
+            ("x" * 70, "\u00e9" * 70),
+        ],
+    )
+    def test_dataset_ids_round_trip(self, uids):
+        schema = Schema((Attribute("flag", ("yes",)),))
+        dataset = Dataset(schema, [Row(uid, ("yes",)) for uid in uids])
+        assert stored_ids(dataset) == dataset.ids == uids
+
+
+# Any character but NUL, lone surrogates included.
+ID_CHARACTERS = st.one_of(
+    st.characters(exclude_characters="\0"), st.characters(categories=["Cs"])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(ID_CHARACTERS), max_size=6, unique=True))
+def test_any_ids_but_nul_round_trip_through_a_dataset(uids):
+    schema = Schema((Attribute("flag", ("yes",)),))
+    dataset = Dataset(schema, [Row(uid, ("yes",)) for uid in uids])
+    assert stored_ids(dataset) == dataset.ids == tuple(uids)
+
 
 @st.composite
 def categorical_rows(draw):
@@ -519,12 +584,25 @@ def reference_load_csv(path: str, schema: Schema) -> Dataset:
         raise DatasetError(f"{path} {exc}") from None
 
 
+def stored_ids(dataset: Dataset) -> tuple[str, ...]:
+    """The row IDs ``dataset`` keeps, once checked to be one ``S`` array
+    a multiple of 8 bytes wide, decoded here from its UTF-8 bytes."""
+    ids = dataset._ids
+    assert isinstance(ids, np.ndarray) and ids.dtype.kind == "S"
+    assert ids.shape == (dataset.n,) and ids.itemsize % 8 == 0
+    return tuple(uid.decode("utf-8", "surrogatepass") for uid in ids.tolist())
+
+
 def load_or_error(load, path: str, schema: Schema):
+    """The IDs and codes ``load`` reads, the IDs as ``stored_ids`` finds
+    them and as ``Dataset.ids`` gives them, or its error."""
     try:
         dataset = load(path, schema)
     except DatasetError as exc:
         return str(exc)
-    return dataset.ids, dataset.codes.tolist()
+    ids = stored_ids(dataset)
+    assert dataset.ids == ids
+    return ids, dataset.codes.tolist()
 
 
 # Numeric-looking labels, labels holding a comma, a quote, a newline, a
@@ -626,12 +704,14 @@ def padded_id(draw, uid: str, plain: bool):
 
 @st.composite
 def row_id(draw, i: int, plain: bool):
-    """The ID of row ``i``, of 2 to 40 characters: it differs from the
+    """The ID of row ``i``, of 2 to 70 characters: it differs from the
     others in its first two or only in its last two, which for 10 or more
-    characters lie past the eighth byte."""
-    length = draw(st.sampled_from((2, 7, 8, 15, 16, 17, 40)))
+    characters lie past the eighth byte.  One in four is filled with a
+    2-byte UTF-8 character, so that 40 characters are over 64 bytes."""
+    length = draw(st.sampled_from((2, 7, 8, 15, 16, 17, 40, 70)))
+    fill = draw(st.sampled_from("xxx\u00e9"))
     stem = f"u{i}"
-    uid = stem.rjust(length, "x") if draw(st.booleans()) else stem.ljust(length, "x")
+    uid = stem.rjust(length, fill) if draw(st.booleans()) else stem.ljust(length, fill)
     return draw(padded_id(uid, plain))
 
 
@@ -646,7 +726,7 @@ def loader_files(draw):
     that the other half's label columns are decoded in numpy.  IDs are of
     mixed lengths (``row_id``), so a longer ID may follow a shorter first
     one in a chunk, and a third of them are padded with ASCII whitespace;
-    a non-ASCII pad or label makes its chunk non-ASCII.
+    a non-ASCII ID, pad or label makes its chunk non-ASCII.
     """
     schema = draw(st.sampled_from((LOADER_SCHEMA, KEYED_SCHEMA)))
     attrs = schema.attributes
@@ -698,7 +778,9 @@ def loader_files(draw):
 @given(loader_files(), st.sampled_from((1, 2, 3, dataset_module._CHUNK_ROWS)))
 def test_load_csv_matches_the_row_by_row_loader(case, chunk_rows):
     # A chunk of 1-3 lines is read in blocks of 64-192 characters, so
-    # chunks and line ends straddle blocks.
+    # chunks and line ends straddle blocks.  load_or_error checks that
+    # either loader keeps the IDs as one S array of their UTF-8 bytes,
+    # whatever path read them.
     schema, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "data.csv")
@@ -1042,11 +1124,24 @@ MEMORY_SCHEMA = Schema.from_dict(
 )
 
 
-def write_memory_table(path: Path, n: int) -> None:
-    """A table over ``MEMORY_SCHEMA`` of ``n`` rows with 9-character IDs."""
+# ``MEMORY_SCHEMA`` with one non-ASCII Region label, which makes every
+# chunk of its tables non-ASCII, so their IDs are read as strings.
+NON_ASCII_MEMORY_SCHEMA = Schema.from_dict(
+    {
+        "attributes": [
+            {"name": "Region", "domain": ["north", "south", "east", "w\u00e9st"]},
+            *MEMORY_SCHEMA.to_dict()["attributes"][1:],
+        ]
+    }
+)
+
+
+def write_memory_table(path: Path, n: int, schema: Schema = MEMORY_SCHEMA) -> None:
+    """A table over ``schema``, ``MEMORY_SCHEMA`` or one differing only in
+    its Region labels, of ``n`` rows with 9-character IDs."""
     rng = np.random.default_rng(7)
-    regions = rng.choice(MEMORY_SCHEMA.attribute("Region").values, n).tolist()
-    sexes = rng.choice(MEMORY_SCHEMA.attribute("Sex").values, n).tolist()
+    regions = rng.choice(schema.attribute("Region").values, n).tolist()
+    sexes = rng.choice(schema.attribute("Sex").values, n).tolist()
     numbers = zip(
         *(rng.integers(0, high, n).tolist() for high in (130, 200, 200_000, 52))
     )
@@ -1061,21 +1156,31 @@ def write_memory_table(path: Path, n: int) -> None:
 
 
 @pytest.mark.parametrize(
-    "chunk_rows, bound",
+    "schema, chunk_rows, bound",
     # Measured peaks over the bytes kept: 1.23 in 157 chunks, where
     # each chunk's lines are small beside the arrays, and the ID hashes
     # that check for duplicates, 8 bytes a row, are the most held at
     # once; 3.79 in one chunk, whose lines and numpy records are alive
     # beside the arrays, which it keeps as read.  A loader that joined
     # the chunks' blocks at the end and kept a block's text while parsing
-    # it measured 2.12 and 4.17.
-    [(64, 1.3), (dataset_module._CHUNK_ROWS, 4.25)],
+    # it measured 2.12 and 4.17.  With one non-ASCII label: 1.18 and
+    # 4.93, the one chunk's IDs alive as strings until encoded, and its
+    # labels read as 4-byte characters.  A loader that kept such IDs as
+    # strings rather than bytes kept 1.78 times as much at 10^5 rows.
+    [
+        pytest.param(MEMORY_SCHEMA, 64, 1.3, id="64-1.3"),
+        pytest.param(MEMORY_SCHEMA, dataset_module._CHUNK_ROWS, 4.25, id="16384-4.25"),
+        pytest.param(NON_ASCII_MEMORY_SCHEMA, 64, 1.3, id="non-ascii-64-1.3"),
+        pytest.param(
+            NON_ASCII_MEMORY_SCHEMA, dataset_module._CHUNK_ROWS, 5.4, id="non-ascii-16384-5.4"
+        ),
+    ],
 )
 def test_a_load_holds_little_beyond_the_dataset_it_returns(
-    tmp_path, monkeypatch, chunk_rows, bound
+    tmp_path, monkeypatch, schema, chunk_rows, bound
 ):
     path = tmp_path / "table.csv"
-    write_memory_table(path, 10_000)
+    write_memory_table(path, 10_000, schema)
     monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -1083,7 +1188,7 @@ def test_a_load_holds_little_beyond_the_dataset_it_returns(
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        dataset = load_csv(str(path), MEMORY_SCHEMA)
+        dataset = load_csv(str(path), schema)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
@@ -1092,7 +1197,7 @@ def test_a_load_holds_little_beyond_the_dataset_it_returns(
     assert kept == 10_000 * (6 * 8 + 16)
     assert peak <= bound * kept
     monkeypatch.undo()
-    whole = load_csv(str(path), MEMORY_SCHEMA)
+    whole = load_csv(str(path), schema)
     assert dataset.ids == whole.ids
     assert np.array_equal(dataset.codes, whole.codes)
 
@@ -1259,21 +1364,38 @@ class TestChunkBoundaries:
                 [*(f"r{i}" if i % 3 else f"\u00e9{i}" for i in range(9)), "\u00e93"],
                 "row 10: duplicate row ID '\u00e93'",
             ),
+            # non-ASCII IDs padded with non-ASCII whitespace, of 4-byte
+            # characters, and of fewer than 64 characters but more bytes
+            ([f"\u3000\u00e9{i}\u00a0" for i in range(10)], None),
+            ([f"\U0001d7d5{i}" for i in range(10)], None),
+            (["\u00e9" * 33 + str(i) for i in range(10)], None),
+            # byte chunks, then a non-ASCII chunk whose IDs are wider
+            ([f"r{i}" if i < 6 else "\u4e2d" * 30 + str(i) for i in range(10)], None),
+            # quoted IDs, which csv.reader reads: every one, or after plain
+            # ones, which numpy reads in chunks of up to 3 lines
+            ([f'"r,{i}"' for i in range(10)], None),
+            ([f'" \u00e9""{i}\n"' for i in range(10)], None),
+            ([f"r{i}" if i < 6 else f'"{"w" * 70},{i}"' for i in range(10)], None),
         ],
     )
     def test_ids_load_as_the_row_by_row_loader(
         self, tmp_path, monkeypatch, people_schema, chunk_rows, ids, expected
     ):
+        # ``ids`` are the ID cells as written.  load_or_error checks that
+        # the IDs are kept as one S array, and that its UTF-8 decode is
+        # the reference loader's IDs.
         # Without the whitespace-only line, whose chunk csv.reader reads.
         lines = [line for line in self.LINES if line != "   "]
         path = self.write(tmp_path, self.with_ids(lines, ids))
         reference = load_or_error(reference_load_csv, path, people_schema)
         monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
         if expected is None:
-            # No csv.reader: numpy reads every chunk, so an ID it refused
-            # rather than cut would fail the load.
-            monkeypatch.setattr(dataset_module, "_parse_records", None)
-            assert reference[0] == tuple(uid.strip() for uid in ids)
+            # No csv.reader unless an ID is quoted: numpy reads every
+            # chunk, so an ID it refused rather than cut would fail the load.
+            if not any('"' in cell for cell in ids):
+                monkeypatch.setattr(dataset_module, "_parse_records", None)
+            cells = (next(csv.reader([cell]))[0] for cell in ids)
+            assert reference[0] == tuple(cell.strip() for cell in cells)
         else:
             assert reference == f"{path} {expected}"
         assert load_or_error(load_csv, path, people_schema) == reference

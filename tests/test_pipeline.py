@@ -19,6 +19,7 @@ from dpshuffle import (
     Scheme,
     Schema,
     load_config,
+    load_csv,
     parse_query,
     run_pipeline,
 )
@@ -379,6 +380,32 @@ class TestRunOnDataset:
         query = parse_query(EXAMPLE_QUERY, people_dataset.schema)
         with pytest.raises(ConfigError, match="hypothesis_grid"):
             run_on_dataset(PipelineConfig(seed=1), people_dataset, query)
+
+    @pytest.mark.parametrize(
+        "config, text, retries",
+        [
+            (PipelineConfig(seed=5, t=3, S=2), EXAMPLE_QUERY, 0),
+            (PipelineConfig(seed=5, t=3, S=2, mode="CIS"), EXAMPLE_QUERY, 0),
+            (drifty_config(seed=4), DRIFTY_QUERY, 1),
+        ],
+    )
+    def test_a_release_never_reads_an_id(
+        self, tmp_path, data_dir, people_schema, people_dataset, config, text, retries
+    ):
+        # Copies of the fixture whose IDs are non-ASCII, which numpy reads
+        # as strings, or 70 characters long, longer than a byte field.
+        query = parse_query(text, people_schema)
+        report = run_on_dataset(config, people_dataset, query)
+        assert report.retries_used == retries
+        header, *lines = (data_dir / "people.csv").read_text("utf-8").splitlines()
+        for rename in (lambda uid: uid + "\u00e9", lambda uid: uid.ljust(70, "x")):
+            records = (line.split(",", 1) for line in lines)
+            renamed = [f"{rename(uid)},{rest}" for uid, rest in records]
+            path = tmp_path / "renamed.csv"
+            path.write_text("\n".join([header, *renamed]) + "\n", encoding="utf-8")
+            dataset = load_csv(str(path), people_schema)
+            assert dataset.ids == tuple(map(rename, people_dataset.ids))
+            assert run_on_dataset(config, dataset, query).to_json() == report.to_json()
 
     def test_deterministic_reports(self, people_dataset):
         query = parse_query(EXAMPLE_QUERY, people_dataset.schema)
