@@ -552,7 +552,10 @@ class _Rows:
     exactly its rows.  A chunk that does not fit doubles the capacity,
     and ``finish`` trims it to the rows read.  Both reallocate the arrays
     in place, by ``ndarray.resize``, which numpy refuses while a view of
-    them is alive, so no view outlives the chunk it was made for.
+    them is alive, so no view outlives the chunk it was made for.  numpy
+    also refuses it whenever a trace function is set (``sys.settrace``,
+    as debuggers and coverage tools set), counting one more reference to
+    the array; only then is the array reallocated by a copy.
     """
 
     def __init__(self, k: int) -> None:
@@ -604,7 +607,7 @@ class _Rows:
         old, n, k = self.capacity, self.n, self.k
         grow = capacity > old
         if grow:
-            self.codes.resize(capacity * k)
+            self._reallocate("codes", capacity * k)
         pieces = [(j, lo) for j in range(1, k) for lo in range(0, n, _CHUNK_ROWS)]
         for j, lo in reversed(pieces) if grow else pieces:
             hi = min(lo + _CHUNK_ROWS, n)
@@ -612,9 +615,17 @@ class _Rows:
                 j * old + lo : j * old + hi
             ]
         if not grow:
-            self.codes.resize(capacity * k)
-        self.ids.resize(capacity)
+            self._reallocate("codes", capacity * k)
+        self._reallocate("ids", capacity)
         self.capacity = capacity
+
+    def _reallocate(self, name: str, size: int) -> None:
+        """Give the array ``name`` ``size`` elements, keeping its first
+        ones: in place, or by a copy where numpy refuses."""
+        try:
+            getattr(self, name).resize(size)
+        except ValueError:
+            setattr(self, name, np.resize(getattr(self, name), size))
 
 
 # Odd, so that multiplying a hash by it, modulo 2**64, loses no bit of it.
@@ -976,12 +987,10 @@ def _parse_records(records: Iterable[list[str]], schema: Schema, rows: _Rows) ->
 def _column_codes(attr: Attribute, cells: Sequence[str], start: int) -> np.ndarray:
     """Domain index of every CSV cell of one attribute's column.
 
-    A column converts in one pass over its raw cells: ``float`` on each
-    cell of a bucketed attribute, which where it succeeds reads a cell as
-    its stripped form, or a label lookup on each cell of a categorical
-    one.  Only a column where that fails is stripped, read as numbers
-    where they parse and labels elsewhere, and checked value by value by
-    ``_value_codes``, which words the first error.
+    A bucketed column whose every cell ``float`` reads (as it reads the
+    cell stripped) is bucketed in one pass.  Any other column is stripped,
+    a bucketed one's cells read as numbers where they parse, and decoded
+    by ``_value_codes``, which words the first error.
     """
     n = len(cells)
     if attr.is_numeric:
@@ -991,25 +1000,11 @@ def _column_codes(attr: Attribute, cells: Sequence[str], start: int) -> np.ndarr
             pass
         else:
             return _bucket_codes(attr, numbers, range(start + 1, start + n + 1))
-    else:
-        # A label with surrounding whitespace never matches a stripped cell.
-        labels = {v: i for i, v in enumerate(attr.values) if v == v.strip()}
-        try:
-            return np.fromiter(map(labels.get, cells), np.int64, n)
-        except TypeError:
-            pass
     values: list[object] = list(map(str.strip, cells))
     if attr.is_numeric:
-        values = _read_numbers(values)
+        for slot, cell in enumerate(values):
+            try:
+                values[slot] = float(cell)
+            except ValueError:
+                pass
     return _value_codes(attr, values, start)
-
-
-def _read_numbers(cells: list[str]) -> list[object]:
-    """Cells of a bucketed attribute: numbers where they parse, else labels."""
-    values: list[object] = []
-    for cell in cells:
-        try:
-            values.append(float(cell))
-        except ValueError:
-            values.append(cell)
-    return values

@@ -28,10 +28,12 @@ paper's mechanism and its accounting (``privacy``) rely on.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -187,13 +189,32 @@ def apply_channel_permutations(
 
 
 def export_csv(shuffled: ShuffledDataset, path: str) -> None:
-    """Write slot IDs plus decoded labels, with a provenance sidecar."""
+    """Write slot IDs plus decoded labels, with a provenance sidecar.
+
+    The whole CSV is encoded before ``path`` is opened, so a value that
+    UTF-8 cannot encode (an ID, label or name holding a lone surrogate)
+    raises ``ShuffleError`` naming it, and nothing is written.
+    """
     labels = [attr.values for attr in shuffled.schema.attributes]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("id", *shuffled.schema.names))
+
+    def records() -> Iterator[tuple[str, ...]]:
+        yield ("id", *shuffled.schema.names)
         for uid, codes in zip(shuffled.ids, shuffled.codes.tolist()):
-            writer.writerow((uid, *(values[c] for values, c in zip(labels, codes))))
+            yield (uid, *(values[c] for values, c in zip(labels, codes)))
+
+    text = io.StringIO()
+    csv.writer(text).writerows(records())
+    try:
+        data = text.getvalue().encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # lone surrogates are the only characters UTF-8 cannot encode
+        surrogate = re.compile("[\ud800-\udfff]")
+        value = next(v for record in records() for v in record if surrogate.search(v))
+        raise ShuffleError(
+            f"{path}: cannot encode {value!r} as UTF-8 ({exc.reason})"
+        ) from None
+    with open(path, "wb") as fh:
+        fh.write(data)
     with open(path + ".provenance.json", "w", encoding="utf-8") as fh:
         json.dump(fields_dict(shuffled.provenance), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -344,6 +344,32 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=r"row 2.*'Age'.*not a number"):
             load_csv(str(path), people_schema)
 
+    @pytest.mark.parametrize(
+        "lines, number",
+        [
+            # not a plain integer: numpy's float read fails at once
+            (["Riya,Riya,abc,5.3,48", "Sonal,Sonal,7,4.8,42"], 1),
+            # the int read fails, then the float read, then csv.reader words it
+            (["Riya,Riya,20,5.3,48", "Sonal,Sonal,7,4.8,42", "Priya,Priya,abc,5.3,78"], 3),
+            (['"Riya","Riya","abc","5.3","48"'], 1),
+            (['"Riya","Riya","20","5.3","48"', '"Sonal","Sonal","abc","4.8","42"'], 2),
+        ],
+        ids=["first-line", "later-line", "quoted-first-line", "quoted-later-line"],
+    )
+    def test_bucketed_cell_neither_label_nor_number_names_its_row(
+        self, tmp_path, people_schema, lines, number
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "".join(f"{line}\n" for line in ["id,Name,Age,Height,Weight", *lines]),
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError) as exc:
+            load_csv(str(path), people_schema)
+        assert str(exc.value) == (
+            f"{path} row {number}, attribute 'Age': value 'abc' is not in the domain"
+        )
+
     def test_padded_label_reads_as_stripped(self, tmp_path):
         # Cells are read stripped, so " x" is the label "x", never " x".
         schema = Schema((Attribute("Name", (" x", "x")),))
@@ -428,6 +454,12 @@ class TestEncoding:
                 Schema((Attribute("name", ("Riya", "Sonal")),)),
                 (Row("u1", (3.5,)),),
             )
+
+    def test_dataset_rejects_a_string_neither_label_nor_number(self, people_schema):
+        rows = (Row("a", ("Riya", 20, "5.3", 48)), Row("b", ("Sonal", "abc", "4.8", 42)))
+        with pytest.raises(DatasetError) as exc:
+            Dataset(people_schema, rows)
+        assert str(exc.value) == "row 2, attribute 'Age': value 'abc' is not in the domain"
 
     def test_dataset_rejects_a_row_of_the_wrong_width(self):
         schema = Schema((Attribute("flag", ("yes", "no")),))
@@ -1400,23 +1432,26 @@ class TestChunkBoundaries:
             assert reference == f"{path} {expected}"
         assert load_or_error(load_csv, path, people_schema) == reference
 
+    def with_long_rows(self, long_rows) -> list[str]:
+        """30 rows, Weight padded with 150 zeros after its point in
+        ``long_rows``.  Long lines first make the first block's characters
+        a line overstate the rest, so the table's arrays are sized short
+        and must grow; long lines after it make them too large, and they
+        are trimmed."""
+        rows = [line for line in self.LINES if line.strip()] * 3
+        lines = self.with_ids(rows, (f"r{i}" for i in range(30)))
+        for i in long_rows:
+            weight = lines[i].rsplit(",", 1)[1]
+            lines[i] += ("" if "." in weight else ".") + "0" * 150
+        return lines
+
     @pytest.mark.parametrize("chunk_rows", (1, 2, 3, dataset_module._CHUNK_ROWS))
     @pytest.mark.parametrize("long_rows", [range(2), range(2, 30)])
     def test_lines_longer_or_shorter_after_the_first_block(
         self, tmp_path, monkeypatch, people_schema, chunk_rows, long_rows
     ):
         one_chunk = chunk_rows == dataset_module._CHUNK_ROWS
-        # 30 rows, Weight padded with 150 zeros after its point in some.
-        # Long lines first make the first block's characters a line
-        # overstate the rest, so the table's arrays are sized short and
-        # must grow; long lines after it make them too large, and they
-        # are trimmed.
-        rows = [line for line in self.LINES if line.strip()] * 3
-        lines = self.with_ids(rows, (f"r{i}" for i in range(30)))
-        for i in long_rows:
-            weight = lines[i].rsplit(",", 1)[1]
-            lines[i] += ("" if "." in weight else ".") + "0" * 150
-        path = self.write(tmp_path, lines)
+        path = self.write(tmp_path, self.with_long_rows(long_rows))
         reference = load_or_error(reference_load_csv, path, people_schema)
         monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
         monkeypatch.setattr(dataset_module, "_parse_records", None)
@@ -1437,6 +1472,26 @@ class TestChunkBoundaries:
             assert any(new > old for old, new in resizes)
         else:
             assert resizes[-1][0] > resizes[-1][1] == 30
+
+    @pytest.mark.parametrize("chunk_rows", (1, 2, 3))
+    @pytest.mark.parametrize("long_rows", [range(2), range(2, 30)])
+    def test_a_load_that_resizes_is_unchanged_under_a_trace_function(
+        self, tmp_path, monkeypatch, people_schema, chunk_rows, long_rows
+    ):
+        # numpy refuses an in-place resize while any trace function is set
+        # (debuggers and coverage tools set one), so the arrays of the
+        # growing and trimming tables above are copied instead.
+        path = self.write(tmp_path, self.with_long_rows(long_rows))
+        reference = load_or_error(reference_load_csv, path, people_schema)
+        monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
+        previous = sys.gettrace()
+        sys.settrace(lambda *args: None)
+        try:
+            loaded = load_or_error(load_csv, path, people_schema)
+        finally:
+            sys.settrace(previous)
+        assert loaded == reference
+        assert isinstance(loaded[0], tuple) and len(loaded[0]) == 30
 
     def test_ids_whose_hashes_collide_load(self, tmp_path, monkeypatch, people_schema):
         # With a factor of 0 an ID's hash is its last 8-byte word, so these

@@ -414,3 +414,29 @@ class TestExport:
             "seed": 41,
             "plan_digest": plan.digest(),
         }
+
+    @pytest.mark.parametrize(
+        "uids, labels, value",
+        [
+            (("ok1", "bad\udc80", "ok3"), ("x", "y"), "bad\udc80"),
+            (("ok1", "ok2", "ok3"), ("x", "y\ud800"), "y\ud800"),
+        ],
+        ids=["id", "label"],
+    )
+    def test_a_value_utf8_cannot_encode_writes_nothing(self, tmp_path, uids, labels, value):
+        # Dataset accepts any ID without a NUL, and a schema any label.
+        schema = Schema((Attribute("a0", ("p", "q")), Attribute("a1", labels)))
+        rows = [Row(uid, ("p", labels[-1])) for uid in uids]
+        td = tie_attributes(Dataset(schema, rows), ("a0",))
+        plan = build_plan(3, 1, [c.name for c in td.channels], 2, seed=41)
+        out = iterative_shuffle(td, plan)
+        fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+        existing.write_text("id,a0,a1\nold,p,x\n", encoding="utf-8")
+        for path in (fresh, existing):
+            with pytest.raises(ShuffleError) as exc:
+                export_csv(out, str(path))
+            assert str(exc.value) == (
+                f"{path}: cannot encode {value!r} as UTF-8 (surrogates not allowed)"
+            )
+        assert [p.name for p in tmp_path.iterdir()] == ["existing.csv"]
+        assert existing.read_text(encoding="utf-8") == "id,a0,a1\nold,p,x\n"
