@@ -23,7 +23,7 @@ import math
 import sys
 
 from .dataset import fields_dict
-from .partition import plan_batches
+from .partition import batch_runs
 from .pipeline import (
     PipelineRefused,
     RetriesExhausted,
@@ -95,11 +95,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_epsilon(args: argparse.Namespace) -> int:
     t, s = args.batches, args.shufflers
-    if args.n is not None:
-        sizes = plan_batches(args.n, t)
-        n1 = sizes[0]
-    else:
-        n1 = args.n1
+    n1 = args.n1 if args.n is None else batch_runs(args.n, t)[0][0]
     is_eps = epsilon_is(t, n1, s)
     cis_eps = epsilon_cis(n1, s)
     payload = {

@@ -7,7 +7,8 @@ differ by at most one, with the extra channels landing in uniformly
 chosen distinct groups; each group is one shuffler's.
 
 A ShufflePlan freezes all of this plus the root seed, from which a
-shuffle derives its randomness.
+shuffle derives its randomness.  It stores the layout as (n, t) alone;
+``batch_runs`` is the one place that turns that into batch sizes.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ class PlanError(ValueError):
     """Raised for infeasible partitioning parameters."""
 
 
-def plan_batches(n: int, t: int) -> tuple[int, ...]:
-    """Sizes of the t batches, largest first, summing to n."""
+def batch_runs(n: int, t: int) -> tuple[tuple[int, int], ...]:
+    """The t batches of n rows as (size, count) runs, largest first, with
+    no empty run: at most two runs, whose sizes differ by one."""
     if t < 1:
         raise PlanError(f"batch count must be at least 1, got {t}")
     if n < 1:
@@ -36,7 +38,12 @@ def plan_batches(n: int, t: int) -> tuple[int, ...]:
     if t > n:
         raise PlanError(f"cannot split {n} rows into {t} non-empty batches")
     base, remainder = divmod(n, t)
-    return (base + 1,) * remainder + (base,) * (t - remainder)
+    return tuple(run for run in ((base + 1, remainder), (base, t - remainder)) if run[1])
+
+
+def plan_batches(n: int, t: int) -> tuple[int, ...]:
+    """Sizes of the t batches, largest first, summing to n."""
+    return sum(((size,) * count for size, count in batch_runs(n, t)), ())
 
 
 def group_attributes(
@@ -73,25 +80,17 @@ class ShufflePlan:
     """How one shuffle run is randomised; every other field derives from these."""
 
     seed: int
-    batch_sizes: tuple[int, ...]
+    n: int
+    num_batches: int
     attribute_groups: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        sizes, groups, channels = self.batch_sizes, self.attribute_groups, self.channels
-        if not sizes or min(sizes) < 1 or max(sizes) != sizes[0]:
-            raise PlanError(f"need batch sizes >= 1, a largest first, got {sizes}")
+        batch_runs(self.n, self.num_batches)
+        groups, channels = self.attribute_groups, self.channels
         if len(groups) < 2:
             raise PlanError(f"need at least 2 attribute groups, got {groups}")
         if len(set(channels)) != len(channels):
             raise PlanError(f"a channel sits in more than one group in {groups}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.batch_sizes)
-
-    @property
-    def num_batches(self) -> int:
-        return len(self.batch_sizes)
 
     @property
     def num_shufflers(self) -> int:
@@ -102,9 +101,13 @@ class ShufflePlan:
         return tuple(name for group in self.attribute_groups for name in group)
 
     @property
+    def batch_sizes(self) -> tuple[int, ...]:
+        return plan_batches(self.n, self.num_batches)
+
+    @property
     def n1(self) -> int:
         """Largest batch size; the one the privacy accounting uses."""
-        return self.batch_sizes[0]
+        return batch_runs(self.n, self.num_batches)[0][0]
 
     @property
     def bounds(self) -> tuple[tuple[int, int], ...]:
@@ -138,9 +141,9 @@ def build_plan(
     seed: int,
 ) -> ShufflePlan:
     """Derive a complete plan from the root seed."""
-    sizes = plan_batches(n, num_batches)
+    batch_runs(n, num_batches)  # a bad layout is named before groups are drawn
     groups = _draw_groups(channels, num_shufflers, seed)
-    return ShufflePlan(seed=seed, batch_sizes=sizes, attribute_groups=groups)
+    return ShufflePlan(seed, n, num_batches, groups)
 
 
 def _draw_groups(

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .dataset import Dataset, DatasetError, Schema, fields_dict, load_csv
-from .partition import build_plan, plan_batches
+from .partition import build_plan
 from .privacy import account, epsilon_is
 from .queryplan import QuerySpec, parse_query, validate_query
 from .seeds import derive_seed
@@ -289,19 +289,18 @@ def run_on_dataset(
         seed = derive_seed(config.seed, "select")
         scheme = _rank(risk, tied_db, workload_hits or [hits], seed).best
 
-    sizes = plan_batches(tied_db.n, scheme.t)
-    acct = account(config.mode, sizes, scheme.S)
+    acct = account(config.mode, tied_db.n, scheme.t, scheme.S)
     if config.mode == "CIS" and acct.epsilon < 0:
         raise PipelineRefused(
             f"cumulative shuffling with t={scheme.t}, S={scheme.S} on "
-            f"{tied_db.n} rows (largest batch {sizes[0]}) has negative "
+            f"{tied_db.n} rows (largest batch {acct.n1}) has negative "
             f"privacy budget {acct.epsilon:.6f}; release refused, use "
             f"per-batch mode or a larger batch count",
             epsilon=acct.epsilon,
         )
 
     c = count_hits(hits)
-    runs = _stage_runs(sizes, config.mode)
+    runs = _stage_runs(tied_db.n, scheme.t, config.mode)
     attempts: list[AttemptRecord] = []
     for attempt in range(config.max_retries + 1):
         plan = build_plan(

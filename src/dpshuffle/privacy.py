@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Sequence
 
+from .partition import batch_runs
 from .seeds import derive_rng
 
 MIN_ORACLE_TRIALS = 10_000
@@ -44,6 +43,11 @@ def _check_scale(n1: int, num_shufflers: int) -> None:
         raise ValueError(f"need at least 2 shufflers, got {num_shufflers}")
 
 
+def _power_bits(n1: int, num_shufflers: int) -> int:
+    """A lower bound on log2((n1-1)^S) that does not build the power."""
+    return num_shufflers * ((n1 - 1).bit_length() - 1)
+
+
 def rr_batch(n1: int, num_shufflers: int) -> float:
     """Likelihood ratio 1/(n1-1)^S for one batch of size n1.
 
@@ -51,6 +55,8 @@ def rr_batch(n1: int, num_shufflers: int) -> float:
     the smallest float anyway.
     """
     _check_scale(n1, num_shufflers)
+    if _power_bits(n1, num_shufflers) >= 1024:  # past the float range
+        return 0.0
     try:
         return 1.0 / (n1 - 1) ** num_shufflers
     except OverflowError:
@@ -71,10 +77,13 @@ def epsilon_is(num_batches: int, n1: int, num_shufflers: int) -> float:
     _check_scale(n1, num_shufflers)
     if num_batches < 1:
         raise ValueError(f"batch count must be at least 1, got {num_batches}")
-    try:
-        ratio = num_batches / (n1 - 1) ** num_shufflers
-    except OverflowError:
-        ratio = math.inf
+    if _power_bits(n1, num_shufflers) >= num_batches.bit_length() + 1076:
+        ratio = 0.0  # t / (n1-1)^S < 2^-1076 rounds to 0.0
+    else:
+        try:
+            ratio = num_batches / (n1 - 1) ** num_shufflers
+        except OverflowError:
+            ratio = math.inf
     return _log_ratio(ratio, num_batches, n1, num_shufflers)
 
 
@@ -100,9 +109,9 @@ class PrivacyAccount:
 
 
 def account(
-    mode: str, batch_sizes: Sequence[int], num_shufflers: int
+    mode: str, n: int, num_batches: int, num_shufflers: int
 ) -> PrivacyAccount:
-    """Account for a full run over the given batch sizes (largest first).
+    """Account for a full run over n rows in ``num_batches`` batches.
 
     IS stages cover single batches; the paper's CIS stage i covers the
     prefix of batches 1..i, so its ratios use cumulative sizes; admissible
@@ -110,32 +119,20 @@ def account(
     """
     if mode not in ("IS", "CIS"):
         raise ValueError(f"unknown accounting mode {mode!r}")
-    if not batch_sizes:
-        raise ValueError("batch sizes must be non-empty")
-    t = len(batch_sizes)
-    n1 = batch_sizes[0]
-    if max(batch_sizes) != n1:
-        raise ValueError("batch sizes must be ordered largest first")
-    smallest = min(batch_sizes)
+    runs = batch_runs(n, num_batches)
+    n1 = runs[0][0]
+    # Every batch holds a row, so a short stage covers 1: batch 1 when
+    # n1 < 2, else for IS the first batch of the smaller size.
+    if n1 < 2 or (mode == "IS" and runs[-1][0] < 2):
+        stage = 1 if n1 < 2 else runs[0][1] + 1
+        raise ValueError(f"stage {stage} covers 1 row(s); ratios need at least 2")
     if mode == "IS":
-        short = smallest < 2
-    else:
-        # Prefix sums of sizes none of which is negative never fall below
-        # the first one, so only a negative size needs them summed.
-        short = n1 < 2 or (smallest < 0 and min(accumulate(batch_sizes)) < 2)
-    if short:
-        scopes = batch_sizes if mode == "IS" else accumulate(batch_sizes)
-        stage, size = next((i, s) for i, s in enumerate(scopes, 1) if s < 2)
-        raise ValueError(
-            f"stage {stage} covers {size} row(s); ratios need at least 2"
-        )
-    if mode == "IS":
-        epsilon = epsilon_is(t, n1, num_shufflers)
+        epsilon = epsilon_is(num_batches, n1, num_shufflers)
     else:
         epsilon = epsilon_cis(n1, num_shufflers)
     return PrivacyAccount(
         mode=mode,
-        num_batches=t,
+        num_batches=num_batches,
         n1=n1,
         num_shufflers=num_shufflers,
         epsilon=epsilon,

@@ -32,13 +32,12 @@ import io
 import json
 import re
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import fields_dict
-from .partition import ShufflePlan
+from .partition import ShufflePlan, batch_runs
 from .queryplan import TiedDataset
 from .seeds import derive_rng
 
@@ -102,16 +101,16 @@ def group_orders(
         raise ShuffleError(
             f"plan covers {plan.n} rows but the dataset has {tied.n}"
         )
-    runs = _stage_runs(plan.batch_sizes, mode)
+    runs = _stage_runs(plan.n, plan.num_batches, mode)
     return _draw_orders(plan.n, runs, plan.attribute_groups, plan.seed, mode)
 
 
-def _stage_runs(batch_sizes: Sequence[int], mode: str) -> list[tuple[int, int]]:
-    """The stages of a shuffle as runs of (stage size, stage count), in
-    order: one stage per batch for IS, one over all rows for CIS."""
-    if mode == "IS":
-        return [(size, len(list(run))) for size, run in groupby(batch_sizes)]
-    return [(sum(batch_sizes), 1)]
+def _stage_runs(n: int, t: int, mode: str) -> tuple[tuple[int, int], ...]:
+    """The stages of a shuffle of n rows in t batches as runs of (stage
+    size, stage count), in order: one stage per batch for IS, one over
+    all rows for CIS."""
+    runs = batch_runs(n, t)
+    return runs if mode == "IS" else ((n, 1),)
 
 
 def _draw_orders(

@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import Dataset, fields_dict
-from .partition import _draw_groups, plan_batches
+from .partition import _draw_groups
 from .privacy import account
 from .queryplan import (
     QuerySpec,
@@ -365,14 +365,13 @@ def _rank(
     for scheme in config.hypothesis_grid:
         if scheme.S < 2:
             raise RiskError(f"candidate {scheme} needs at least 2 shufflers")
-        sizes = plan_batches(n, scheme.t)
-        if sizes[-1] < 2:
+        runs = _stage_runs(n, scheme.t, "IS")
+        if runs[-1][0] < 2:
             raise RiskError(
                 f"candidate {scheme} leaves batches of a single row; "
                 f"its ratio is undefined"
             )
-        acct = account("IS", sizes, scheme.S)
-        runs = _stage_runs(sizes, "IS")
+        acct = account("IS", n, scheme.t, scheme.S)
         losses: list[float] = []
         released: list[float] = []
         for trial in range(config.trials_per_scheme):

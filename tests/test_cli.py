@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ class TestEpsilonCommand:
         payload = json.loads(capsys.readouterr().out)
         assert math.isfinite(payload["epsilon_is"])
         assert payload["epsilon_is"] == math.log(t) - 2 * math.log(2)
+
+    @pytest.mark.parametrize(
+        "t, size, shufflers, n1, epsilon",
+        [(100, ["--n1", "100"], 10**9, 100, math.log(100) - 10**9 * math.log(99)),
+         (10**9, ["--n", str(2 * 10**9)], 2, 2, math.log(10**9)),
+         (10**9, ["--n", str(2 * 10**9)], 10**9, 2, math.log(10**9))],
+    )
+    def test_huge_scales_return_at_once(self, capsys, t, size, shufflers, n1, epsilon):
+        # n1 comes from (n, t) without t batch sizes, and a huge S takes
+        # the log form without building (n1-1)^S.
+        started = time.perf_counter()
+        assert main(["epsilon", "-t", str(t), "-S", str(shufflers), *size, "--json"]) == 0
+        assert time.perf_counter() - started < 1.0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["n1"], payload["epsilon_is_signed"]) == (n1, epsilon)
 
     def test_degenerate_batch_size_exits_nonzero(self, capsys):
         assert main(["epsilon", "-t", "2", "-S", "2", "--n1", "1"]) == 1

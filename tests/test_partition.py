@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpshuffle import PlanError, ShufflePlan, build_plan, partition
-from dpshuffle.partition import group_attributes, plan_batches
+from dpshuffle.partition import batch_runs, group_attributes, plan_batches
 from dpshuffle.seeds import derive_rng
 
 
@@ -38,10 +38,35 @@ class TestPlanBatches:
         assert sizes[0] == max(sizes) == math.ceil(n / t)
 
     def test_bounds_cover_range(self):
-        plan = ShufflePlan(
-            seed=0, batch_sizes=plan_batches(10, 3), attribute_groups=(("a",), ("b",))
-        )
+        plan = ShufflePlan(seed=0, n=10, num_batches=3, attribute_groups=(("a",), ("b",)))
         assert plan.bounds == ((0, 4), (4, 7), (7, 10))
+
+
+class TestBatchRuns:
+    @pytest.mark.parametrize(
+        "n, t, runs",
+        [(10, 3, ((4, 1), (3, 2))), (11_000, 1_000, ((11, 1_000),)), (5, 1, ((5, 1),)),
+         (5, 5, ((1, 5),)), (7, 4, ((2, 3), (1, 1)))],
+    )
+    def test_runs_largest_first_with_no_empty_run(self, n, t, runs):
+        assert batch_runs(n, t) == runs
+
+    @pytest.mark.parametrize("n,t", [(10, 0), (10, 11), (0, 1), (5, -1)])
+    def test_infeasible_layouts_raise_what_plan_batches_raises(self, n, t):
+        with pytest.raises(PlanError) as runs_error:
+            batch_runs(n, t)
+        with pytest.raises(PlanError) as sizes_error:
+            plan_batches(n, t)
+        assert str(runs_error.value) == str(sizes_error.value)
+
+    def test_plan_batches_expands_the_runs(self):
+        for n in range(1, 41):
+            for t in range(1, n + 1):
+                expanded = tuple(s for s, count in batch_runs(n, t) for _ in range(count))
+                assert plan_batches(n, t) == expanded
+
+    def test_a_huge_layout_is_read_without_its_sizes(self):
+        assert batch_runs(2 * 10**18, 10**18) == ((2, 10**18),)
 
 
 class TestGroupAttributes:
@@ -109,19 +134,19 @@ class TestBuildPlan:
         assert a.digest() != b.digest()
 
     @pytest.mark.parametrize(
-        "sizes, groups, message",
+        "n, t, groups, message",
         [
-            ((6, 6), (("a",), ("a", "b", "c")), "channel sits in more than one"),
-            ((6, 6), (("a", "b"), ("c", "c")), "channel sits in more than one"),
-            ((6, 6), (("a", "b", "c"),), "at least 2 attribute groups"),
-            ((6, 0), (("a",), ("b",)), r"batch sizes >= 1.*\(6, 0\)"),
-            ((), (("a",), ("b",)), r"batch sizes >= 1.*\(\)"),
-            ((2, 10), (("a",), ("b",)), r"a largest first, got \(2, 10\)"),
+            (12, 2, (("a",), ("a", "b", "c")), "channel sits in more than one"),
+            (12, 2, (("a", "b"), ("c", "c")), "channel sits in more than one"),
+            (12, 2, (("a", "b", "c"),), "at least 2 attribute groups"),
+            (12, 0, (("a",), ("b",)), "batch count must be at least 1, got 0"),
+            (0, 1, (("a",), ("b",)), r"cannot partition an empty dataset \(n=0\)"),
+            (2, 10, (("a",), ("b",)), "cannot split 2 rows into 10 non-empty batches"),
         ],
     )
-    def test_contradictory_plan_rejected(self, sizes, groups, message):
+    def test_contradictory_plan_rejected(self, n, t, groups, message):
         with pytest.raises(PlanError, match=message):
-            ShufflePlan(seed=5, batch_sizes=sizes, attribute_groups=groups)
+            ShufflePlan(seed=5, n=n, num_batches=t, attribute_groups=groups)
 
     @pytest.mark.parametrize(
         "channels, shufflers, derived", [(6, 2, 0), (6, 3, 0), (7, 2, 1), (2, 3, 1)]
@@ -150,6 +175,24 @@ class TestBuildPlan:
         plan = build_plan(10, 3, ["x"], 2, seed=0)
         assert plan.batch_sizes == (4, 3, 3)
         assert plan.n1 == 4
+
+    # Recorded before plans stored (n, t) in place of their batch sizes:
+    # the digest hashes the same JSON text as it did then.
+    @pytest.mark.parametrize(
+        "n, t, channels, shufflers, seed, digest",
+        [
+            (10**6, 500_000, "abcd", 2, 7,
+             "b253aef1d475df0f66c8f4a2fc6b62f1252b26e75491f3db272ba46628c6d82d"),
+            (10**6, 10_000, "abcd", 2, 7,
+             "cc3bffe71c1d845ed50ba0f6afe559472c8649e95fa4d632924ae9e5c0e094b9"),
+            (10, 3, "wxyz", 3, 11,
+             "b1b00ece9ddb6c482cc38078fc43f560ac784f15e6a653bf456bfa38cdf54587"),
+            (12, 4, "wxyz", 3, 12,
+             "eeaf36a5855b171e3d3d9b1e009235e2e47e2ee42c7896f9491da82285a6d44c"),
+        ],
+    )
+    def test_digest_is_unchanged(self, n, t, channels, shufflers, seed, digest):
+        assert build_plan(n, t, tuple(channels), shufflers, seed).digest() == digest
 
     def test_serializable_audit_record(self):
         plan = build_plan(10, 3, ["x", "y", "z"], 2, seed=0)

@@ -15,7 +15,6 @@ from dpshuffle import (
     Row,
     Schema,
     ShuffleError,
-    ShufflePlan,
     build_plan,
     cumulative_iterative_shuffle,
     export_csv,
@@ -326,9 +325,7 @@ class TestCumulativeShuffle:
 @st.composite
 def shuffle_cases(draw):
     """A tied table, plan and mode; fewer channels than shufflers leaves
-    some attribute groups empty.  Some plans take any batch sizes with a
-    largest first, as ``ShufflePlan`` allows, so batches of one size need
-    not be adjacent."""
+    some attribute groups empty."""
     attrs = draw(st.integers(1, 4))
     tie_first = draw(st.integers(1, attrs))
     n = draw(st.integers(1, 24))
@@ -338,11 +335,6 @@ def shuffle_cases(draw):
     mode = draw(st.sampled_from(["IS", "CIS"]))
     td = make_tied(n, attrs=attrs, tie_first=tie_first)
     plan = build_plan(n, t, [c.name for c in td.channels], shufflers, seed=seed)
-    if n > 1 and draw(st.booleans()):
-        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)))
-        sizes = [end - start for start, end in zip([0, *cuts], [*cuts, n])]
-        sizes.insert(0, sizes.pop(sizes.index(max(sizes))))
-        plan = ShufflePlan(seed, tuple(sizes), plan.attribute_groups)
     return td, plan, mode
 
 

@@ -23,7 +23,7 @@ from dpshuffle import (
     select_scheme,
     tie_attributes,
 )
-from dpshuffle.partition import PlanError, plan_batches
+from dpshuffle.partition import PlanError
 from dpshuffle.privacy import account
 from dpshuffle.seeds import derive_seed
 from dpshuffle.queryplan import (
@@ -498,7 +498,7 @@ class TestSelectScheme:
             best = select_scheme(config, dataset, seed=0).best
         except (RiskError, PlanError):
             return
-        account("IS", plan_batches(n, best.t), best.S)
+        account("IS", n, best.t, best.S)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -577,7 +577,7 @@ def plan_by_plan(config: RiskConfig, dataset: Dataset, seed: int) -> dict:
     ]
     rows = []
     for scheme in config.hypothesis_grid:
-        acct = account("IS", plan_batches(dataset.n, scheme.t), scheme.S)
+        acct = account("IS", dataset.n, scheme.t, scheme.S)
         losses, released = [], []
         for trial in range(config.trials_per_scheme):
             trial_seed = derive_seed(seed, "risk", scheme.t, scheme.S, trial)
