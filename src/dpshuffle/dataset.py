@@ -19,15 +19,15 @@ and writes each chunk of lines straight into one index array and one ID
 array for the whole table, so loading holds those two arrays, one
 block's lines and one chunk of cells, never a ``Row`` or a record per
 row.  numpy's C reader, ``np.loadtxt``, parses a chunk free of quotes in
-one call.  In an ASCII chunk it reads the IDs into one fixed-width byte
-field, checked in numpy to be whole and stripped; other IDs are read as
-strings, stripped and encoded once.  It reads the numbers of a bucketed
-attribute as integers, bucketed through a lookup table or by comparison
-with each edge, where the chunk's first line that is not blank holds an
-integer there, and as floats otherwise.  Labels are read as fixed-width
-fields that numpy looks up in the domain: in an ASCII chunk, labels of
-at most 7 ASCII characters as 8-byte fields compared as integers, one
-equality test per label where there are at most 16.  Each column is
+one call, as the UTF-8 bytes of its cells.  It reads the IDs into one
+fixed-width byte field, checked in numpy to be whole and stripped;
+other IDs are read as strings, stripped and encoded once.  It reads the
+numbers of a bucketed attribute as integers, bucketed through a lookup
+table or by comparison with each edge, where the chunk's first line that
+is not blank holds an integer there, and as floats otherwise.  Labels
+are read as byte fields that numpy looks up in the domain: labels of at
+most 7 bytes as 8-byte fields compared as integers, one equality test
+per label where there are at most 16.  Each column is
 decoded straight into the chunk's rows of the index array, which is
 sized from the file's length, so a file of one chunk keeps it as read.
 A column is read as strings where a cell is padded.  A chunk numpy
@@ -484,30 +484,29 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     and one chunk, never a ``Row`` per line, and never a second copy of
     the codes: at 10^6 rows the traced peak is within a fifth of what
     the dataset keeps.  A chunk free of quotes is parsed by numpy's C
-    reader, ``np.loadtxt``: numbers of bucketed attributes straight to
-    integers or floats, IDs of an ASCII chunk to bytes and of any other
-    to strings, encoded to UTF-8 once stripped, and labels to
-    fixed-width fields looked up in numpy (short ASCII labels as 8-byte
-    integer keys), or to strings where a cell is padded or not a
-    label.  A chunk it cannot read exactly, and from the first block
-    holding a quote on the rest of the file, goes through
-    ``csv.reader``, so quoted cells may hold commas and newlines and
-    every fault is worded the same either way.  A cell of a bucketed
-    attribute that parses as a number is read as a number, and only
-    otherwise as a bucket label.  Cells are read as if stripped of
-    surrounding whitespace.  Rows are numbered from 1 after the header,
-    not counting blank lines, which are skipped.  Each chunk is checked
-    as it is read, and IDs are checked for duplicates once the whole
-    file is in, by ``_unique_ids``.  An ID holding a NUL is an error
-    (``_encode_ids``).  ``_chunks`` says how the text is read, and
-    ``_parse_chunk`` how numpy reads a chunk.
+    reader, ``np.loadtxt``, as the UTF-8 bytes of its cells: numbers of
+    bucketed attributes straight to integers or floats, IDs and labels
+    to fixed-width byte fields, labels looked up in numpy (those of at
+    most 7 bytes as 8-byte integer keys), and a column to strings where
+    a cell is padded or not a label.  A chunk it cannot read exactly,
+    and from the first block holding a quote on the rest of the file,
+    goes through ``csv.reader``, so quoted cells may hold commas and
+    newlines and every fault is worded the same either way.  A cell of
+    a bucketed attribute that parses as a number is read as a number,
+    and only otherwise as a bucket label.  Cells are read as if stripped
+    of surrounding whitespace.  Rows are numbered from 1 after the
+    header, not counting blank lines, which are skipped.  Each chunk is
+    checked as it is read, and IDs are checked for duplicates once the
+    whole file is in, by ``_unique_ids``.  An ID holding a NUL is an
+    error (``_encode_ids``), and so is text that is not UTF-8, named by
+    its byte's offset in the file.  ``_chunks`` says how the text is
+    read, and ``_parse_chunk`` how numpy reads a chunk.
     """
     rows = _Rows(schema.k)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh), None)
+            if header is None:
                 raise DatasetError(f"{path}: file is empty")
             got = [h.strip().lower() for h in header[1:]]
             expected = [name.lower() for name in schema.names]
@@ -522,20 +521,37 @@ def load_csv(path: str, schema: Schema) -> Dataset:
             gc_enabled = gc.isenabled()
             gc.disable()
             try:
-                for lines, is_ascii, records, lines_left in _chunks(fh):
+                for lines, records, lines_left in _chunks(fh):
                     rows.lines_left = lines_left
-                    if not (lines and _parse_chunk(lines, schema, rows, is_ascii)):
+                    if not (lines and _parse_chunk(lines, schema, rows)):
                         # for csv.reader to read or to word
-                        _parse_records(records, schema, rows)
+                        _parse_records(records or csv.reader(_utf8(lines)), schema, rows)
                 ids, codes = rows.finish()
             except DatasetError as exc:
                 raise DatasetError(f"{path} {exc}") from None
             finally:
                 if gc_enabled:
                     gc.enable()
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DatasetError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # Its positions count from the start of the bytes the failed
+            # read decoded, which end where the file now stands (a pipe's
+            # position is unknown: they stay as they are).
+            start = fh.buffer.tell() - len(exc.object) if fh.seekable() else 0
+            raise DatasetError(f"{path}: {_decode_error(exc, start)}") from None
+        except csv.Error as exc:
+            raise DatasetError(f"{path}: {exc}") from None
     return Dataset._from_codes(schema, ids, codes)
+
+
+def _decode_error(exc: UnicodeDecodeError, start: int) -> str:
+    """``exc``'s message, its positions counted from the file's start,
+    ``start`` bytes before the bytes it names positions in."""
+    first, last = start + exc.start, start + exc.end - 1
+    if first == last:
+        at = f"byte 0x{exc.object[exc.start]:02x} in position {first}"
+    else:
+        at = f"bytes in position {first}-{last}"
+    return f"'{exc.encoding}' codec can't decode {at}: {exc.reason}"
 
 
 class _Rows:
@@ -545,7 +561,7 @@ class _Rows:
     ``codes`` holds ``capacity`` codes of each attribute, one column
     after another, so that ``block`` gives a chunk a column-major view
     of its rows.  IDs go to ``ids``, one ``S`` array as wide as the
-    widest chunk's: an ASCII chunk's as numpy read them, any other's as
+    widest chunk's: as numpy read them, or, where read as strings, as
     ``_encode_ids`` encodes them.  The arrays are sized by the first
     chunk, to its rows and ``lines_left``, the lines ``_chunks``
     estimates after it, plus a sixteenth; a table of one chunk gets
@@ -657,34 +673,35 @@ def _unique_ids(ids: np.ndarray) -> np.ndarray:
 
 def _chunks(
     fh: TextIO,
-) -> Iterator[tuple[list[str] | None, bool, Iterable[list[str]], int]]:
-    """The lines, whether they are ASCII, the ``csv.reader`` records of
-    each chunk of ``fh``, and an estimate of the lines after it.
+) -> Iterator[tuple[list[str] | None, list[list[str]] | None, int]]:
+    """The lines of each chunk of ``fh``, or else its ``csv.reader``
+    records, and an estimate of the lines after it.
 
     The text is read in blocks of about ``_LINE_CHARS`` characters a
     chunk line, each finished at a line end by ``readline`` and split
-    once at every LF; a line keeps the CR of a CRLF end.  A block's text
-    is let go once split, so a chunk is parsed beside its lines alone.
-    A chunk is ``_CHUNK_ROWS`` such lines, taken across blocks.  The
-    lines are given while the blocks hold no quote, no NUL (which
-    ``csv.reader`` rejects before Python 3.11) and no CR outside a CRLF
-    line end: ``csv.reader`` would split such a chunk exactly at line
-    ends and commas, as ``np.loadtxt`` does, and its records are parsed
-    only if the caller reads them.  A chunk of whitespace-only lines
-    holds no rows and is skipped.  The lines after a chunk are those
-    split and not yet given, plus the file's bytes not yet read over the
-    characters a line of the first block; after the last chunk they are
-    0.  From the first block holding a quote, a NUL or a lone CR on,
-    which may open a quoted cell spanning lines, ``csv.reader`` reads the
-    rest of the file from the first line not yet given, ``_CHUNK_ROWS``
-    records at a time, and only records are given, with 0 lines after
-    them.
+    once at every LF; a line keeps the CR of a CRLF end.  A block that
+    is not ASCII is re-encoded as latin-1 text, one character a UTF-8
+    byte: its line ends and commas, ASCII, stay put, numpy fills ``S``
+    fields with the bytes, and ``_utf8`` turns cells back to text.  A
+    block's text is let go once split, so a chunk is parsed beside its
+    lines alone.  A chunk is ``_CHUNK_ROWS`` such lines, taken across
+    blocks.  The lines are given while the blocks hold no quote, no NUL
+    (which ``csv.reader`` rejects before Python 3.11) and no CR outside
+    a CRLF line end: ``csv.reader`` would split such a chunk exactly at
+    line ends and commas, as ``np.loadtxt`` does.  A chunk of lines of
+    ASCII whitespace only holds no rows and is skipped.  The lines after
+    a chunk are those split and not yet given, plus the file's bytes not
+    yet read over the bytes a line of the first block; after the last
+    chunk they are 0.  From the first block holding a quote, a NUL or a
+    lone CR on, which may open a quoted cell spanning lines,
+    ``csv.reader`` reads the rest of the file from the first line not
+    yet given, ``_CHUNK_ROWS`` records at a time, and only records are
+    given, with 0 lines after them.
     """
     rows = _CHUNK_ROWS
     unread = os.fstat(fh.fileno()).st_size
-    line_chars = 0.0  # characters a line of the first block
+    line_bytes = 0.0  # bytes a line of the first block
     lines: list[str] = []  # split from the blocks read, not yet given
-    lines_ascii = True  # whether ``lines`` are ASCII
     while True:
         text = fh.read(_LINE_CHARS * rows)
         if text and not text.endswith("\n"):
@@ -693,26 +710,24 @@ def _chunks(
             break
         if "\r" in text and text.count("\r") != text.count("\r\n"):
             break
+        if not text.isascii():
+            text = text.encode().decode("latin-1")
         block = text.split("\n")
         if not block[-1]:  # the text after the last LF
             block.pop()
         more = bool(text)
-        block_ascii = text.isascii()
         unread = max(unread - len(text), 0)
-        line_chars = line_chars or len(text) / max(len(block), 1)
+        line_bytes = line_bytes or len(text) / max(len(block), 1)
         del text
-        start = len(lines)  # this block's first line
         block[:0] = lines  # shifts the block's lines rather than copying them
         lines = block
         end = len(lines) - len(lines) % rows if more else len(lines)
-        unread_lines = int(unread / line_chars) if more else 0
+        unread_lines = int(unread / line_bytes) if more else 0
         for i in range(0, end, rows):
             # The lines of a table shorter than a chunk are given uncopied.
             chunk = lines if len(lines) <= rows else lines[i : i + rows]
             if any(map(str.strip, chunk)):
-                is_ascii = block_ascii and (lines_ascii or i >= start)
-                left = len(lines) - i - len(chunk) + unread_lines
-                yield chunk, is_ascii, csv.reader(chunk), left
+                yield chunk, None, len(lines) - i - len(chunk) + unread_lines
         if not more:
             return
         # The carry: a table of one block is given only after the read
@@ -722,19 +737,25 @@ def _chunks(
         # faults (ru_minflt) per 10^4-row load in a loop where this order
         # takes none, and made a 10^4-row release slower.
         lines = lines[end:]
-        lines_ascii = block_ascii and (lines_ascii or end >= start)
-    head = "".join(f"{line}\n" for line in lines)
+    head = "".join(f"{line}\n" for line in _utf8(lines))
     reader = csv.reader(chain(io.StringIO(head + text, newline=""), fh))
     while records := list(islice(reader, rows)):
-        yield None, False, records, 0
+        yield None, records, 0
 
 
-# Widest label field ``np.loadtxt`` fills, in characters, and widest ID
-# field, in bytes.  A domain's longer labels are never matched in numpy:
-# a cell holding one sends its column to ``_column_codes``, and a chunk's
-# fields stay at most 256 bytes a cell.  A chunk whose first ID is
-# longer reads its IDs as strings, to be encoded.
-_LABEL_FIELD_CHARS = 64
+def _utf8(cells: Sequence[str]) -> Sequence[str]:
+    """Cells of the latin-1 text ``_chunks`` gives, one character a UTF-8
+    byte, as the text those bytes spell: as they are if all are ASCII."""
+    decoded = (cell.encode("latin-1").decode() for cell in cells)
+    return cells if "".join(cells).isascii() else list(decoded)
+
+
+# Widest field ``np.loadtxt`` fills with a label or an ID, in bytes.  A
+# domain's longer labels are never matched in numpy: a cell holding one
+# sends its column to ``_column_codes``, and a chunk's fields stay at
+# most 256 bytes a cell.  A chunk whose first ID is longer reads its IDs
+# as strings, to be encoded.
+_FIELD_BYTES = 64
 
 # How ``_parse_chunk`` splits a quote-free chunk, as ``csv.reader`` would.
 _LOADTXT_OPTIONS = dict(delimiter=",", comments=None, quotechar=None, ndmin=1)
@@ -744,7 +765,7 @@ _LOADTXT_OPTIONS = dict(delimiter=",", comments=None, quotechar=None, ndmin=1)
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_chunk(lines: list[str], schema: Schema, rows: _Rows, is_ascii: bool) -> bool:
+def _parse_chunk(lines: list[str], schema: Schema, rows: _Rows) -> bool:
     """Write the stripped IDs and the codes of a quote-free chunk of
     lines to ``rows``.
 
@@ -756,19 +777,18 @@ def _parse_chunk(lines: list[str], schema: Schema, rows: _Rows, is_ascii: bool) 
     to the floats ``float`` reads; any other goes to a float field.  If
     the int read fails, or finds a bad cell, the chunk is read again
     with every bucketed field a float, which words the fault as before.
-    In an ASCII chunk, IDs go to an ``S`` field a multiple of 8 bytes
-    wide and wider than the first line's ID, and are read again as
-    strings unless ``_whole_ids`` finds each of them whole and stripped;
-    in any other chunk, or where that field would be wider than
-    ``_LABEL_FIELD_CHARS``, they are read as strings at once, to be
-    stripped and encoded by ``_encode_ids``.  A label
-    column whose cell there is in its ``_label_table`` goes to that
-    table's fixed-width field, ``S8`` in an ASCII chunk when every label
-    fits, decoded in numpy by ``_label_codes``, and is read again as
-    strings if another cell of it is not a label (padded or unknown).
-    Any other label column, as in a file written with ", " separators,
-    is read as strings at once.  ``_column_codes`` reads a column of
-    strings as it reads a ``csv.reader`` column.  False, with no row
+    IDs go to an ``S`` field a multiple of 8 bytes wide and wider than
+    the first line's ID, and are read again as strings unless
+    ``_whole_ids`` finds each of them whole and stripped; where that
+    field would be wider than ``_FIELD_BYTES``, they are read as strings
+    at once.  A label column whose cell there is in its ``_label_table``
+    goes to that table's byte field, decoded in numpy by
+    ``_label_codes``, and is read again as strings if another cell of it
+    is not a label (padded or unknown).  Any other label column, as in a
+    file written with ", " separators, is read as strings at once.
+    Strings are turned back to text by ``_utf8``: IDs are then stripped
+    and encoded by ``_encode_ids``, and ``_column_codes`` reads a column
+    of them as it reads a ``csv.reader`` column.  False, with no row
     counted as read, when ``csv.reader`` must read the chunk or word its
     fault: a line of the wrong width or of whitespace only, a cell numpy
     does not read as a number, or an empty ID.  A bad cell that numpy did
@@ -776,13 +796,13 @@ def _parse_chunk(lines: list[str], schema: Schema, rows: _Rows, is_ascii: bool) 
     """
     uid, *first = next(filter(str.strip, lines)).rstrip("\r").split(",")
     width = (len(uid) + 8) // 8 * 8
-    id_field = f"S{width}" if is_ascii and width <= _LABEL_FIELD_CHARS else object
+    id_field = f"S{width}" if width <= _FIELD_BYTES else object
     tables = {}
     ints = set()
     for j, (attr, cell) in enumerate(zip(schema.attributes, first)):
         if not attr.is_numeric:
-            field, keys, codes = _label_table(attr, is_ascii)
-            if (keys == _keys([cell], field)).any():
+            field, keys, codes = _label_table(attr)
+            if (keys == _keys([cell.encode("latin-1")], field)).any():
                 tables[j] = field, keys, codes
         elif _PLAIN_INT.fullmatch(cell):
             ints.add(j)
@@ -835,16 +855,12 @@ def _read_chunk(
     if row_ids.dtype.kind == "S" and not _whole_ids(rows.write_ids(row_ids)):
         redo.insert(0, 0)
     if redo:
-        strings = np.loadtxt(
-            lines,
-            dtype=[(f"f{col}", object) for col in redo],
-            usecols=redo,
-            **_LOADTXT_OPTIONS,
-        )
+        dtype = [(f"f{col}", object) for col in redo]
+        strings = np.loadtxt(lines, dtype=dtype, usecols=redo, **_LOADTXT_OPTIONS)
         if redo[0] == 0:
             row_ids = strings["f0"]
     if row_ids.dtype == object:
-        row_ids = list(map(str.strip, row_ids))
+        row_ids = list(map(str.strip, _utf8(row_ids)))
         if "" in row_ids:
             return False
         rows.write_ids(_encode_ids(row_ids, start))
@@ -853,21 +869,28 @@ def _read_chunk(
         if attr.is_numeric:
             _bucket_codes(attr, table[f"c{j}"], numbers, block[:, j])
         elif j + 1 in redo:
-            block[:, j] = _column_codes(attr, strings[f"f{j + 1}"], start)
+            block[:, j] = _column_codes(attr, _utf8(strings[f"f{j + 1}"]), start)
         elif j not in tables:  # read as strings at once
-            block[:, j] = _column_codes(attr, table[f"c{j}"], start)
+            block[:, j] = _column_codes(attr, _utf8(table[f"c{j}"]), start)
     rows.n += len(table)
     return True
 
 
+# Whether a byte may start (row 0) or end (row 1) the UTF-8 bytes of a
+# character ``str.strip`` removes: ASCII up to the space, U+0085, U+00A0,
+# U+1680, U+2000-U+200A, U+2028, U+2029, U+202F, U+205F or U+3000.
+_STRIPPED = np.tile(np.arange(256) <= 32, (2, 1))
+_STRIPPED[0, [0xC2, 0xE1, 0xE2, 0xE3]] = True
+_STRIPPED[1, [*range(0x80, 0x8B), 0x9F, 0xA0, 0xA8, 0xA9, 0xAF]] = True
+
+
 def _whole_ids(words: np.ndarray) -> bool:
     """Whether the ``(n, m)`` little-endian 8-byte words of an ``S``
-    field of ``8 * m`` bytes hold every ID of its ASCII chunk whole and
+    field of ``8 * m`` bytes hold every ID of its chunk whole and
     stripped: none filling the field's last byte, where ``np.loadtxt``
     may have cut a longer one, and none empty or starting or ending with
-    a space or a control byte below it, a set holding every ASCII byte
-    that ``str.strip`` removes."""
-    if (words[:, -1] >> 56).any() or ((words[:, 0] & 0xFF) <= 32).any():
+    a byte of a character ``str.strip`` may remove (``_STRIPPED``)."""
+    if (words[:, -1] >> 56).any() or _STRIPPED[0, words[:, 0] & 0xFF].any():
         return False
     # An ID holds no NUL, so it ends at the highest nonzero byte of its
     # last nonzero word, which halving shifts bring down to the low byte.
@@ -877,37 +900,32 @@ def _whole_ids(words: np.ndarray) -> bool:
     for shift in (32, 16, 8):
         high = last >> shift
         np.copyto(last, high, where=high != 0)
-    return not (last <= 32).any()
+    return not _STRIPPED[1, last].any()
 
 
-def _label_table(
-    attr: Attribute, is_ascii: bool
-) -> tuple[str, np.ndarray, np.ndarray]:
+def _label_table(attr: Attribute) -> tuple[str, np.ndarray, np.ndarray]:
     """The field ``_parse_chunk`` reads a label column into, the ``_keys``
     of the labels it matches there, sorted, and their codes.
 
     These are the plain labels, equal to their stripped form and free of
-    NUL (numpy drops NULs from the end of a string).  ``np.loadtxt`` fills
-    a field with a cell as it is, stripping nothing and cutting a longer
-    cell to the field's width.  In an ASCII chunk where every plain label
-    is at most 7 ASCII characters, the field is ``S8``, and a cell is a
-    label exactly when the field's bytes, read as an integer, are the
-    label's NUL-padded bytes: a cell of 8 or more characters fills the
-    last byte, which no label does.  Otherwise the field is ``U`` one
-    character wider than the longest plain label, at most
-    ``_LABEL_FIELD_CHARS``, and holds the plain labels shorter than that.
+    NUL (numpy drops NULs from the end of a string), keyed by their
+    UTF-8 bytes, which are the bytes of a cell in ``_chunks``' text.
+    ``np.loadtxt`` fills a field with a cell as it is, stripping nothing
+    and cutting a longer cell to the field's width.  Where every plain
+    label is at most 7 bytes, the field is ``S8``, and a cell is a label
+    exactly when the field's bytes, read as an integer, are the label's
+    NUL-padded bytes: a cell of 8 or more bytes fills the last byte,
+    which no label does.  Otherwise the field is one byte wider than the
+    longest plain label, at most ``_FIELD_BYTES``, and holds the plain
+    labels shorter than that.
     """
     plain = [
-        (label, code)
+        (label.encode("utf-8", "surrogatepass"), code)
         for code, label in enumerate(attr.values)
         if label == label.strip() and "\0" not in label
     ]
-    if is_ascii and all(len(label) < 8 and label.isascii() for label, _ in plain):
-        width, field = 8, "S8"
-    else:
-        longest = max((len(label) for label, _ in plain), default=0)
-        width = min(1 + longest, _LABEL_FIELD_CHARS)
-        field = f"U{width}"
+    width = min(max([8] + [len(label) + 1 for label, _ in plain]), _FIELD_BYTES)
+    field = f"S{width}"
     kept = [(label, code) for label, code in plain if len(label) < width]
     keys = _keys([label for label, _ in kept], field)
     codes = np.array([code for _, code in kept], dtype=np.int64)
@@ -915,7 +933,7 @@ def _label_table(
     return field, keys[order], codes[order]
 
 
-def _keys(cells: Sequence[str] | np.ndarray, field: str) -> np.ndarray:
+def _keys(cells: Sequence[bytes] | np.ndarray, field: str) -> np.ndarray:
     """``cells`` as ``np.loadtxt`` fills a ``field``, compared as they
     are, or as little-endian 8-byte integers in an ``S8`` field."""
     keys = np.asarray(cells, dtype=field)
@@ -923,7 +941,7 @@ def _keys(cells: Sequence[str] | np.ndarray, field: str) -> np.ndarray:
 
 
 # A label table of at most this many ``S8`` keys is decoded by one
-# equality test per key; a larger one, or any ``U`` field, is searched.
+# equality test per key; any other is searched.
 _EQUAL_KEYS = 16
 
 

@@ -3,8 +3,10 @@ import gc
 import io
 import json
 import math
+import os
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -381,6 +383,53 @@ class TestLoadCsv:
         with pytest.raises(OSError):
             load_csv("/nonexistent/people.csv", people_schema)
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("at", [3, 40, 1_200_000, None])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe4\xb8"])
+    def test_text_that_is_not_utf8_is_named_by_its_offset_in_the_file(
+        self, tmp_path, people_schema, quoted, at, bad
+    ):
+        # In the header, in the first line, past the first 1 MiB block
+        # (numpy's path, or csv.reader's from a quote on the first line)
+        # and cut short at the end: the error names the byte's offset in
+        # the file, as decoding the whole file does, and not its offset in
+        # the read that met it.
+        lines = [b"r%d,Riya,20,5.3,48\n" % i for i in range(70_000)]
+        if quoted:
+            lines[0] = b'r0,"Riya",20,5.3,48\n'
+        data = b"id,Name,Age,Height,Weight\n" + b"".join(lines)
+        at = len(data) if at is None else at
+        data = data[:at] + bad + data[at:]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        assert whole.value.start == at
+        with pytest.raises(DatasetError) as exc:
+            load_csv(str(path), people_schema)
+        assert str(exc.value) == f"{path}: {whole.value}"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_text_that_is_not_utf8_read_from_a_pipe_is_named(
+        self, tmp_path, people_schema
+    ):
+        # A pipe has no position to count from: the error counts from the
+        # start of the read that met the byte, here the first.
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        data = b"id,Name,Age,Height,Weight\nr1,Riya,20,5.3,48\nr2,\xff\n"
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+        try:
+            with pytest.raises(DatasetError) as exc:
+                load_csv(str(path), people_schema)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        assert str(exc.value) == f"{path}: {whole.value}"
+
     def test_cyclic_gc_is_paused_while_reading_and_then_restored(
         self, tmp_path, data_dir, monkeypatch, people_schema
     ):
@@ -655,13 +704,23 @@ LOADER_SCHEMA = Schema(
 )
 LOADER_HEADER = "id,Name,Age,Score\n"
 # A label column numpy decodes by 8-byte keys (Region: every label at
-# most 7 ASCII characters, one of them empty), one it reads into a
-# string field (Kind: an 8-character label, and a non-ASCII one, which
-# makes its chunk non-ASCII), and Age as above.
+# most 7 ASCII characters, one of them empty), one it reads into a wider
+# byte field (Kind: an 8-character label, and a non-ASCII one), and Age
+# as above.
 KEYED_SCHEMA = Schema(
     (
         Attribute("Region", ("north", "seven77", "", "e")),
         Attribute("Kind", ("eight888", "k", "\u4e2d\u6587")),
+        LOADER_SCHEMA.attribute("Age"),
+    )
+)
+# Labels keyed by their UTF-8 bytes: Place's, non-ASCII, of at most 7
+# bytes, in an 8-byte field; Word's, of at most 7 characters but 8 or
+# more bytes (one of 4-byte characters), in a wider one.
+UTF8_SCHEMA = Schema(
+    (
+        Attribute("Place", ("n\u00f6rd", "s\u00fcd", "\u4e2d", "e", "\u00e9t\u00e9")),
+        Attribute("Word", ("\u4e2d\u6587\u5b57", "\U0001d7d5\U0001d7d6", "\u00e9" * 7, "w")),
         LOADER_SCHEMA.attribute("Age"),
     )
 )
@@ -671,6 +730,8 @@ BAD_CELLS = {
     "Score": ("100", "1e9", "nan", "high", "-inf"),
     "Region": ("seven777", "north1234", "nort", "\u00e9", "\u4e2d"),
     "Kind": ("eight8888", "eight88", "\u4e2d"),
+    "Place": ("n\u00f6r", "n\u00f6rd\u00e9", "\u00e9t\u00e9\u00e9", "\u4e2d\u4e2d\u4e2d"),
+    "Word": ("\u4e2d\u6587", "\u00e9" * 8, "\U0001d7d5", "w\u00e9"),
 }
 BLANK_LINES = ("", "   ", " , ,", ",,,", "\t")
 # The last three are numbers that float() reads and numpy's parser
@@ -680,17 +741,22 @@ NUMBER_FORMATS = (
 )
 
 
-# Padding that str.strip removes, with five of the line breaks that
-# str.splitlines splits at; float() ignores all of it but the ASCII
-# separators "\x1c" to "\x1f".
+# Padding that str.strip removes, with six of the line breaks that
+# str.splitlines splits at, and non-ASCII spaces of 2 and 3 UTF-8 bytes
+# (U+00A0, U+0085, U+2003, U+2028, U+3000); float() ignores all of it but
+# the ASCII separators "\x1c" to "\x1f".
 @st.composite
 def padded(draw, text):
     lead = draw(
-        st.sampled_from(("", " ", "  ", "\u00a0", "\u2003 ", " \x1f", "\x1c"))
+        st.sampled_from(
+            ("", " ", "  ", "\u00a0", "\u0085", "\u2003 ", "\u2028", "\u3000",
+             " \x1f", "\x1c")
+        )
     )
     end = draw(
         st.sampled_from(
-            ("", " ", "\x1f", " \u00a0", "\x0b", "\u2028 ", "\x1d", "\x1e ")
+            ("", " ", "\x1f", " \u00a0", "\u0085", "\x0b", "\u2028 ", "\u3000",
+             "\x1d", "\x1e ")
         )
     )
     return lead + text + end
@@ -739,9 +805,10 @@ def row_id(draw, i: int, plain: bool):
     """The ID of row ``i``, of 2 to 70 characters: it differs from the
     others in its first two or only in its last two, which for 10 or more
     characters lie past the eighth byte.  One in four is filled with a
-    2-byte UTF-8 character, so that 40 characters are over 64 bytes."""
+    2-byte UTF-8 character and one in four with a 4-byte one, so that 40
+    characters are over 64 bytes."""
     length = draw(st.sampled_from((2, 7, 8, 15, 16, 17, 40, 70)))
-    fill = draw(st.sampled_from("xxx\u00e9"))
+    fill = draw(st.sampled_from("xx\u00e9\U0001d7d5"))
     stem = f"u{i}"
     uid = stem.rjust(length, fill) if draw(st.booleans()) else stem.ljust(length, fill)
     return draw(padded_id(uid, plain))
@@ -749,8 +816,8 @@ def row_id(draw, i: int, plain: bool):
 
 @st.composite
 def loader_files(draw):
-    """A schema, LOADER_SCHEMA or KEYED_SCHEMA, and CSV text over it with
-    blank lines and at most one fault.
+    """A schema, LOADER_SCHEMA, KEYED_SCHEMA or UTF8_SCHEMA, and CSV text
+    over it with blank lines and at most one fault.
 
     Lines end in LF, CRLF or a lone CR, and the last one maybe in nothing.
     Half the files are plain, with no quoted cell, so that ``load_csv``
@@ -758,9 +825,10 @@ def loader_files(draw):
     that the other half's label columns are decoded in numpy.  IDs are of
     mixed lengths (``row_id``), so a longer ID may follow a shorter first
     one in a chunk, and a third of them are padded with ASCII whitespace;
-    a non-ASCII ID, pad or label makes its chunk non-ASCII.
+    a non-ASCII ID, pad or label makes its block be read as UTF-8 bytes,
+    so chunks of ASCII and non-ASCII blocks mix.
     """
-    schema = draw(st.sampled_from((LOADER_SCHEMA, KEYED_SCHEMA)))
+    schema = draw(st.sampled_from((LOADER_SCHEMA, KEYED_SCHEMA, UTF8_SCHEMA)))
     attrs = schema.attributes
     plain = draw(st.booleans())
     pad = draw(st.booleans())
@@ -871,13 +939,24 @@ def test_quote_free_chunk_loads_as_the_row_by_row_loader(tmp_path, line):
         (("", "x"), ["", "x", " "], [0, 1, 0]),
         # codes past 255, which a uint8 total cannot hold
         (tuple(f" p{i}" for i in range(300)) + ("a", "b"), ["b", "a"], [301, 300]),
-        # an 8-character label: a U field
+        # an 8-character label: a 9-byte field
         (("eight888", "x"), ["x", "eight888"], [1, 0]),
         (("eight888", "x"), ["eight888", "eight8888"], "value 'eight8888' is not"),
-        # a non-ASCII chunk or label: a U field
+        # non-ASCII cells and labels, keyed by their UTF-8 bytes: of at
+        # most 7 bytes in an S8 field, worded as text when not a label
         (("north", "south"), ["north", "\u00e9"], "value '\u00e9' is not"),
         (("north", "south"), ["north", "\u4e2d"], "value '\u4e2d' is not"),
         (("north", "\u4e2d"), ["north", "\u4e2d"], [0, 1]),
+        (("n\u00f6rd", "s\u00fcd"), ["s\u00fcd", "n\u00f6rd"], [1, 0]),
+        (("n\u00f6rd", "s\u00fcd"), ["n\u00f6rd", "n\u00f6rd\u00e9"], "value 'n\u00f6rd\u00e9' is"),
+        # of at most 7 characters but 8 or more bytes: a wider field,
+        # which cuts a longer cell inside a character
+        (("\u4e2d\u6587\u5b57", "x"), ["x", "\u4e2d\u6587\u5b57"], [1, 0]),
+        (("\U0001d7d5\U0001d7d6", "x"), ["\U0001d7d5\U0001d7d6", "x"], [0, 1]),
+        (("\u4e2d\u6587\u5b57", "x"), ["x", "\u4e2d\u6587\u5b57\u00e9"], "is not in the domain"),
+        # padded with non-ASCII spaces, which numpy keeps and strip removes
+        (("north", "s\u00fcd"), ["north", "\u3000s\u00fcd\u0085"], [0, 1]),
+        (("north", "s\u00fcd"), ["\u00a0north\u2028", "s\u00fcd"], [0, 1]),
     ],
 )
 def test_quote_free_labels_load_as_the_row_by_row_loader(
@@ -912,29 +991,34 @@ def searched_label_codes(cells: np.ndarray, keys: np.ndarray, codes: np.ndarray)
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_label_decode_matches_the_sorted_search(data):
-    # 1 to 40 plain labels, across the equality kernel's limit, and maybe
+    # 1 to 40 plain labels of at most 7 UTF-8 bytes, some of 2-, 3- and
+    # 4-byte characters, across the equality kernel's limit, and maybe
     # padded ones, which take codes but are never matched in numpy.
     count = data.draw(st.integers(1, 40))
-    text = st.text("abcxyz019_", min_size=1, max_size=7)
+    text = st.text("abcxyz019_\u00e9\u4e2d\U0001d7d5", min_size=1, max_size=7)
+    text = text.map(lambda v: v.encode()[:7].decode("utf-8", "ignore"))
     plain = data.draw(st.lists(text, min_size=count, max_size=count, unique=True))
     padded = data.draw(st.lists(st.sampled_from((" a", "b ")), max_size=2, unique=True))
     domain = data.draw(st.permutations(plain + padded))
-    field, keys, codes = dataset_module._label_table(Attribute("x", tuple(domain)), True)
+    field, keys, codes = dataset_module._label_table(Attribute("x", tuple(domain)))
     assert field == "S8" and len(keys) == count
-    cells = data.draw(st.lists(st.sampled_from(plain), min_size=1, max_size=30))
+    cells = [
+        label.encode()
+        for label in data.draw(st.lists(st.sampled_from(plain), min_size=1, max_size=30))
+    ]
     if data.draw(st.booleans()):
         # A label's prefix (maybe empty), "", a padded label, or a cell of
         # 8 or more bytes starting with a label, which numpy cuts to 8.
         label = st.sampled_from(domain)
-        longer = st.tuples(label, st.text("abz", max_size=4))
+        longer = st.tuples(label.map(str.encode), st.text("az\u00e9", max_size=4))
         other = (
-            label.map(lambda v: v[:-1])
-            | st.just("")
-            | label
-            | longer.map(lambda p: (p[0] + "z" * 8)[:8] + p[1])
+            label.map(lambda v: v[:-1].encode())
+            | st.just(b"")
+            | label.map(str.encode)
+            | longer.map(lambda p: (p[0] + b"z" * 8)[:8] + p[1].encode())
         )
         cells.insert(data.draw(st.integers(0, len(cells))), data.draw(other))
-    # As np.loadtxt gives them: one field of a record per row.
+    # As np.loadtxt gives them, UTF-8 bytes: one field of a record per row.
     table = np.zeros(len(cells), [("id", "S16"), ("c", "S8"), ("n", np.int64)])
     table["c"] = cells
     block = np.full((len(cells), 3), -7, dtype=np.int64, order="F")
@@ -944,6 +1028,19 @@ def test_label_decode_matches_the_sorted_search(data):
     if decoded:
         assert block[:, 1].tolist() == expected
     assert (block[:, [0, 2]] == -7).all()
+
+
+def test_an_id_edged_by_any_character_strip_removes_is_read_again():
+    # _whole_ids keeps IDs as numpy read them only where no first or last
+    # byte may belong to a character str.strip removes: it checks
+    # _STRIPPED, which must flag the edge bytes of every such character.
+    stripped = dataset_module._STRIPPED
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if not c.strip()]
+    assert len(spaces) == 29
+    for space in spaces:
+        edges = space.encode()
+        assert stripped[0, edges[0]] and stripped[1, edges[-1]], repr(space)
+    assert not stripped[0, 33:0xC2].any() and not stripped[1, 33:0x80].any()
 
 
 def labels_schema(domain: tuple[str, ...]) -> Schema:
@@ -982,6 +1079,51 @@ def test_a_label_column_is_read_twice_only_below_a_plain_first_line(
     loaded = load_csv(str(path), labels_schema(("north", "south")))
     assert loaded.codes.tolist() == [[0, 0, 1], [1, 0, 0]]
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("chunk_rows", (1, 2, 3, dataset_module._CHUNK_ROWS))
+def test_a_non_ascii_table_of_plain_cells_is_read_once_a_chunk(
+    tmp_path, monkeypatch, chunk_rows
+):
+    # Non-ASCII IDs, some starting or ending with a non-ASCII character
+    # that is no space, and labels of at most 7 UTF-8 bytes (Region) and
+    # of more (Sex), some starting or ending with a non-ASCII character:
+    # numpy reads and decodes every chunk of them as bytes in one
+    # np.loadtxt call, with csv.reader off, and no field is a string.
+    schema = Schema(
+        (
+            Attribute("Region", ("nörd", "süd", "éast", "wé")),
+            Attribute("Age", ("young", "old"), (0.0, 40.0, 99.0)),
+            Attribute("Sex", ("女性の", "\U0001d7d5m")),
+        )
+    )
+    lines = [
+        f"{uid},{region},{age},{sex}"
+        for uid, region, age, sex in zip(
+            ["ré1", "中2", "r\U0001d7d53", "4ж", "ж5中"],
+            ["nörd", "éast", "wé", "süd", "nörd"],
+            [30, 7, 50, 98, 0],
+            ["女性の", "\U0001d7d5m", "女性の", "\U0001d7d5m", "\U0001d7d5m"],
+        )
+    ]
+    path = tmp_path / "plain.csv"
+    path.write_text("id,Region,Age,Sex\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    reference = load_or_error(reference_load_csv, str(path), schema)
+    monkeypatch.setattr(dataset_module, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(dataset_module, "_parse_records", None)
+    dtypes = []
+    loadtxt = np.loadtxt
+
+    def recording(*args, dtype, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return loadtxt(*args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    assert load_or_error(load_csv, str(path), schema) == reference
+    assert reference[0] == ("ré1", "中2", "r\U0001d7d53", "4ж", "ж5中")
+    assert len(dtypes) == -(-len(lines) // chunk_rows)
+    kinds = {dtype[name].kind for dtype in dtypes for name in dtype.names}
+    assert kinds == {"S", "i"}
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
@@ -1157,7 +1299,7 @@ MEMORY_SCHEMA = Schema.from_dict(
 
 
 # ``MEMORY_SCHEMA`` with one non-ASCII Region label, which makes every
-# chunk of its tables non-ASCII, so their IDs are read as strings.
+# block of its tables be re-encoded and read as UTF-8 bytes.
 NON_ASCII_MEMORY_SCHEMA = Schema.from_dict(
     {
         "attributes": [
@@ -1195,9 +1337,10 @@ def write_memory_table(path: Path, n: int, schema: Schema = MEMORY_SCHEMA) -> No
     # once; 3.79 in one chunk, whose lines and numpy records are alive
     # beside the arrays, which it keeps as read.  A loader that joined
     # the chunks' blocks at the end and kept a block's text while parsing
-    # it measured 2.12 and 4.17.  With one non-ASCII label: 1.18 and
-    # 4.93, the one chunk's IDs alive as strings until encoded, and its
-    # labels read as 4-byte characters.  A loader that kept such IDs as
+    # it measured 2.12 and 4.17.  With one non-ASCII label: 1.17 and
+    # 3.89, the block re-encoded once; a loader that read such a chunk's
+    # IDs as strings, alive until encoded, and its labels as 4-byte
+    # characters measured 1.18 and 4.93.  One that kept such IDs as
     # strings rather than bytes kept 1.78 times as much at 10^5 rows.
     [
         pytest.param(MEMORY_SCHEMA, 64, 1.3, id="64-1.3"),
@@ -1399,9 +1542,16 @@ class TestChunkBoundaries:
             # non-ASCII IDs padded with non-ASCII whitespace, of 4-byte
             # characters, and of fewer than 64 characters but more bytes
             ([f"\u3000\u00e9{i}\u00a0" for i in range(10)], None),
+            ([f"\u0085r\u00e9{i}\u2028" for i in range(10)], None),
+            ([f"r\u00e9{i}" if i % 2 else f"\u00a0r{i}\u3000" for i in range(10)], None),
+            (
+                [*(f"r\u00e9{i}" for i in range(9)), "\u3000r\u00e93\u0085"],
+                "row 10: duplicate row ID 'r\u00e93'",
+            ),
             ([f"\U0001d7d5{i}" for i in range(10)], None),
             (["\u00e9" * 33 + str(i) for i in range(10)], None),
-            # byte chunks, then a non-ASCII chunk whose IDs are wider
+            # ASCII chunks, then non-ASCII ones whose IDs, over 64 bytes,
+            # are read as strings
             ([f"r{i}" if i < 6 else "\u4e2d" * 30 + str(i) for i in range(10)], None),
             # quoted IDs, which csv.reader reads: every one, or after plain
             # ones, which numpy reads in chunks of up to 3 lines
@@ -1581,15 +1731,16 @@ class TestChunkBoundaries:
         assert reference[0][-1] == "r10"
         assert given[-1] is False  # csv.reader read the quoted line
 
-    def test_a_chunk_across_blocks_is_ascii_only_if_every_block_is(
+    def test_a_chunk_across_non_ascii_and_ascii_blocks_words_its_fault_as_text(
         self, tmp_path, monkeypatch, people_schema
     ):
-        # A 4-line chunk read in blocks of 256 characters: the first block
-        # holds lines 1 and 2, whose Name "中" is not a label, and each
-        # later block one long line.  Name's labels are short, but the
-        # chunk is not ASCII, so Name must not go to an S8 field, which
-        # numpy cannot fill with "中"; csv.reader is off, so such a read
-        # fails.
+        # A 4-line chunk read in blocks of 256 characters: the first block,
+        # re-encoded as its UTF-8 bytes, holds lines 1 and 2, whose Name
+        # "中" is not a label, and each later block, ASCII, one long line.
+        # numpy fills Name's S8 field with the bytes of "中", finds no
+        # label there and reads the column again as strings, which are
+        # turned back to text before the fault is worded; csv.reader is
+        # off, so numpy must read the chunk.
         second = "r2,中,7,4.8,42"
         first = "r1,Riya,20,5.3,48"
         pad = 4 * dataset_module._LINE_CHARS - len(first) - len(second) - 2
